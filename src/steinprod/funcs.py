@@ -169,15 +169,26 @@ class BesselPowerComb:
             self._levels.append(self._differentiate(self._levels[-1]))
         return self._levels[k]
 
-    def deriv(self, x, k: int = 0):
+    def deriv(self, x, k: int = 0, bessel: dict | None = None):
+        """k-th derivative at x.
+
+        ``bessel`` maps (nu, kind) to Phi_nu(rate * x^power) at this x;
+        it is filled in place, so derivatives of several orders (or of
+        several combinations with the same rate and power) at one x share
+        their Bessel evaluations.
+        """
         from .specfun import bessel_i, bessel_k
 
         xs = np.asarray(x, dtype=float)
         arg = self.rate * xs**self.power
+        cache = {} if bessel is None else bessel
         out = np.zeros_like(xs)
         for c, alpha, nu, kind in self._terms(k):
-            fn = bessel_k if kind == "k" else bessel_i
-            out = out + c * xs**alpha * fn(nu, arg)
+            # K_{-nu} = K_nu and I_{-n} = I_n for integer n
+            key = (abs(nu) if kind == "k" or nu == round(nu) else nu, kind)
+            if key not in cache:
+                cache[key] = (bessel_k if kind == "k" else bessel_i)(key[0], arg)
+            out = out + c * xs**alpha * cache[key]
         return out if np.ndim(x) else float(out)
 
     def __call__(self, x):

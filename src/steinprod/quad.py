@@ -28,27 +28,65 @@ def gl_panel(f: Callable, a: float, b: float, n: int = 16) -> float:
     return half * float(np.sum(w * f(mid + half * x)))
 
 
-def adaptive(f: Callable, a: float, b: float, tol: float = 1e-10,
-             rtol: float = 1e-12, max_depth: int = 24) -> float:
-    """Adaptive Gauss-Legendre by interval halving.
+# Panels evaluated per integrand call: bounds the node array (and the
+# integrand's temporaries) at 4096 points however many panels are pending.
+_CHUNK_PANELS = 256
 
-    Stops when the halving correction is below max(tol, rtol * |panel|);
-    the relative term keeps large-magnitude integrands from recursing
-    into roundoff noise.
+
+def _gl_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, n: int = 16) -> np.ndarray:
+    """Gauss-Legendre values of many panels, shape (..., panels).
+
+    The integrand sees one flat node array per chunk; a result of shape
+    (c, nodes) gives c components per panel.
     """
+    x, w = gauss_legendre(n)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    parts = []
+    for start in range(0, lo.size, _CHUNK_PANELS):
+        sl = slice(start, start + _CHUNK_PANELS)
+        nodes = (mid[sl, None] + half[sl, None] * x).ravel()
+        vals = np.asarray(f(nodes), dtype=float)
+        vals = np.broadcast_to(vals, vals.shape[:-1] + nodes.shape)
+        vals = vals.reshape(vals.shape[:-1] + (-1, n))
+        parts.append(half[sl] * np.sum(w * vals, axis=-1))
+    return np.concatenate(parts, axis=-1)
 
-    def recurse(lo, hi, whole, depth):
+
+def adaptive(f: Callable, a, b, tol: float = 1e-10, rtol: float = 1e-12,
+             max_depth: int = 24):
+    """Adaptive Gauss-Legendre by interval halving, one level at a time.
+
+    A panel is split until the halving correction |left + right - whole|
+    is below max(tol, rtol * |whole|), or max_depth halvings are reached;
+    the relative term keeps large-magnitude integrands from recursing
+    into roundoff noise.  ``a`` and ``b`` may be arrays of interval ends:
+    the pending panels of every interval share one integrand call per
+    level (chunked at _CHUNK_PANELS panels).  An integrand returning shape
+    (c, n) is integrated per component, and a panel is accepted only when
+    every component passes; the result then has a leading axis c.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape = lo.shape
+    lo, hi = lo.ravel(), hi.ravel()
+    owner = np.arange(lo.size)
+    whole = _gl_panels(f, lo, hi)
+    total = np.zeros(whole.shape)
+    for depth in range(max_depth, -1, -1):
+        if not lo.size:
+            break
         mid = 0.5 * (lo + hi)
-        left = gl_panel(f, lo, mid)
-        right = gl_panel(f, mid, hi)
-        if depth <= 0:
-            return left + right
-        if abs(left + right - whole) <= max(tol, rtol * abs(whole)):
-            return left + right
-        return (recurse(lo, mid, left, depth - 1)
-                + recurse(mid, hi, right, depth - 1))
-
-    return recurse(a, b, gl_panel(f, a, b), max_depth)
+        halves = _gl_panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = np.split(halves, 2, axis=-1)
+        both = left + right
+        ok = np.abs(both - whole) <= np.maximum(tol, rtol * np.abs(whole))
+        done = np.all(ok.reshape(-1, lo.size), axis=0) | (depth <= 0)
+        np.add.at(total, (..., owner[done]), both[..., done])
+        keep = ~done
+        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
+        whole = np.concatenate([left[..., keep], right[..., keep]], axis=-1)
+        owner = np.concatenate([owner[keep], owner[keep]])
+    total = total.reshape(total.shape[:-1] + shape)
+    return float(total) if total.ndim == 0 else total
 
 
 def tanh_sinh(f: Callable, a: float, b: float, tol: float = 1e-12,

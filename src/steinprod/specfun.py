@@ -30,7 +30,7 @@ class NumericalError(RuntimeError):
     """Requested tolerance could not be reached within resource limits."""
 
 
-class SeriesUnsupported(RuntimeError):
+class SeriesUnsupported(NumericalError):
     """Residue series not available for this parameter constellation."""
 
 

@@ -18,6 +18,15 @@ integral vanishes because t^{s-1} K_d(2 lam sqrt(t)) is proportional to
 the density of Y); both are implemented and compared.  Derivatives of f
 are taken analytically: the J-derivative contributions collapse through
 the Wronskian, leaving only Bessel-prefactor derivatives.
+
+J_I and J_K are accumulated in u = sqrt(t) over a sorted table of
+anchors.  ``SteinSolution.values`` inserts every new point of a batch
+and integrates all new intervals between neighbouring anchors in one
+level-wise adaptive call whose integrand returns both components, so
+each node costs one I and one K evaluation; ``value(x)`` is a batch of
+one.  The prefactor Bessel values at the last points are kept, so
+``value(x)`` and ``derivative(x, k)`` at one x share them.  The tail
+form integrates its K-kernel tail separately, never from the anchors.
 """
 
 from __future__ import annotations
@@ -37,7 +46,9 @@ def expect_pg(r1: float, r2: float, lam: float, h, tol: float = 1e-11) -> float:
 
     The density kernel decays like exp(-2 lam u); integration stops once
     that factor is below e^-125, which bounds the dropped mass for any
-    bounded test function well under the tolerance.
+    bounded test function well under the tolerance.  The tail is split
+    into n panels one e-fold of the kernel wide, each integrated to tol / n,
+    so that the leaf errors of an oscillating h cannot add up beyond tol.
     """
     ev = density(ProductSpec(gamma_shapes=(r1, r2), lam=lam))
 
@@ -46,9 +57,11 @@ def expect_pg(r1: float, r2: float, lam: float, h, tol: float = 1e-11) -> float:
 
     u_peak = max(1.0, math.sqrt(r1 * r2) / lam)
     u_top = u_peak + (125.0 + 10.0 * abs(r1 + r2)) / (2.0 * lam)
+    n = math.ceil(2.0 * lam * (u_top - u_peak))
+    edges = np.linspace(u_peak, u_top, n + 1)
     head = quad.tanh_sinh(integrand, 0.0, u_peak, tol=tol)
-    tail = quad.adaptive(integrand, u_peak, u_top, tol=tol, rtol=1e-12)
-    return head + tail
+    tail = quad.adaptive(integrand, edges[:-1], edges[1:], tol=tol / n, rtol=1e-12)
+    return head + float(np.sum(tail))
 
 
 class _GriddedFunction:
@@ -61,7 +74,7 @@ class _GriddedFunction:
 
     def __init__(self, sol: "SteinSolution", x_max: float, points: int = 1200):
         self.grid = np.geomspace(1e-6, x_max, points)
-        self.vals = np.array([sol.value(float(v)) for v in self.grid])
+        self.vals = sol.values(self.grid)
 
     def __call__(self, x):
         return np.interp(x, self.grid, self.vals)
@@ -114,8 +127,13 @@ class SteinSolution:
         two_lam = 2.0 * self.lam
         self._kpre = BesselPowerComb([(1.0, -self.s, self.delta, "k")], two_lam, 0.5)
         self._ipre = BesselPowerComb([(1.0, -self.s, self.delta, "i")], two_lam, 0.5)
-        # cumulative anchors for J_I, J_K in the u = sqrt(t) variable
-        self._anchors: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)]
+        # anchors of the cumulative integrals: sorted u = sqrt(t) and
+        # (J_I, J_K) there, one column per anchor
+        self._u = np.zeros(1)
+        self._j = np.zeros((2, 1))
+        # Bessel values of the prefactors at the last points asked for
+        self._bessel_key = b""
+        self._bessel: dict = {}
 
     # -- centred test function ------------------------------------------------
 
@@ -124,63 +142,110 @@ class SteinSolution:
 
     # -- cumulative integrals --------------------------------------------------
 
+    def _weight(self, u):
+        """Common factor of the J integrands in u = sqrt(t)."""
+        return 2.0 * u ** (2.0 * self.s - 1.0) * self.h_tilde(u * u)
+
     def _integrand(self, u):
+        """(J_I, J_K) integrands: one bessel_i and one bessel_k per node."""
         from .specfun import bessel_i, bessel_k
 
-        u = np.asarray(u, dtype=float)
         arg = 2.0 * self.lam * u
-        base = 2.0 * u ** (2.0 * self.s - 1.0) * (self.h.deriv(u * u, 0) - self.e_h)
-        return base * bessel_i(self.delta, arg), base * bessel_k(self.delta, arg)
+        base = self._weight(u)
+        return np.stack([base * bessel_i(self.delta, arg), base * bessel_k(self.delta, arg)])
 
-    def _j_values(self, x: float) -> tuple[float, float]:
-        """(J_I(x), J_K(x)) by incremental adaptive quadrature in u."""
-        u = math.sqrt(x)
-        lo = max(a for a in self._anchors if a[0] <= u)
-        if lo[0] == u:
-            return lo[1], lo[2]
-        ji = lo[1] + quad.adaptive(lambda v: self._integrand(v)[0], lo[0], u,
-                                   tol=self.tol * 0.05, rtol=1e-11)
-        jk = lo[2] + quad.adaptive(lambda v: self._integrand(v)[1], lo[0], u,
-                                   tol=self.tol * 0.05, rtol=1e-11)
-        self._anchors.append((u, ji, jk))
-        self._anchors.sort(key=lambda t: t[0])
-        return ji, jk
+    def _j_values(self, xs: np.ndarray) -> np.ndarray:
+        """(J_I, J_K) at every x, shape (2, n).
+
+        Points not yet anchored are inserted into the sorted anchor table;
+        every new interval between neighbouring anchors is integrated in
+        one batched adaptive call, and the increments are accumulated
+        from the nearest old anchor on their left.
+        """
+        if np.any(xs < 0):
+            raise ValueError("x must be nonnegative")
+        u = np.sqrt(xs)
+        at = np.searchsorted(self._u, u)
+        if np.array_equal(self._u[np.minimum(at, self._u.size - 1)], u):
+            return self._j[:, at]
+        merged = np.union1d(self._u, u)
+        is_new = ~np.isin(merged, self._u, assume_unique=True)
+        pos = np.flatnonzero(is_new)
+        inc = np.zeros((2, merged.size))
+        inc[:, pos] = quad.adaptive(self._integrand, merged[pos - 1], merged[pos],
+                                    tol=self.tol * 0.05, rtol=1e-11)
+        csum = np.cumsum(inc, axis=1)
+        # index of the nearest old anchor at or left of each position
+        old = np.maximum.accumulate(np.where(is_new, 0, np.arange(merged.size)))
+        base = np.zeros_like(inc)
+        base[:, ~is_new] = self._j
+        self._u = merged
+        self._j = base[:, old] + (csum - csum[:, old])
+        return self._j[:, np.searchsorted(merged, u)]
 
     def _j_tail_k(self, x: float) -> float:
         """int_x^infty of the K-kernel integrand (pen-form ingredient)."""
+        from .specfun import bessel_k
+
+        def integrand(v):
+            return self._weight(v) * bessel_k(self.delta, 2.0 * self.lam * v)
+
         u = math.sqrt(x)
         u_top = u + (62.0 + abs(2.0 * self.s - 1.0) * 10.0) / (2.0 * self.lam)
-        return quad.adaptive(lambda v: self._integrand(v)[1], u, u_top,
-                             tol=self.tol * 0.05, rtol=1e-11)
+        return quad.adaptive(integrand, u, u_top, tol=self.tol * 0.05, rtol=1e-11)
 
     # -- solution values ---------------------------------------------------------
 
+    def _prefactors(self, xs: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """order-th derivatives of x^{-s} I_d and x^{-s} K_d at xs.
+
+        The Bessel values are kept for the last xs, so value(x) and every
+        derivative(x, k) at one x evaluate each distinct order once.
+        """
+        key = xs.tobytes()
+        if key != self._bessel_key:
+            self._bessel_key, self._bessel = key, {}
+        return (self._ipre.deriv(xs, order, bessel=self._bessel),
+                self._kpre.deriv(xs, order, bessel=self._bessel))
+
+    def _combine(self, xs: np.ndarray, order: int) -> np.ndarray:
+        """2 (I-prefactor J_K - K-prefactor J_I), differentiated order times."""
+        ji, jk = self._j_values(xs)
+        ipre, kpre = self._prefactors(xs, order)
+        return 2.0 * (ipre * jk - kpre * ji)
+
+    def values(self, xs) -> np.ndarray:
+        """Solution values at every point of xs in one J sweep."""
+        xs = np.asarray(xs, dtype=float)
+        # far tail: the solution approaches -h_tilde(x) / (lam^2 x);
+        # evaluating the growing/decaying Bessel pair would overflow
+        far = 2.0 * self.lam * np.sqrt(xs) > 600.0
+        out = np.empty(xs.shape)
+        if np.any(far):
+            out[far] = -self.h_tilde(xs[far]) / (self.lam**2 * xs[far])
+        out[~far] = self._combine(xs[~far], 0)
+        return out
+
     def value(self, x: float) -> float:
-        if 2.0 * self.lam * math.sqrt(x) > 600.0:
-            # far tail: the solution approaches -h_tilde(x) / (lam^2 x);
-            # evaluating the growing/decaying Bessel pair would overflow
-            return -self.h_tilde(x) / (self.lam**2 * x)
-        ji, jk = self._j_values(x)
-        return 2.0 * (self._ipre.deriv(x, 0) * jk - self._kpre.deriv(x, 0) * ji)
+        return float(self.values(np.array([float(x)]))[0])
 
     def value_tail_form(self, x: float) -> float:
-        ji, _ = self._j_values(x)
-        return (-2.0 * self._kpre.deriv(x, 0) * ji
-                - 2.0 * self._ipre.deriv(x, 0) * self._j_tail_k(x))
+        xs = np.array([float(x)])
+        ji = self._j_values(xs)[0, 0]
+        ipre, kpre = self._prefactors(xs, 0)
+        return float(-2.0 * kpre[0] * ji - 2.0 * ipre[0] * self._j_tail_k(x))
 
     def derivative(self, x: float, order: int) -> float:
         """f, f' or f''; J-kernel terms cancel, except h-tilde enters f''."""
-        ji, jk = self._j_values(x)
-        lead = 2.0 * (self._ipre.deriv(x, order) * jk - self._kpre.deriv(x, order) * ji)
-        if order <= 1:
-            return lead
+        if order > 2:
+            raise ValueError("orders above two need the equation itself")
+        lead = float(self._combine(np.array([float(x)]), order)[0])
         if order == 2:
             return lead + self.h_tilde(x) / (x * x)
-        raise ValueError("orders above two need the equation itself")
+        return lead
 
     def __call__(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([self.value(float(v)) for v in xs])
+        out = self.values(np.atleast_1d(np.asarray(x, dtype=float)))
         return out if np.ndim(x) else float(out[0])
 
 
@@ -242,7 +307,7 @@ def estimate_derivative_bounds(r1: float, r2: float, lam: float, h,
     for k in range(k_max + 1):
         rhs = _StageFunction(h, k, lam, prev)
         sol = SteinSolution(r1=r1 + k, r2=r2 + k, lam=lam, h=rhs, tol=1e-8)
-        sups.append(float(np.max(np.abs([sol.value(float(v)) for v in grid]))))
+        sups.append(float(np.max(np.abs(sol.values(grid)))))
         prev = _GriddedFunction(sol, max(x_reach, float(grid[-1]) * 1.5))
     return sups
 

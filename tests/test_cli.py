@@ -146,3 +146,10 @@ class TestExitCodes:
         rc = main(["stein-solve", "--r1", "1", "--r2", "1", "--lam", "1",
                    "--h", "nope", "--grid", "0.1:5:3"])
         assert rc == 1
+
+    def test_unsupported_series_is_two(self, spec_file, capsys):
+        # a pure product of three betas has q = p; its series stops short of z = 1
+        payload = {"version": 1, "beta": [[1.3, 0.6], [2.0, 1.5], [0.8, 1.1]]}
+        rc = main(["density", "--spec", spec_file(payload), "--grid", "0.9:0.99:3"])
+        assert rc == 2
+        assert "numerical failure" in capsys.readouterr().err

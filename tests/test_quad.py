@@ -1,0 +1,99 @@
+"""Level-wise adaptive Gauss-Legendre against the recursive halving rule."""
+
+import math
+
+import numpy as np
+import pytest
+
+from steinprod import quad
+
+
+def recursive_adaptive(f, a, b, tol=1e-10, rtol=1e-12, max_depth=24):
+    """Reference: the depth-first form of the same halving rule."""
+
+    def recurse(lo, hi, whole, depth):
+        mid = 0.5 * (lo + hi)
+        left = quad.gl_panel(f, lo, mid)
+        right = quad.gl_panel(f, mid, hi)
+        if depth <= 0:
+            return left + right
+        if abs(left + right - whole) <= max(tol, rtol * abs(whole)):
+            return left + right
+        return (recurse(lo, mid, left, depth - 1)
+                + recurse(mid, hi, right, depth - 1))
+
+    return recurse(a, b, quad.gl_panel(f, a, b), max_depth)
+
+
+CASES = {
+    "smooth": (lambda u: np.exp(-u) * np.cos(3.0 * u) + 1.0 / (1.0 + u * u), -2.0, 5.0),
+    "oscillating": (lambda u: np.exp(-u) * np.sin(u * u), 0.0, 60.0),
+    "endpoint_singular": (lambda u: u ** -0.5, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_recursive_rule(name):
+    f, a, b = CASES[name]
+    ref = recursive_adaptive(f, a, b)
+    assert quad.adaptive(f, a, b) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_tolerances_reach_the_accept_test():
+    f, a, b = CASES["oscillating"]
+    for tol, rtol in ((1e-6, 1e-8), (1e-13, 1e-14)):
+        ref = recursive_adaptive(f, a, b, tol=tol, rtol=rtol)
+        got = quad.adaptive(f, a, b, tol=tol, rtol=rtol)
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_intervals_batch_like_separate_calls():
+    f, _, _ = CASES["oscillating"]
+    lo = np.array([0.0, 1.0, 7.5, 3.0])
+    hi = np.array([1.0, 7.5, 60.0, 3.0])
+    got = quad.adaptive(f, lo, hi)
+    assert got.shape == lo.shape
+    for g, a, b in zip(got, lo, hi):
+        assert g == pytest.approx(recursive_adaptive(f, a, b), rel=1e-14, abs=1e-300)
+
+
+def test_two_components_each_within_tolerance():
+    tol = 1e-10
+
+    def g1(u):
+        return np.exp(-u) * np.sin(u * u)
+
+    def g2(u):
+        return np.sqrt(u) * np.cos(u)
+
+    both = quad.adaptive(lambda u: np.stack([g1(u), g2(u)]), 0.0, 20.0, tol=tol)
+    assert both.shape == (2,)
+    for got, g in zip(both, (g1, g2)):
+        alone = quad.adaptive(g, 0.0, 20.0, tol=tol)
+        assert abs(got - alone) <= tol
+    # closed form of the second component as an independent check
+    exact = math.sqrt(20.0) * math.sin(20.0)
+    from scipy.special import fresnel
+
+    s, _ = fresnel(math.sqrt(2.0 * 20.0 / math.pi))
+    exact -= 0.5 * math.sqrt(2.0 * math.pi) * s
+    assert both[1] == pytest.approx(exact, abs=1e-9)
+
+
+def test_integrand_calls_are_chunked():
+    sizes = []
+
+    def f(u):
+        sizes.append(u.size)
+        return np.sin(50.0 * u)
+
+    lo = np.linspace(0.0, 99.0, 1000)
+    quad.adaptive(f, lo, lo + 1.0)
+    assert max(sizes) <= 4096
+    assert sum(sizes) % 16 == 0
+
+
+def test_scalar_and_degenerate_intervals():
+    assert isinstance(quad.adaptive(np.cos, 0.0, 1.0), float)
+    assert quad.adaptive(np.cos, 1.0, 1.0) == 0.0
+    assert quad.adaptive(lambda u: 2.0, 0.0, 3.0) == pytest.approx(6.0, rel=1e-15)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from steinprod import funcs, steinsolve
+from steinprod import funcs, specfun, steinsolve
 
 CASES = [(1.0, 1.0, 1.0), (2.0, 0.5, 1.0), (1.5, 1.5, 2.0)]
 
@@ -67,6 +67,15 @@ class TestSolveSteinPG:
         sup, sup_fine = np.max(np.abs(vals)), np.max(np.abs(vals_fine))
         assert abs(sup - sup_fine) < 0.01 * sup_fine
 
+    def test_expectation_meets_its_tolerance_for_oscillating_h(self):
+        # mpmath at 25 digits, with breakpoints at sqrt(k pi)
+        ref = 0.0058615133760466950397
+        sol = steinsolve.solve_stein_pg(2.383, 2.738, 0.5, funcs.Sinusoid())
+        assert abs(sol.e_h - ref) <= 1e-12
+        # value_tail_form amplifies an e_h error by about 1.4e4 at x = 0.1
+        for x in (0.1, 1.0, 10.0):
+            assert abs(sol.value(x) - sol.value_tail_form(x)) <= 1e-8
+
     def test_equal_shapes_small_x_bound(self):
         r = 1.5
         h = funcs.Sinusoid()
@@ -74,6 +83,53 @@ class TestSolveSteinPG:
         h_tilde_sup = 1.0 + abs(sol.e_h)  # |sin| <= 1
         bound = 4.0 * h_tilde_sup / (2 * r) ** 2
         assert abs(sol.value(1e-3)) <= bound + 1e-6
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("r1,r2,lam", CASES)
+    def test_values_match_ascending_value_calls(self, r1, r2, lam):
+        xs = np.geomspace(0.01, 50.0, 25)
+        shuffled = np.random.default_rng(1).permutation(xs)
+        h = funcs.Sinusoid()
+        batch = steinsolve.solve_stein_pg(r1, r2, lam, h).values(shuffled)
+        sweep_sol = steinsolve.solve_stein_pg(r1, r2, lam, h)
+        sweep = np.array([sweep_sol.value(x) for x in xs])
+        np.testing.assert_allclose(batch[np.argsort(shuffled)], sweep, rtol=1e-13, atol=0)
+        # anchored points are looked up, not integrated again
+        np.testing.assert_array_equal(sweep_sol.values(shuffled), batch)
+        assert sweep_sol(xs[3]) == sweep[3]
+
+    def test_far_tail_and_call_shapes(self):
+        sol = steinsolve.solve_stein_pg(1.0, 1.0, 1.0, funcs.exp_decay(1.0))
+        xs = np.array([0.5, 1e6, 2.0])
+        vals = sol(xs)
+        assert vals.shape == (3,)
+        assert vals[1] == pytest.approx(sol.e_h / 1e6, rel=1e-12)
+        assert isinstance(sol(2.0), float) and sol(2.0) == vals[2]
+
+    def test_residual_evaluates_each_bessel_order_once(self, monkeypatch):
+        sol = steinsolve.solve_stein_pg(2.0, 0.5, 1.0, funcs.exp_decay(1.0))
+        x = 1.7
+        sol.value(x)
+        calls = []
+        for name in ("bessel_i", "bessel_k"):
+            fn = getattr(specfun, name)
+            monkeypatch.setattr(specfun, name, lambda nu, z, _fn=fn, _n=name:
+                                calls.append((_n, nu)) or _fn(nu, z))
+        res = steinsolve.stein_residual(sol, x)
+        assert abs(res) < 1e-8
+        # orders 0 come from value(x); every other order once (K_{-nu} = K_nu)
+        assert len(calls) == len(set(calls)) == 7
+        assert ("bessel_i", 1.5) not in calls and ("bessel_k", 1.5) not in calls
+
+    def test_shared_bessel_values_match_fresh_evaluation(self):
+        comb = funcs.BesselPowerComb([(1.0, -1.25, 1.5, "k"), (0.3, -1.25, 1.5, "i")], 2.0, 0.5)
+        xs = np.array([0.03, 0.7, 4.0, 30.0])
+        shared = {}
+        for k in range(4):
+            np.testing.assert_array_equal(comb.deriv(xs, k, bessel=shared), comb.deriv(xs, k))
+        # K_{-nu} = K_nu: orders 0..3 need nu = 1.5 +- 0..3 once per kind
+        assert sorted(nu for nu, kind in shared if kind == "k") == [0.5, 1.5, 2.5, 3.5, 4.5]
 
 
 class TestResidual:
@@ -97,6 +153,24 @@ class TestDerivativeBounds:
             grid=np.geomspace(1e-3, 1e2, 50))
         assert len(sups) == 3
         assert all(np.isfinite(s) and s < 50 for s in sups)
+        np.testing.assert_allclose(sups[:2], [0.3432140814961051, 0.17574639371444498],
+                                   rtol=1e-6)
+        # The e_h of the f'' stage reads the gridded f' stage out to x ~ 9e3,
+        # where the solution formula is dominated by cancellation; f'' moves
+        # by ~5e-6 with the quadrature tolerances (and reaches 0.06886494 at
+        # stage tolerances 1e-9 and 1e-10), so it is pinned more loosely.
+        assert sups[2] == pytest.approx(0.0688653251847452, rel=1e-5)
+
+    @pytest.mark.parametrize("k,h,lam,expected", [
+        (0, funcs.gaussian_bump(1.0), 2.0, [0.09738339244977368]),
+        (1, funcs.BoundedRational(1.0), 1.0, [0.1814218190018273, 0.09756401252089203]),
+        (2, funcs.exp_decay(1.0), 1.0,
+         [0.22042365698209, 0.09350382967713158, 0.053314697090448254]),
+    ])
+    def test_pinned_estimates(self, k, h, lam, expected):
+        sups = steinsolve.estimate_derivative_bounds(
+            1.4, 2.45, lam, h, k, grid=np.geomspace(1e-2, 50.0, 20))
+        np.testing.assert_allclose(sups, expected, rtol=1e-6)
 
     def test_requires_smooth_enough_h(self):
         class Rough:
