@@ -11,8 +11,7 @@ normals (sigma = product of scales), the density is a Meijer G-function:
 
 Evaluators reduce their parameters first and dispatch to elementary
 closed forms (exponential, Bessel-K, single-beta, two-beta convolution)
-whenever reduction lands there, keeping the general G-quadrature path
-available for cross-validation.
+whenever reduction lands there, and to ``meijer_g_batch`` otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import quad
 from .specfun import (MeijerGParams, NumericalError, asymptotic_g, bessel_k,
-                      meijer_g, meijer_g_batch, reduce_params)
+                      meijer_g_batch, reduce_params)
 from .steinops import ProductSpec
 
 _LN2 = math.log(2.0)
@@ -160,11 +159,14 @@ def moment(spec: ProductSpec, k: int) -> float:
 
 @dataclass
 class DensityEvaluator:
-    """Pointwise density with fast closed-form paths and a G-quadrature path.
+    """Density of a product: ``batch`` is the one evaluation path.
 
-    ``arg_coeff`` maps x to the G argument: y = arg_coeff * x^2 when a
-    normal factor is present (density symmetric on R), w = arg_coeff * x
-    otherwise (support x > 0).
+    ``batch`` takes the closed form of ``kind`` unless it is "general",
+    in which case it evaluates the reduced G-function in one
+    ``meijer_g_batch`` call; x = 0 takes the exact limit.  A scalar call
+    is a batch of one.  ``arg_coeff`` maps x to the G argument:
+    y = arg_coeff * x^2 when a normal factor is present (density symmetric
+    on R), w = arg_coeff * x otherwise (support x > 0).
     """
 
     spec: ProductSpec
@@ -174,7 +176,6 @@ class DensityEvaluator:
     squared_argument: bool
     reduced: MeijerGParams = field(init=False)
     kind: str = field(init=False)
-    small_x_cutoff: float = 1e-6
     tol: float = 1e-11
 
     def __post_init__(self):
@@ -256,23 +257,19 @@ class DensityEvaluator:
 
     # -- evaluation -------------------------------------------------------------
 
-    def batch(self, xs, method: str = "auto") -> np.ndarray:
+    def batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
+        ax = np.abs(xs) if self.squared_argument else xs
         out = np.zeros_like(xs)
-        if self.squared_argument:
-            live = np.abs(xs) > 0
-        else:
-            live = xs > 0
+        live = ax > 0
         y = self.argument(xs[live])
-        if method == "auto" and self.kind != "general":
-            vals = self._closed(y)
-        elif method == "closed":
-            vals = self._closed(y)
+        if self.kind != "general":
+            out[live] = self._closed(y)
         else:
-            vals = self.const * meijer_g_batch(self.reduced, y, self.tol)
-        out[live] = vals
-        if np.any(~live):
-            out[~live] = self._at_zero()
+            out[live] = self.const * meijer_g_batch(self.reduced, y, self.tol)
+        zero = ax == 0
+        if np.any(zero):
+            out[zero] = self._at_zero()
         return out
 
     def _at_zero(self) -> float:
@@ -281,27 +278,15 @@ class DensityEvaluator:
         power, _ = self.small_x_exponent()
         if power > 0:
             return 0.0
-        tiny = self.argument(np.array([1e-8]))[0]
-        return self.const * meijer_g(self.reduced, tiny, self.tol)
+        # simple pole at b_min = 0: the residue prod_{b != 0} Gamma(b) / prod Gamma(a)
+        if any(a <= 0 and a == round(a) for a in self.reduced.a):
+            return 0.0  # 1/Gamma vanishes at a nonpositive integer
+        rest = [v for v in self.reduced.b if v != 0.0]
+        return (self.const * math.prod(map(math.gamma, rest))
+                / math.prod(map(math.gamma, self.reduced.a)))
 
-    def __call__(self, x: float, method: str = "auto") -> float:
-        x = float(x)
-        ax = abs(x) if self.squared_argument else x
-        if not self.squared_argument and x <= 0:
-            return 0.0
-        if ax < self.small_x_cutoff:
-            if self.diverges_at_zero():
-                return math.inf
-            if ax == 0:
-                return self._at_zero()
-        if method == "gfunc":
-            return self.const * meijer_g(self.reduced, float(self.argument(x)), self.tol)
-        return float(self.batch(np.array([x]), method=method)[0])
-
-    def gfunc_value(self, x: float, reduced: bool = True, tol: float | None = None) -> float:
-        """Raw G-quadrature value (reduced or original parameters)."""
-        params = self.reduced if reduced else self.g_params
-        return self.const * meijer_g(params, float(self.argument(x)), tol or self.tol)
+    def __call__(self, x: float) -> float:
+        return float(self.batch([x])[0])
 
     # -- integration helpers ------------------------------------------------
 

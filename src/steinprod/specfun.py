@@ -1,14 +1,19 @@
 """Numerical special functions: log-gamma, modified Bessel, Meijer G.
 
 The G-function evaluator targets the family G^{q,0}_{p,q}(z | a; b) with
-real parameters, which covers every density in scope.  Two routes are
-used and cross-validated:
+real parameters, which covers every density in scope.  It has one entry,
+``meijer_g_batch`` (``meijer_g`` is a batch of one), with two routes:
 
-* a straight vertical Bromwich contour (trapezoidal quadrature of the
-  Mellin-Barnes integral in log-space), accurate away from z = 0, and
 * the convergent left-residue series, which handles small z where the
   contour integrand suffers catastrophic cancellation; poles of order
-  one and two (coincident b-parameters modulo integers) are supported.
+  one and two (coincident b-parameters modulo integers) are supported;
+* a straight vertical Bromwich contour (trapezoidal quadrature of the
+  Mellin-Barnes integral in log-space), accurate away from z = 0, whose
+  Gamma-product grid is shared by every argument of a logarithmic band.
+
+A z-derivative of order d multiplies the Mellin-Barnes integrand by the
+polynomial s (s+1) ... (s+d-1) on the same grid and the result by
+(-1)^d z^{-d}.
 
 Bessel functions use the defining integral K_nu(x) = int exp(-x cosh t)
 cosh(nu t) dt (spectrally accurate trapezoid, uniform in nu) and the
@@ -281,16 +286,6 @@ class MeijerGParams:
         return MeijerGParams(m=len(b), n=0, p=len(a), q=len(b), a=a, b=b)
 
 
-@dataclass
-class ContourPlan:
-    """Bromwich-line quadrature plan: abscissa, height, steps, tail bound."""
-
-    c: float
-    half_height: float
-    step_count: int
-    estimated_tail_error: float
-
-
 def shift_params(params: MeijerGParams, c: float) -> MeijerGParams:
     """Parameter translation: z^c G(z | a; b) = G(z | a + c; b + c)."""
     return MeijerGParams.upper_zero([x + c for x in params.a],
@@ -490,96 +485,16 @@ def _meijer_g_series(params: MeijerGParams, z: float, deriv: int = 0,
     return total
 
 
-def _contour_logmag(params: MeijerGParams, z: float, c: float, t: float,
-                    deriv: int) -> float:
-    s = complex(c, t)
-    lf = -s * math.log(z)
-    for bv in params.b:
-        lf += complex(log_gamma_complex(s + bv))
-    for av in params.a:
-        lf -= complex(log_gamma_complex(s + av))
-    pval, _ = _deriv_poly(s, deriv)
-    return lf.real + math.log(abs(pval) + 1e-300)
-
-
-def _meijer_g_contour(params: MeijerGParams, z: float, tol: float,
-                      deriv: int = 0) -> tuple[float, ContourPlan]:
-    a = np.array(params.a, dtype=float)
-    b = np.array(params.b, dtype=float)
-    sigma = params.q - params.p
-    if sigma <= 0:
-        raise NumericalError("contour route requires q > p")
-    c = max(1.0, 1.0 - float(np.min(b)) + 0.5)
-    if z > 1.0:
-        c = max(c, z ** (1.0 / sigma))  # move towards the saddle; no poles crossed
-
-    ref = _contour_logmag(params, z, c, 0.0, deriv)
-    cutoff = math.log(max(tol, 1e-16)) - 6.0
-    t_top = 6.0 + 2.0 * sigma + 2.0 * math.sqrt(max(c, 1.0))
-    for _ in range(60):
-        if _contour_logmag(params, z, c, t_top, deriv) - ref <= cutoff:
-            break
-        t_top *= 1.4
-    else:
-        raise NumericalError("contour tail does not decay")
-    tail_rel = math.exp(min(_contour_logmag(params, z, c, t_top, deriv) - ref, 0.0))
-
-    lnz = math.log(z)
-
-    def trapezoid(h: float) -> tuple[float, int]:
-        k = int(math.ceil(t_top / h))
-        t = np.arange(k + 1) * h
-        s = c + 1j * t
-        lf = -s * lnz
-        for bv in b:
-            lf = lf + log_gamma_complex(s + bv)
-        for av in a:
-            lf = lf - log_gamma_complex(s + av)
-        vals = np.exp(lf - ref)
-        if deriv:
-            pvals = np.ones_like(s)
-            for i in range(deriv):
-                pvals = pvals * (s + i)
-            vals = vals * pvals
-        weights = np.full(k + 1, 1.0)
-        weights[0] = 0.5
-        return float(np.sum(vals.real * weights)) * h / math.pi, k
-
-    h = min(0.25, math.pi / (4.0 + abs(lnz)), t_top / 24.0)
-    value, steps = trapezoid(h)
-    for _ in range(14):
-        h *= 0.5
-        new_value, steps = trapezoid(h)
-        if abs(new_value - value) <= 0.25 * tol * max(math.exp(-ref), abs(new_value)):
-            value = new_value
-            break
-        value = new_value
-    else:
-        raise NumericalError(
-            f"step-halving did not converge (z={z:g}, T={t_top:g}, h={h:g})")
-
-    if value == 0.0:
-        scaled = 0.0
-    else:
-        logmag = ref + math.log(abs(value))
-        scaled = math.copysign(math.exp(logmag), value) if logmag < 709 else math.copysign(math.inf, value)
-        if logmag < -745:
-            scaled = 0.0
-    if deriv:
-        scaled *= (-1.0) ** deriv * z ** (-float(deriv))
-    plan = ContourPlan(c=c, half_height=t_top, step_count=steps,
-                       estimated_tail_error=tail_rel)
-    return scaled, plan
-
-
 def _meijer_g_contour_batch(params: MeijerGParams, zs: np.ndarray,
-                            tol: float) -> np.ndarray:
+                            tol: float, deriv: int = 0) -> np.ndarray:
     """Contour evaluation at many arguments sharing one Gamma-product grid.
 
     The Bromwich line is planned for the worst argument in the batch; the
-    t-grid Gamma products are computed once and reused, so the per-argument
-    cost is a single weighted exponential sum.
+    t-grid Gamma products, times P(s) = s (s+1) ... (s+deriv-1) for the
+    deriv-th z-derivative, are computed once and reused, so the
+    per-argument cost is a single weighted exponential sum.
     """
+    zs = np.asarray(zs, dtype=float)
     a = np.array(params.a, dtype=float)
     b = np.array(params.b, dtype=float)
     sigma = params.q - params.p
@@ -591,20 +506,21 @@ def _meijer_g_contour_batch(params: MeijerGParams, zs: np.ndarray,
     if zmax > 1.0:
         c = max(c, zmax ** (1.0 / sigma))
 
-    def gamma_logmag(t: float) -> float:
-        s = complex(c, t)
-        lf = 0.0 + 0.0j
+    def log_grid(t):
+        """log of the Gamma product times P(s) along s = c + i t."""
+        s = c + 1j * np.asarray(t, dtype=float)
+        lf = np.log(_deriv_poly(s, deriv)[0]) if deriv else 0.0
         for bv in b:
-            lf += complex(log_gamma_complex(s + bv))
+            lf = lf + log_gamma_complex(s + bv)
         for av in a:
-            lf -= complex(log_gamma_complex(s + av))
-        return lf.real
+            lf = lf - log_gamma_complex(s + av)
+        return lf
 
-    ref = gamma_logmag(0.0)
+    ref = log_grid(0.0).real
     cutoff = math.log(max(tol, 1e-16)) - 8.0
     t_top = 6.0 + 2.0 * sigma + 2.0 * math.sqrt(max(c, 1.0))
     for _ in range(60):
-        if gamma_logmag(t_top) - ref <= cutoff:
+        if log_grid(t_top).real - ref <= cutoff:
             break
         t_top *= 1.4
     else:
@@ -616,13 +532,7 @@ def _meijer_g_contour_batch(params: MeijerGParams, zs: np.ndarray,
     def sweep(h: float) -> np.ndarray:
         k = int(math.ceil(t_top / h))
         t = np.arange(k + 1) * h
-        s = c + 1j * t
-        lf = np.zeros_like(s)
-        for bv in b:
-            lf = lf + log_gamma_complex(s + bv)
-        for av in a:
-            lf = lf - log_gamma_complex(s + av)
-        gvals = np.exp(lf - ref)  # shared Gamma product, scaled
+        gvals = np.exp(log_grid(t) - ref)  # shared integrand grid, scaled
         weights = np.full(k + 1, h / math.pi)
         weights[0] *= 0.5
         gw = gvals * weights
@@ -646,14 +556,24 @@ def _meijer_g_contour_batch(params: MeijerGParams, zs: np.ndarray,
     else:
         raise NumericalError("batch step-halving did not converge")
     with np.errstate(divide="ignore"):
-        return np.sign(vals) * np.exp(ref - c * lnz + np.log(np.abs(vals)))
+        out = np.sign(vals) * np.exp(ref - c * lnz + np.log(np.abs(vals)))
+    if deriv:
+        out *= (-1.0) ** deriv * zs ** (-float(deriv))
+    return out
 
 
-def meijer_g_batch(params: MeijerGParams, zs, tol: float = 1e-10) -> np.ndarray:
-    """Vectorised ``meijer_g`` over an array of positive arguments.
+_SERIES_BELOW = 0.04
 
-    Contour evaluations are grouped into logarithmic argument bands so
-    that the shared abscissa never sits far from any member's saddle.
+
+def meijer_g_batch(params: MeijerGParams, zs, tol: float = 1e-10,
+                   deriv: int = 0) -> np.ndarray:
+    """G^{q,0}_{p,q}(z | a; b), or its deriv-th z-derivative, at positive zs.
+
+    Absolute error target tol * max(1, |result|).  Arguments up to
+    0.04, and every argument when q = p, take the residue series; the rest
+    (and series points whose pole order the series does not support) are
+    grouped into logarithmic argument bands so that the shared contour
+    abscissa never sits far from any member's saddle.
     """
     zs = np.asarray(zs, dtype=float)
     if np.any(zs <= 0):
@@ -662,12 +582,12 @@ def meijer_g_batch(params: MeijerGParams, zs, tol: float = 1e-10) -> np.ndarray:
     out = np.empty_like(flat)
     if params.q == params.p:
         for i, z in enumerate(flat):
-            out[i] = _meijer_g_series(params, float(z))
+            out[i] = _meijer_g_series(params, float(z), deriv)
         return out.reshape(zs.shape)
     small = flat <= _SERIES_BELOW
     for i in np.flatnonzero(small):
         try:
-            out[i] = _meijer_g_series(params, float(flat[i]))
+            out[i] = _meijer_g_series(params, float(flat[i]), deriv)
         except SeriesUnsupported:
             small[i] = False
     rest = np.flatnonzero(~small)
@@ -679,40 +599,11 @@ def meijer_g_batch(params: MeijerGParams, zs, tol: float = 1e-10) -> np.ndarray:
                         1 + np.floor(np.log(np.maximum(flat[rest], thr) / thr)).astype(int))
         for bid in np.unique(band):
             idx = rest[band == bid]
-            out[idx] = _meijer_g_contour_batch(params, flat[idx], tol)
+            out[idx] = _meijer_g_contour_batch(params, flat[idx], tol, deriv)
     return out.reshape(zs.shape)
 
 
-_SERIES_BELOW = 0.04
-
-
-def plan_contour(params: MeijerGParams, x: float, tol: float = 1e-10) -> ContourPlan:
-    """Plan (and implicitly validate) the Bromwich-line quadrature at x."""
-    if x <= 0:
-        raise ValueError("argument must be positive")
-    _, plan = _meijer_g_contour(params, x, tol)
-    return plan
-
-
 def meijer_g(params: MeijerGParams, x: float, tol: float = 1e-10,
-             deriv: int = 0, method: str = "auto") -> float:
-    """Evaluate G^{q,0}_{p,q}(x | a; b) (or its deriv-th z-derivative).
-
-    Absolute error target tol * max(1, |result|).  ``method`` may force
-    "series" or "contour"; "auto" uses the series near the origin and for
-    q = p, and the contour elsewhere.
-    """
-    if x <= 0:
-        raise ValueError("argument must be positive")
-    if method == "series":
-        return _meijer_g_series(params, x, deriv=deriv)
-    if method == "contour":
-        return _meijer_g_contour(params, x, tol, deriv=deriv)[0]
-    if params.q == params.p:
-        return _meijer_g_series(params, x, deriv=deriv)
-    if x <= _SERIES_BELOW:
-        try:
-            return _meijer_g_series(params, x, deriv=deriv)
-        except SeriesUnsupported:
-            pass
-    return _meijer_g_contour(params, x, tol, deriv=deriv)[0]
+             deriv: int = 0) -> float:
+    """G^{q,0}_{p,q}(x | a; b), or its deriv-th z-derivative: a batch of one."""
+    return float(meijer_g_batch(params, [x], tol, deriv)[0])

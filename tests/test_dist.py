@@ -8,6 +8,7 @@ import scipy.special as sp
 import scipy.stats as st
 
 from steinprod import dist
+from steinprod.specfun import NumericalError, _meijer_g_series, meijer_g_batch
 from steinprod.steinops import ProductSpec
 
 PN1 = ProductSpec(normal_count=1, sigma=1.0)
@@ -110,10 +111,12 @@ class TestDensities:
 
     def test_two_normal_bessel_form(self):
         ev = dist.density(PN2)
-        for x in (0.2, 0.9, 3.0):
+        xs = np.array([0.2, 0.9, 3.0])
+        gvals = ev.const * meijer_g_batch(ev.reduced, ev.argument(xs), ev.tol)
+        for x, g in zip(xs, gvals):
             ref = sp.kv(0, abs(x)) / math.pi
             assert ev(x) == pytest.approx(ref, rel=1e-12)
-            assert ev(x, method="gfunc") == pytest.approx(ref, rel=1e-8)
+            assert g == pytest.approx(ref, rel=1e-8)
 
     def test_two_normal_diverges_at_zero(self):
         assert dist.density(PN2)(0.0) == math.inf
@@ -127,11 +130,13 @@ class TestDensities:
     def test_two_gamma_bessel_form(self):
         r1, r2, lam = 1.4, 2.2, 1.0
         ev = dist.density(ProductSpec(gamma_shapes=(r1, r2), lam=lam))
-        for x in (0.05, 0.5, 2.0, 8.0):
+        xs = np.array([0.05, 0.5, 2.0, 8.0])
+        gvals = ev.const * meijer_g_batch(ev.reduced, ev.argument(xs), ev.tol)
+        for x, g in zip(xs, gvals):
             ref = (2 * lam ** (r1 + r2) / (math.gamma(r1) * math.gamma(r2))
                    * x ** ((r1 + r2) / 2 - 1) * sp.kv(r1 - r2, 2 * lam * math.sqrt(x)))
             assert ev(x) == pytest.approx(ref, rel=1e-11)
-            assert ev(x, method="gfunc") == pytest.approx(ref, rel=1e-8)
+            assert g == pytest.approx(ref, rel=1e-8)
 
     def test_single_beta(self):
         a, b = 1.3, 0.7
@@ -142,12 +147,52 @@ class TestDensities:
         assert ev(1.5) == 0.0
 
     def test_two_beta_convolution_vs_series(self):
-        from steinprod.specfun import meijer_g
-
         ev = dist.density(ProductSpec(beta_pairs=((1.3, 0.7), (0.6, 1.1))))
         for x in (0.1, 0.4, 0.8):
-            gen = ev.const * meijer_g(ev.reduced, x, method="series")
+            gen = ev.const * _meijer_g_series(ev.reduced, x)
             assert ev(x) == pytest.approx(gen, rel=1e-8)
+
+    @pytest.mark.parametrize("spec", [
+        ProductSpec(gamma_shapes=(1.1,), lam=1.0, normal_count=1, sigma=1.0),
+        XYZ,
+    ])
+    def test_finite_value_at_zero_is_exact(self, spec):
+        # N = 1: p(0) = phi(0) / sigma * E[1 / (betas * gammas)]
+        ref = 1.0 / (math.sqrt(2 * math.pi) * spec.sigma)
+        for a, b in spec.beta_pairs:
+            ref *= (a + b - 1) / (a - 1)
+        for r in spec.gamma_shapes:
+            ref *= spec.lam / (r - 1)
+        ev = dist.density(spec)
+        assert ev(0.0) == pytest.approx(ref, rel=1e-12)
+        assert ev.batch([0.0])[0] == pytest.approx(ref, rel=1e-12)
+
+    def test_positive_support_is_zero_left_of_origin(self):
+        lam = 1.5
+        ev = dist.density(ProductSpec(gamma_shapes=(1.0,), lam=lam))
+        np.testing.assert_array_equal(ev.batch([-1.0, -1e-9, 0.0]), [0.0, 0.0, lam])
+
+    @pytest.mark.parametrize("spec, kind", [
+        (PN1, "exp"),
+        (PN2, "bessel"),
+        (ProductSpec(beta_pairs=((1.3, 0.7),)), "beta1"),
+        (ProductSpec(beta_pairs=((1.3, 0.7), (0.6, 1.1))), "beta_conv"),
+        (XYZ, "general"),
+    ])
+    def test_scalar_is_batch_of_one(self, spec, kind):
+        ev = dist.density(spec)
+        assert ev.kind == kind
+        for x in (0.0, 1e-9, 1e-7, 1e-3, 1.0, 10.0):
+            assert ev(x) == ev.batch([x])[0]
+
+    @pytest.mark.parametrize("shapes", [(1.0, 1.0, 1.0), (0.5, 1.5, 2.5)])
+    def test_small_x_never_silently_infinite(self, shapes):
+        ev = dist.density(ProductSpec(gamma_shapes=shapes, lam=1.0))
+        try:
+            value = ev(1e-8)
+        except NumericalError:
+            return
+        assert math.isfinite(value)
 
     def test_symmetry_bit_exact(self):
         ev = dist.density(XYZ)

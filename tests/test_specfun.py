@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from steinprod.specfun import (MeijerGParams, asymptotic_g, bessel_i,
+from steinprod.specfun import (MeijerGParams, _meijer_g_contour_batch,
+                               _meijer_g_series, asymptotic_g, bessel_i,
                                bessel_k, digamma, log_gamma_complex,
-                               meijer_g, meijer_g_batch, plan_contour,
-                               reduce_params, shift_params)
+                               meijer_g, meijer_g_batch, reduce_params,
+                               shift_params)
 
 
 class TestLogGamma:
@@ -108,15 +109,15 @@ class TestMeijerG:
     def test_series_contour_overlap(self):
         params = MeijerGParams.upper_zero([], [0.35, 0.0, -0.2, 0.6])
         for z in (0.01, 0.02, 0.04, 0.08):
-            vs = meijer_g(params, z, method="series")
-            vc = meijer_g(params, z, method="contour", tol=1e-12)
+            vs = _meijer_g_series(params, z)
+            vc = _meijer_g_contour_batch(params, [z], 1e-12)[0]
             assert vs == pytest.approx(vc, rel=1e-9, abs=1e-12)
 
     def test_double_pole_series(self):
         for z in (1e-6, 1e-3, 0.03):
-            v = meijer_g(MeijerGParams.upper_zero([], [0.0, 0.0]), z, method="series")
+            v = _meijer_g_series(MeijerGParams.upper_zero([], [0.0, 0.0]), z)
             assert v == pytest.approx(2 * sp.kv(0, 2 * math.sqrt(z)), rel=1e-12)
-            v = meijer_g(MeijerGParams.upper_zero([], [0.5, -0.5]), z, method="series")
+            v = _meijer_g_series(MeijerGParams.upper_zero([], [0.5, -0.5]), z)
             assert v == pytest.approx(2 * sp.kv(1, 2 * math.sqrt(z)), rel=1e-11)
 
     def test_denominator_collision_series(self):
@@ -124,7 +125,7 @@ class TestMeijerG:
         params = MeijerGParams.upper_zero([1.0], [0.0, 0.0, 0.3])
         for z in (1e-6, 1e-3, 0.02):
             ref = float(mp.meijerg([[], [1.0]], [[0.0, 0.0, 0.3], []], z))
-            assert meijer_g(params, z, method="series") == pytest.approx(ref, rel=1e-10)
+            assert _meijer_g_series(params, z) == pytest.approx(ref, rel=1e-10)
 
     def test_beta_kernel_q_equals_p(self):
         a, b = 1.3, 0.7
@@ -144,6 +145,15 @@ class TestMeijerG:
         for z in (0.02, 0.5, 2.0):
             assert meijer_g(EXP, z, 1e-12, deriv=1) == pytest.approx(-math.exp(-z), rel=1e-9)
             assert meijer_g(EXP, z, 1e-12, deriv=2) == pytest.approx(math.exp(-z), rel=1e-9)
+
+    def test_batch_derivatives_against_mpmath(self):
+        params = MeijerGParams.upper_zero([1.0], [0.65, 0.15, 0.0])
+        zs = np.array([0.02, 0.3, 0.9, 2.5, 7.0])
+        g = lambda z: mp.meijerg([[], list(params.a)], [list(params.b), []], z)
+        for deriv in (1, 2):
+            got = meijer_g_batch(params, zs, 1e-11, deriv)
+            ref = [float(mp.diff(g, float(z), deriv)) for z in zs]
+            np.testing.assert_allclose(got, ref, rtol=1e-9)
 
     def test_batch_matches_scalar(self):
         params = MeijerGParams.upper_zero([], [0.7, 0.2, 0.0])
@@ -236,25 +246,3 @@ class TestAsymptotics:
         with pytest.raises(ValueError):
             asymptotic_g(MeijerGParams.upper_zero([0.5], [0.5]), 10.0)
 
-
-class TestContourPlan:
-    def test_separates_poles(self):
-        plan = plan_contour(EXP, 1.0, 1e-10)
-        assert plan.c > 0.0
-        assert plan.estimated_tail_error < 1e-10
-
-    def test_larger_argument_larger_height_accounting(self):
-        p1 = plan_contour(EXP, 1.0, 1e-10)
-        p2 = plan_contour(EXP, 0.01, 1e-10)
-        # oscillation from |ln z| forces a finer step for small arguments
-        assert p2.step_count >= p1.step_count
-
-    def test_faster_decay_needs_less_height(self):
-        slow = plan_contour(MeijerGParams.upper_zero([], [0.0]), 1.0, 1e-10)
-        fast = plan_contour(MeijerGParams.upper_zero([], [0.0, 0.0]), 1.0, 1e-10)
-        assert fast.half_height <= slow.half_height
-
-    def test_larger_argument_larger_height(self):
-        near = plan_contour(EXP, 1.0, 1e-10)
-        far = plan_contour(EXP, 100.0, 1e-10)
-        assert far.half_height > near.half_height
