@@ -4,8 +4,10 @@ beta, gamma, generalised gamma and mean-zero normal random variables.
 Subpackages:
 
 * ``opalg``      exact algebra of power-coefficient differential operators
-* ``steinops``   Stein operators for product specifications, order
-                 reduction, density-annihilating adjoint ODEs
+                 and their theta-form (theta = x d/dx) with Lebesgue adjoints
+* ``steinops``   Stein operators for product specifications as two
+                 theta-form sides, order reduction, density-annihilating
+                 adjoint ODEs
 * ``specfun``    log-gamma, modified Bessel, Meijer G via Mellin-Barnes
 * ``dist``       samplers, Mellin transforms, densities, characteristic
                  function, tail asymptotics, numeric CDF
@@ -16,7 +18,7 @@ Subpackages:
 """
 
 from .steinops import ProductSpec, SteinOperatorBundle, build_stein, reduce_order, adjoint_ode
-from .opalg import PolyDiffOp, FactoredOp, make_t, make_an, compose_chain, disentangle_b, stirling2
+from .opalg import PolyDiffOp, ThetaOp, make_t, make_an, compose_chain, disentangle_b, stirling2
 from .specfun import MeijerGParams, meijer_g, bessel_i, bessel_k
 from .dist import DensityEvaluator, MellinTransform, density, mellin, sample, char_function, tail_asymptotic
 from .steinsolve import SteinSolution, solve_stein_pg, stein_residual, estimate_derivative_bounds

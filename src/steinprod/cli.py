@@ -100,15 +100,20 @@ def cmd_operator(args) -> int:
     op = bundle.operator
     if op is not None:
         print(op.pretty())
-        payload = op.to_json()
+        result = json.loads(op.to_json())
     else:
-        print("(multiplier power is not an integer; factored form only)")
-        payload = json.dumps({"factored": True})
+        result = {"theta_form": {
+            name: {"coeff": float(side.coeff), "xpow": float(side.xpow),
+                   "roots": [float(v) for v in side.roots]}
+            for name, side in (("lhs", bundle.lhs), ("rhs", bundle.rhs))}}
+        for name, side in result["theta_form"].items():
+            print(f"{name}: {side['coeff']:.12g} x^{side['xpow']:g} "
+                  f"prod(theta + r) over r in {side['roots']}")
     if args.adjoint:
         ode = adjoint_ode(spec)
         print("density ODE:", ode.pretty())
-        payload = json.dumps({"operator": json.loads(op.to_json()) if op else None,
-                              "adjoint": json.loads(ode.to_json())})
+        result = {"operator": result, "adjoint": json.loads(ode.to_json())}
+    payload = json.dumps(result)
     print(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -184,7 +189,7 @@ def cmd_stein_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = load_spec(args.spec)
-    suites = ("stein", "adjoint", "mellin", "ks") if args.suite == "all" else (args.suite,)
+    suites = None if args.suite == "all" else (args.suite,)
     reports = verify.standard_suite(spec, samples=args.samples, seed=args.seed,
                                     suites=suites, workers=_workers(args))
     payload = json.dumps({"version": verify.REPORT_VERSION,
@@ -269,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--spec", required=True)
     p.add_argument("--suite", default="all",
-                   choices=["stein", "adjoint", "mellin", "ks", "all"])
+                   choices=[*verify.SUITES, "all"])
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)

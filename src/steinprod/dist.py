@@ -9,6 +9,10 @@ normals (sigma = product of scales), the density is a Meijer G-function:
   (a_i/2, (a_i-1)/2, r_j/2, (r_j-1)/2, 0 x N), symmetric about the origin;
 * N == 0:  p(x) = K G^{m+n,0}_{m,m+n}(lam^n x | a_i+b_i-1; a_i-1, r_j-1) on x > 0.
 
+The rows are read off the Stein operator's theta-form roots
+(``steinops.stein_sides``): rhs roots give the a-row and lhs roots the
+b-row, halved for N >= 1 and shifted by -1 for N = 0.
+
 Evaluators reduce their parameters first and dispatch to elementary
 closed forms (exponential, Bessel-K, single-beta, two-beta convolution)
 whenever reduction lands there, and to ``meijer_g_batch`` otherwise.
@@ -23,7 +27,7 @@ import numpy as np
 from . import quad
 from .specfun import (MeijerGParams, NumericalError, asymptotic_g, bessel_k,
                       meijer_g_batch, reduce_params)
-from .steinops import ProductSpec
+from .steinops import ProductSpec, stein_sides
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
@@ -314,22 +318,10 @@ def density_product_normal_mixed(spec: ProductSpec) -> DensityEvaluator:
     """Symmetric mixed-product density (at least one normal factor)."""
     if spec.N < 1:
         raise ValueError("use density_beta_gamma when no normal factor is present")
-    m, n, N = spec.m, spec.n, spec.N
-    a_row: list[float] = []
-    b_row: list[float] = []
-    for a, b in spec.beta_pairs:
-        a_row.append(0.5 * (a + b))
-    for a, b in spec.beta_pairs:
-        a_row.append(0.5 * (a + b - 1))
-    for a, _ in spec.beta_pairs:
-        b_row.append(0.5 * a)
-    for a, _ in spec.beta_pairs:
-        b_row.append(0.5 * (a - 1))
-    for r in spec.gamma_shapes:
-        b_row.append(0.5 * r)
-    for r in spec.gamma_shapes:
-        b_row.append(0.5 * (r - 1))
-    b_row.extend([0.0] * N)
+    n, N = spec.n, spec.N
+    lhs, rhs = stein_sides(spec)
+    a_row = [0.5 * v for v in rhs.roots]
+    b_row = [0.5 * v for v in lhs.roots]
     lam = spec.lam if n else 1.0
     log_k = (n * math.log(lam) - (2 * n + 0.5 * N) * _LN2
              - 0.5 * (n + N) * _LNPI - math.log(spec.sigma))
@@ -347,8 +339,9 @@ def density_beta_gamma(spec: ProductSpec) -> DensityEvaluator:
     """Positive-support density for beta/gamma products (no normal factor)."""
     if spec.N != 0 or spec.q != 1:
         raise ValueError("density_beta_gamma needs N = 0 and q = 1")
-    a_row = [a + b - 1 for a, b in spec.beta_pairs]
-    b_row = [a - 1 for a, _ in spec.beta_pairs] + [r - 1 for r in spec.gamma_shapes]
+    lhs, rhs = stein_sides(spec)
+    a_row = [v - 1 for v in rhs.roots]
+    b_row = [v - 1 for v in lhs.roots]
     lam = spec.lam if spec.n else 1.0
     log_k = spec.n * math.log(lam)
     for a, b in spec.beta_pairs:

@@ -14,9 +14,13 @@ which expands into Stirling numbers of the second kind.  Coefficient
 arithmetic stays exact (int / Fraction) whenever all inputs are exact;
 float parameters degrade the coefficients to float.
 
-Negative x-powers are permitted in stored terms (they arise from formal
-adjoints taken under a weight); ``is_polynomial`` reports whether an
-operator is free of them.
+With theta = x D = T_0, every operator the library builds is held in
+theta-form, ``ThetaOp(coeff, xpow, roots)`` = coeff x^xpow prod (theta + r_i):
+a chain is its root list, the Lebesgue adjoint maps each root r to
+1 + xpow - r, and ``expand`` gives the ``PolyDiffOp``.
+
+Negative x-powers are permitted in stored terms (x^{-1} T_0^N has one);
+``is_polynomial`` reports whether an operator is free of them.
 """
 
 from __future__ import annotations
@@ -66,15 +70,12 @@ class PolyDiffOp:
     """Immutable linear differential operator with power coefficients.
 
     ``terms`` maps ``(k, j)`` to the coefficient of ``x^j D^k``.  Zero
-    coefficients are never stored.  Instances may carry the factored
-    T-chain they were built from (``factored``), which formal adjoints
-    operate on.
+    coefficients are never stored.
     """
 
-    __slots__ = ("_terms", "factored")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[TermKey, Coeff] | None = None,
-                 factored: "FactoredOp | None" = None):
+    def __init__(self, terms: dict[TermKey, Coeff] | None = None):
         clean: dict[TermKey, Coeff] = {}
         for (k, j), c in (terms or {}).items():
             if k < 0:
@@ -82,7 +83,6 @@ class PolyDiffOp:
             if c != 0:
                 clean[(int(k), int(j))] = c
         self._terms = clean
-        self.factored = factored
 
     # -- construction -----------------------------------------------------
 
@@ -263,54 +263,12 @@ class PolyDiffOp:
         return PolyDiffOp({(t["k"], t["j"]): t["coeff"] for t in data["terms"]})
 
 
-# -- factored T-chain form ------------------------------------------------
-
-# A factor is ("t", r) for T_r = x D + r, or ("x", j) for multiplication by
-# x^j (j may be negative).  Factors are stored outermost first.
-Factor = tuple[str, object]
-
-
-@dataclass(frozen=True)
-class FactoredOp:
-    """Operator kept as a scalar multiple of a chain of T_r and x^j factors."""
-
-    coeff: Coeff
-    factors: tuple[Factor, ...]
-
-    @staticmethod
-    def t_chain(rs: Sequence, coeff: Coeff = 1) -> "FactoredOp":
-        """Chain T_{r_n} ... T_{r_1} for rs = (r_1, ..., r_n)."""
-        return FactoredOp(coeff, tuple(("t", r) for r in reversed(list(rs))))
-
-    def __mul__(self, other: "FactoredOp") -> "FactoredOp":
-        """Composition self o other (other acts first)."""
-        return FactoredOp(self.coeff * other.coeff, self.factors + other.factors)
-
-    def scale(self, c: Coeff) -> "FactoredOp":
-        return FactoredOp(self.coeff * c, self.factors)
-
-    def expand(self) -> PolyDiffOp:
-        op = PolyDiffOp.identity()
-        for kind, val in reversed(self.factors):
-            if kind == "t":
-                op = make_t(val).compose(op)
-            elif kind == "x":
-                op = PolyDiffOp.x_power(val).compose(op)
-            else:
-                raise ValueError(f"unknown factor kind {kind!r}")
-        op = op.scale(self.coeff)
-        return PolyDiffOp(op.terms, factored=self)
-
-    def t_parameters(self) -> list:
-        return [val for kind, val in self.factors if kind == "t"]
-
-
 def make_t(r) -> PolyDiffOp:
     """The operator T_r f = x f' + r f."""
     terms = {(1, 1): 1}
     if r != 0:
         terms[(0, 0)] = r
-    return PolyDiffOp(terms, factored=FactoredOp(1, (("t", r),)))
+    return PolyDiffOp(terms)
 
 
 def compose_chain(rs: Sequence) -> PolyDiffOp:
@@ -321,49 +279,67 @@ def compose_chain(rs: Sequence) -> PolyDiffOp:
     op = make_t(rs[0])
     for r in rs[1:]:
         op = make_t(r).compose(op)
-    return PolyDiffOp(op.terms, factored=FactoredOp.t_chain(rs))
+    return op
 
 
 def make_an(n: int) -> PolyDiffOp:
     """The operator A_N = x^{-1} T_0^N = sum_k S(N,k) x^{k-1} D^k."""
     if n < 1:
         raise ValueError("A_N requires N >= 1")
-    terms = {(k, k - 1): stirling2(n, k) for k in range(1, n + 1)}
-    fac = FactoredOp(1, (("x", -1),) + tuple(("t", 0) for _ in range(n)))
-    return PolyDiffOp(terms, factored=fac)
+    return PolyDiffOp({(k, k - 1): stirling2(n, k) for k in range(1, n + 1)})
+
+
+@dataclass(frozen=True)
+class ThetaOp:
+    """The operator coeff * x^xpow * prod_i (theta + roots_i), theta = x D.
+
+    Since T_r = theta + r, a chain B_rs is ThetaOp(1, 0, rs), and every
+    Stein operator of the paper is a difference of two such sides.
+    ``xpow`` may be non-integer (generalised gamma); such a side has no
+    expanded form.
+    """
+
+    coeff: Coeff
+    xpow: object
+    roots: tuple = ()
+
+    def theta_coeffs(self) -> list:
+        """Ascending coefficients of coeff * prod_i (theta + r_i) in theta."""
+        out = [self.coeff]
+        for r in self.roots:
+            out = [r * c + lower for c, lower in zip(out + [0], [0] + out)]
+        return out
+
+    def expand(self) -> PolyDiffOp:
+        """Expanded form sum_k b_k x^{k + xpow} D^k.
+
+        (theta + r) x^k D^k = (k + r) x^k D^k + x^{k+1} D^{k+1} gives b one
+        root at a time.  This equals mapping theta^k = sum_j S(k, j) x^j D^j
+        over ``theta_coeffs``, but in floats it does not cancel when roots
+        are negative (adjoint sides).
+        """
+        if self.xpow != int(self.xpow):
+            raise ValueError(f"x-power {self.xpow!r} is not an integer")
+        b = [self.coeff]
+        for r in self.roots:
+            b = [(k + r) * c + lower for k, (c, lower) in enumerate(zip(b + [0], [0] + b))]
+        return PolyDiffOp({(k, k + int(self.xpow)): c for k, c in enumerate(b)})
+
+    def adjoint(self) -> "ThetaOp":
+        """Formal adjoint under Lebesgue measure.
+
+        theta* = -theta - 1 and theta x^j = x^j (theta + j), so
+        (x^j P(theta))* = P(-theta - 1) x^j = x^j P(-theta - j - 1).
+        """
+        return ThetaOp(self.coeff * (-1) ** len(self.roots), self.xpow,
+                       tuple(1 + self.xpow - r for r in self.roots))
 
 
 def disentangle_b(rs: Sequence) -> PolyDiffOp:
-    """Closed-form expansion of the chain T_{r_n} ... T_{r_1}.
-
-    The coefficient of x^k D^k is the k-th finite difference at 0 of the
-    eigenvalue polynomial s |-> prod_i (s + r_i), divided by k!; this is the
-    unique expansion because the chain acts on x^s by that polynomial and
-    x^k D^k acts by the falling factorial s^(k falling).
-    """
-    rs = list(rs)
+    """Closed-form expansion of the chain T_{r_n} ... T_{r_1}."""
     if not rs:
         raise ValueError("empty chain")
-    exact = all(_is_exact(r) for r in rs)
-    m = len(rs)
-    terms: dict[TermKey, Coeff] = {}
-    for k in range(m + 1):
-        acc = 0
-        for j in range(k + 1):
-            prod = 1 if exact else 1.0
-            for r in rs:
-                prod = prod * (j + r)
-            term = math.comb(k, j) * prod
-            acc = acc + (term if (k - j) % 2 == 0 else -term)
-        if exact:
-            c = Fraction(acc, math.factorial(k))
-            if c.denominator == 1:
-                c = c.numerator
-        else:
-            c = acc / math.factorial(k)
-        if c != 0:
-            terms[(k, k)] = c
-    return PolyDiffOp(terms, factored=FactoredOp.t_chain(rs))
+    return ThetaOp(1, 0, tuple(rs)).expand()
 
 
 def shift_past_an(rs: Sequence, n: int) -> tuple[PolyDiffOp, PolyDiffOp]:
@@ -376,39 +352,10 @@ def shift_past_an(rs: Sequence, n: int) -> tuple[PolyDiffOp, PolyDiffOp]:
     return left, right
 
 
-def adjoint_under_weight(op: PolyDiffOp | FactoredOp, gamma) -> FactoredOp:
-    """Formal adjoint with respect to the weight x^gamma.
-
-    With int x^g phi (T_r psi) dx = -int x^g (T_{g+1-r} phi) psi dx + boundary,
-    the adjoint of a chain reverses the factor order, maps each T_r to
-    -T_{gamma'+1-r} at the weight current at that factor, and lets every
-    x^j factor shift the weight for the factors inside it.
-    """
-    if isinstance(op, PolyDiffOp):
-        if op.factored is None:
-            raise ValueError("factored form required")
-        op = op.factored
-    out: list[Factor] = []
-    sign = 1
-    g = gamma
-    prepend: list[Factor] = []  # x-powers stay outermost in the adjoint
-    for kind, val in op.factors:  # outermost first
-        if kind == "x":
-            prepend.append(("x", val))
-            g = g + val
-        elif kind == "t":
-            sign = -sign
-            out.insert(0, ("t", g + 1 - val))
-        else:
-            raise ValueError(f"unknown factor kind {kind!r}")
-    return FactoredOp(op.coeff * sign, tuple(prepend) + tuple(out))
-
-
 def adjoint_expanded(op: PolyDiffOp, gamma) -> PolyDiffOp:
     """General expanded adjoint sum (-1)^k x^{-gamma} D^k (x^{gamma+j} . ).
 
-    Cross-check oracle for ``adjoint_under_weight``; works on any expanded
-    operator, not just factored chains.
+    Test oracle for ``ThetaOp.adjoint``; works on any expanded operator.
     """
     terms: dict[TermKey, Coeff] = {}
     for (k, j), c in op.terms.items():

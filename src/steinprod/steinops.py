@@ -14,20 +14,24 @@ shared rate) and Z (product of centred normals),
 
 where B_c is the commuting chain of T_c = x d/dx + c factors.  A product
 of generalised gammas (power parameter q) has operator
-B_r f - (q lam^q)^n x^q f, which for non-integer q is kept in factored
-form rather than as a polynomial-coefficient operator.
+B_r f - (q lam^q)^n x^q f, which for non-integer q has no
+polynomial-coefficient form.
 
-Order reduction extracts the largest common chain of the two factored
-sides and rewrites the operator to act on g = B_C f; the adjoint under
-the Lebesgue weight yields the ODE annihilating the product density.
+Since T_c = theta + c with theta = x d/dx, every row is one rule: two
+theta-form sides coeff x^j prod (theta + root), whose root lists
+``stein_sides`` writes down once.  Order reduction is the multiset
+intersection of the two root lists (the operator then acts on g = B_C f);
+the Lebesgue adjoints of the sides give the ODE annihilating the density.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 
-from .opalg import FactoredOp, PolyDiffOp, adjoint_under_weight
+from .opalg import PolyDiffOp, ThetaOp
 from .funcs import OpImage
 
 
@@ -124,130 +128,89 @@ class ProductSpec:
         return " * ".join(bits)
 
 
-def _chain(values, coeff=1) -> FactoredOp:
-    return FactoredOp.t_chain(list(values), coeff)
+def stein_sides(spec: ProductSpec) -> tuple[ThetaOp, ThetaOp]:
+    """The two theta-form sides of the Stein operator, lhs - rhs.
 
-
-def _an_factored(n: int, coeff=1) -> FactoredOp:
-    return FactoredOp(coeff, (("x", -1),) + tuple(("t", 0) for _ in range(n)))
+    This is the one place the parameter lists are written down.  With a
+    normal factor the operator is
+    s^2 x^{-1} B_{a-1} B_{r-1} T_0^N B_r B_a - lam^{2n} x B_{a+b} B_{a+b-1}
+    (B_a B_r x^{-1} = x^{-1} B_{a-1} B_{r-1}); without one it is
+    B_a B_r - (q lam^q)^n x^q B_{a+b}.  The density's G-function rows are
+    these roots halved (N >= 1) or shifted by -1 (N = 0).
+    """
+    a = [p[0] for p in spec.beta_pairs]
+    ab = [p[0] + p[1] for p in spec.beta_pairs]
+    r = list(spec.gamma_shapes)
+    if spec.N:
+        left = a + [v - 1 for v in a] + r + [v - 1 for v in r] + [0] * spec.N
+        return (ThetaOp(spec.sigma**2, -1, tuple(left)),
+                ThetaOp(spec.lam ** (2 * spec.n) if spec.n else 1, 1,
+                        tuple(ab + [v - 1 for v in ab])))
+    q = 1 if spec.q == 1 else spec.q
+    return (ThetaOp(1, 0, tuple(a + r)),
+            ThetaOp((q * spec.lam**q) ** spec.n if spec.n else 1, q, tuple(ab)))
 
 
 @dataclass
 class SteinOperatorBundle:
-    """A Stein operator split as (differential side) - coeff * x^power * (side).
+    """A Stein operator lhs - rhs with both sides in theta-form.
 
-    ``operator`` is the combined polynomial-coefficient operator whenever
-    the multiplier power is an integer (always true for q = 1).  The
-    factored sides are retained so adjoints and order reduction can work
-    structurally.
+    ``transform_chain`` holds the roots that order reduction removed from
+    both sides; the operator then acts on g = B_C f.  ``operator`` is the
+    expanded form, or None when the rhs x-power is not an integer
+    (generalised gamma with non-integer q).
     """
 
     spec: ProductSpec
-    diff_factored: FactoredOp
-    mult_coeff: float
-    mult_power: float
-    mult_factored: FactoredOp
-    expected_order: int
-    reduced_order: int
+    lhs: ThetaOp
+    rhs: ThetaOp
     transform_chain: tuple = ()
 
-    _diff_op: PolyDiffOp | None = field(default=None, repr=False)
-    _mult_op: PolyDiffOp | None = field(default=None, repr=False)
+    @property
+    def reduced_order(self) -> int:
+        return max(len(self.lhs.roots), len(self.rhs.roots))
 
     @property
-    def diff_op(self) -> PolyDiffOp:
-        if self._diff_op is None:
-            self._diff_op = self.diff_factored.expand()
-        return self._diff_op
-
-    @property
-    def mult_op(self) -> PolyDiffOp:
-        if self._mult_op is None:
-            self._mult_op = self.mult_factored.expand()
-        return self._mult_op
+    def expected_order(self) -> int:
+        return self.reduced_order + len(self.transform_chain)
 
     @property
     def operator(self) -> PolyDiffOp | None:
-        power = self.mult_power
-        if power != int(power):
+        if self.rhs.xpow != int(self.rhs.xpow):
             return None
-        xmul = PolyDiffOp.x_power(int(power), -self.mult_coeff)
-        return self.diff_op + xmul.compose(self.mult_op)
+        return self.lhs.expand() - self.rhs.expand()
 
-    @property
-    def factored_form(self) -> tuple[FactoredOp, FactoredOp]:
-        return self.diff_factored, self.mult_factored
+    @cached_property
+    def _expanded_sides(self) -> tuple[PolyDiffOp, PolyDiffOp]:
+        """lhs expanded, and rhs expanded without its x-power.
+
+        The rhs x-power is applied outside: it may be a non-integer q, and
+        folding it in would raise every rhs power by one; numpy's x**j
+        for j > 2 is ~20x slower on negative samples than on positive ones.
+        """
+        return self.lhs.expand(), replace(self.rhs, xpow=0).expand()
 
     def apply(self, f, x):
         """Evaluate the operator on a smooth handle at scalar/array x."""
-        diff = self.diff_op.apply(f, x)
-        mult = self.mult_op.apply(f, x)
-        return diff - self.mult_coeff * x**self.mult_power * mult
+        lhs, rhs = self.apply_terms(f, x)
+        return lhs - rhs
 
     def apply_terms(self, f, x):
         """The two sides separately (for magnitude scales in MC tests)."""
-        return (self.diff_op.apply(f, x),
-                self.mult_coeff * x**self.mult_power * self.mult_op.apply(f, x))
+        lhs, rhs = self._expanded_sides
+        return lhs.apply(f, x), x**self.rhs.xpow * rhs.apply(f, x)
 
     def transformed_function(self, f):
         """g = B_C f for the common chain removed by order reduction."""
         if not self.transform_chain:
             return f
-        from .opalg import compose_chain
-
-        return OpImage(compose_chain(list(self.transform_chain)), f)
+        return OpImage(ThetaOp(1, 0, self.transform_chain).expand(), f)
 
 
 def build_stein(spec: ProductSpec) -> SteinOperatorBundle:
     """Construct the Stein operator bundle for a product specification."""
-    a = [p[0] for p in spec.beta_pairs]
-    b = [p[1] for p in spec.beta_pairs]
-    ab = [ai + bi for ai, bi in spec.beta_pairs]
-    r = list(spec.gamma_shapes)
-    m, n, N = spec.m, spec.n, spec.N
-    ident = FactoredOp(1, ())
-
-    if spec.q != 1:
-        coeff = (spec.q * spec.lam**spec.q) ** n
-        return SteinOperatorBundle(
-            spec=spec, diff_factored=_chain(r),
-            mult_coeff=coeff, mult_power=spec.q, mult_factored=ident,
-            expected_order=n, reduced_order=n)
-
-    s2 = spec.sigma**2 if N else None
-    if m and n and N:
-        diff = _chain(a) * _chain(r) * _an_factored(N) * _chain(r) * _chain(a)
-        diff = diff.scale(s2)
-        mult = _chain(ab) * _chain([v - 1 for v in ab])
-        coeff, order = spec.lam ** (2 * n), 2 * m + 2 * n + N
-    elif m and N:
-        diff = (_chain(a) * _an_factored(N) * _chain(a)).scale(s2)
-        mult = _chain(ab) * _chain([v - 1 for v in ab])
-        coeff, order = 1.0, 2 * m + N
-    elif n and N:
-        diff = (_chain(r) * _an_factored(N) * _chain(r)).scale(s2)
-        mult = ident
-        coeff, order = spec.lam ** (2 * n), 2 * n + N
-    elif N:
-        diff = _an_factored(N, s2)
-        mult = ident
-        coeff, order = 1.0, N
-    elif m and n:
-        diff = _chain(a) * _chain(r)
-        mult = _chain(ab)
-        coeff, order = spec.lam**n, m + n
-    elif m:
-        diff = _chain(a)
-        mult = _chain(ab)
-        coeff, order = 1.0, m
-    else:
-        diff = _chain(r)
-        mult = ident
-        coeff, order = spec.lam**n, n
-
-    return SteinOperatorBundle(
-        spec=spec, diff_factored=diff, mult_coeff=coeff, mult_power=1.0,
-        mult_factored=mult, expected_order=order, reduced_order=order)
+    lhs, rhs = stein_sides(spec)
+    return SteinOperatorBundle(spec=spec, lhs=lhs, rhs=rhs)
 
 
 def _values_equal(u, v, tol: float = 1e-12) -> bool:
@@ -256,41 +219,19 @@ def _values_equal(u, v, tol: float = 1e-12) -> bool:
     return abs(float(u) - float(v)) <= tol
 
 
-def _multiset_intersect(m1: list, m2: list) -> list:
-    """Multiset intersection with exact/tolerant comparison."""
-    pool = list(m1)
-    common = []
-    for v in m2:
-        for i, u in enumerate(pool):
-            if _values_equal(u, v):
-                common.append(u)
-                pool.pop(i)
-                break
-    return common
-
-
-def reduction_sets(spec: ProductSpec) -> tuple[list, list]:
-    """The parameter multisets whose intersection counts removable orders.
-
-    The first list collects the differential-side chain parameters in the
-    x^{-1} T_0^N representation; the second collects the multiplier-side
-    chain parameters.
-    """
-    a = [p[0] for p in spec.beta_pairs]
-    r = list(spec.gamma_shapes)
-    side_s = a + [v - 1 for v in a] + r + [v - 1 for v in r] + [0] * spec.N
-    ab = [ai + bi for ai, bi in spec.beta_pairs]
-    side_r = ab + [v - 1 for v in ab]
-    return side_s, side_r
+def _ratio(u, v):
+    """u / v, exact when both are exact."""
+    if isinstance(u, Rational) and isinstance(v, Rational):
+        return Fraction(u) / v
+    return u / v
 
 
 def reduce_order(spec: ProductSpec) -> SteinOperatorBundle:
     """Lower-order Stein operator acting on g = B_C f.
 
-    The full operator is  s^2 x^{-1} B(side_s) f - lam^{2n} x B(side_r) f
-    (all chain factors commute); removing the common multiset C from both
-    chains and substituting g = B_C f drops the order by |C|.  The reduced
-    differential side may carry an x^{-1} constant term for some parameter
+    All theta-factors commute, so removing the common root multiset C of
+    the two sides and substituting g = B_C f drops the order by |C|.  The
+    reduced lhs may carry an x^{-1} constant term for some parameter
     coincidences; it still annihilates in expectation, pointwise equal to
     the full operator on the transformed function.
     """
@@ -300,66 +241,37 @@ def reduce_order(spec: ProductSpec) -> SteinOperatorBundle:
         if spec.m == 0:
             raise ValueError("order reduction needs beta factors")
         raise ValueError("order reduction targets products with a normal factor")
-    full = build_stein(spec)
-    side_s, side_r = reduction_sets(spec)
-    common = _multiset_intersect(side_s, side_r)
-    t = len(common)
-    order = full.expected_order - t
-
-    remaining_s = list(side_s)
-    remaining_r = list(side_r)
-    for v in common:
-        for lst in (remaining_s, remaining_r):
-            for i, u in enumerate(lst):
-                if _values_equal(u, v):
-                    lst.pop(i)
-                    break
-
-    s2 = spec.sigma**2
-    diff = FactoredOp(s2, (("x", -1),) + tuple(("t", v) for v in remaining_s))
-    mult = _chain(remaining_r)
+    lhs, rhs = stein_sides(spec)
+    pool = list(rhs.roots)
+    common, left = [], []
+    for u in lhs.roots:
+        match = next((i for i, v in enumerate(pool) if _values_equal(u, v)), None)
+        if match is None:
+            left.append(u)
+        else:
+            common.append(u)
+            pool.pop(match)
     return SteinOperatorBundle(
-        spec=spec, diff_factored=diff,
-        mult_coeff=spec.lam ** (2 * spec.n) if spec.n else 1.0,
-        mult_power=1.0, mult_factored=mult,
-        expected_order=full.expected_order, reduced_order=order,
-        transform_chain=tuple(common))
+        spec=spec, lhs=replace(lhs, roots=tuple(left)),
+        rhs=replace(rhs, roots=tuple(pool)), transform_chain=tuple(common))
 
 
-def adjoint_ode(spec: ProductSpec) -> PolyDiffOp:
-    """Polynomial ODE annihilating the product density.
+def adjoint_sides(spec: ProductSpec) -> tuple[ThetaOp, ThetaOp]:
+    """The density ODE lhs p = rhs p, from the Lebesgue adjoints of both sides.
 
-    Built by taking formal adjoints of the two factored sides of the Stein
-    operator under the plain Lebesgue weight (the x factor of the
-    multiplier side is absorbed into the weight), then normalising the
-    leading sign.  For N >= 1 the result is
-
-        T_0^N B_{-a} B_{-r} B_{1-r} B_{1-a} p
-            - (-1)^N s^{-2} lam^{2n} x^2 B_{3-a-b} B_{2-a-b} p,
-
-    and for N = 0 (positive support) B_{1-a} B_{1-r} p - (-1)^n lam^n x B_{2-a-b} p.
+    Both are scaled so that lhs is monic with x-power 0.  For N >= 1 this
+    is T_0^N B_{-a} B_{1-a} B_{-r} B_{1-r} p
+    = (-1)^N s^{-2} lam^{2n} x^2 B_{2-a-b} B_{3-a-b} p, and for N = 0
+    (positive support) B_{1-a} B_{1-r} p = (-1)^n lam^n x B_{2-a-b} p.
     """
     if spec.q != 1:
         raise ValueError("adjoint ODE applies to q = 1 products")
-    a = [p[0] for p in spec.beta_pairs]
-    ab = [p[0] + p[1] for p in spec.beta_pairs]
-    r = list(spec.gamma_shapes)
-    m, n, N = spec.m, spec.n, spec.N
+    lhs, rhs = (side.adjoint() for side in stein_sides(spec))
+    return tuple(ThetaOp(_ratio(side.coeff, lhs.coeff), side.xpow - lhs.xpow, side.roots)
+                 for side in (lhs, rhs))
 
-    if N >= 1:
-        side_s, side_r = reduction_sets(spec)
-        s2 = spec.sigma**2
-        piece1 = FactoredOp(s2, (("x", -1),) + tuple(("t", v) for v in side_s))
-        piece2 = FactoredOp(-(spec.lam ** (2 * n)) if n else -1.0,
-                            (("x", 1),) + tuple(("t", v) for v in side_r))
-        adj = adjoint_under_weight(piece1, 0).expand() + adjoint_under_weight(piece2, 0).expand()
-        # normalise: multiply by (-1)^N x / s^2 to clear x^{-1} and the sign
-        sign = 1.0 if N % 2 == 0 else -1.0
-        return PolyDiffOp.x_power(1, sign / s2).compose(adj)
 
-    piece1 = _chain(a + r)
-    piece2 = FactoredOp(-(spec.lam**n) if n else -1.0,
-                        (("x", 1),) + tuple(("t", v) for v in ab))
-    adj = adjoint_under_weight(piece1, 0).expand() + adjoint_under_weight(piece2, 0).expand()
-    sign = 1.0 if (m + n) % 2 == 0 else -1.0
-    return adj.scale(sign)
+def adjoint_ode(spec: ProductSpec) -> PolyDiffOp:
+    """Polynomial ODE annihilating the product density (see ``adjoint_sides``)."""
+    lhs, rhs = adjoint_sides(spec)
+    return lhs.expand() - rhs.expand()

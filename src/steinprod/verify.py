@@ -15,7 +15,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import dist, funcs
-from .steinops import ProductSpec, SteinOperatorBundle, adjoint_ode, build_stein, reduce_order
+from .steinops import (ProductSpec, SteinOperatorBundle, adjoint_ode, adjoint_sides,
+                       build_stein, reduce_order)
 
 REPORT_VERSION = 1
 
@@ -172,14 +173,6 @@ def _fornberg(z: float, xs: np.ndarray, m: int) -> np.ndarray:
     return c[:, m]
 
 
-def _theta_poly(shifts) -> np.ndarray:
-    """Ascending coefficients of prod_i (theta + shift_i)."""
-    coeffs = np.array([1.0])
-    for s in shifts:
-        coeffs = np.convolve(coeffs, np.array([s, 1.0]))
-    return coeffs
-
-
 def _log_derivatives(values_fn, x: float, imax: int, h: float,
                      points: int = 13) -> np.ndarray:
     """d^i/dt^i of p(e^t) at t = ln x for i = 0..imax, Richardson-refined."""
@@ -220,31 +213,18 @@ def adjoint_residual_scan(spec: ProductSpec, grid, tolerance: float | None = Non
     pvals = ev.batch(grid)
     pmax = float(np.max(np.abs(pvals)))
     if handle is not None:
-        residuals = np.array([ode.apply(handle, float(x)) for x in grid])
+        residuals = ode.apply(handle, grid)
         tol = tolerance if tolerance is not None else 1e-8
         method = "analytic"
     else:
-        a = [p[0] for p in spec.beta_pairs]
-        ab = [p[0] + p[1] for p in spec.beta_pairs]
-        r = list(spec.gamma_shapes)
-        if spec.N >= 1:
-            poly1 = _theta_poly([0.0] * spec.N + [-v for v in a] + [-v for v in r]
-                                + [1.0 - v for v in r] + [1.0 - v for v in a])
-            poly2 = _theta_poly([3.0 - v for v in ab] + [2.0 - v for v in ab])
-            lam2n = spec.lam ** (2 * spec.n) if spec.n else 1.0
-            c2 = -((-1.0) ** spec.N) * lam2n / spec.sigma**2
-            xpow = 2
-        else:
-            poly1 = _theta_poly([1.0 - v for v in a] + [1.0 - v for v in r])
-            poly2 = _theta_poly([2.0 - v for v in ab])
-            c2 = -((-1.0) ** spec.n) * (spec.lam**spec.n if spec.n else 1.0)
-            xpow = 1
-        imax = max(len(poly1), len(poly2)) - 1
+        # each side of lhs p = rhs p is x^j P(theta): P's coefficients dot theta^i p
+        (j1, p1), (j2, p2) = [(side.xpow, np.array(side.theta_coeffs(), dtype=float))
+                              for side in adjoint_sides(spec)]
+        imax = max(len(p1), len(p2)) - 1
         residuals = np.empty_like(grid)
         for idx, x in enumerate(grid):
-            th = _log_derivatives(lambda xs: ev.batch(xs), float(x), imax, fd_step)
-            residuals[idx] = (float(np.dot(poly1, th[: len(poly1)]))
-                              + c2 * x**xpow * float(np.dot(poly2, th[: len(poly2)])))
+            th = _log_derivatives(ev.batch, float(x), imax, fd_step)
+            residuals[idx] = x**j1 * (p1 @ th[: len(p1)]) - x**j2 * (p2 @ th[: len(p2)])
         tol = tolerance if tolerance is not None else 1e-4
         method = f"log-fd(h={fd_step})"
     worst = float(np.max(np.abs(residuals)) / pmax)
@@ -331,14 +311,30 @@ def sampler_density_ks(spec: ProductSpec, samples: int, seed: int,
 # suites
 # ---------------------------------------------------------------------------
 
+SUITES = ("stein", "adjoint", "mellin", "ks")
+
+
 def standard_suite(spec: ProductSpec, samples: int = 200_000, seed: int = 1,
-                   suites: tuple[str, ...] = ("stein", "adjoint", "mellin", "ks"),
+                   suites: tuple[str, ...] | None = None,
                    workers: int = 1) -> list[VerificationReport]:
+    """Run the named suites; ``None`` runs every suite that applies to the spec.
+
+    The adjoint, Mellin and KS suites need the density, which exists for
+    q = 1 only; naming one of them for a q != 1 spec raises ValueError.
+    """
+    if suites is None:
+        suites = SUITES if spec.q == 1 else ("stein",)
+    for name in suites:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+        if name != "stein" and spec.q != 1:
+            raise ValueError(f"suite {name!r} needs the density, which is "
+                             f"implemented for q = 1 only (q = {spec.q})")
     reports = []
     if "stein" in suites:
         fam = default_family(spec)
         reports.append(mc_stein_identity(spec, fam, samples, seed, workers=workers))
-    if "adjoint" in suites and spec.q == 1:
+    if "adjoint" in suites:
         handle = density_handle(spec)
         if spec.N >= 1:
             ev = dist.density(spec)
@@ -347,11 +343,11 @@ def standard_suite(spec: ProductSpec, samples: int = 200_000, seed: int = 1,
         else:
             grid = np.geomspace(0.05, 10.0, 25)
         reports.append(adjoint_residual_scan(spec, grid, handle=handle))
-    if "mellin" in suites and spec.q == 1:
+    if "mellin" in suites:
         lo, _ = dist.mellin(spec).strip
         s_points = np.linspace(max(lo + 0.05, 0.2), max(lo + 0.05, 0.2) + 5.0, 20)
         reports.append(mellin_equality_scan(spec, s_points))
-    if "ks" in suites and spec.q == 1:
+    if "ks" in suites:
         reports.append(sampler_density_ks(spec, min(samples, 100_000), seed,
                                           workers=workers))
     return reports

@@ -83,6 +83,18 @@ class TestCommands:
         assert rc == 0
         assert "density ODE" in capsys.readouterr().out
 
+    def test_operator_non_integer_q_prints_theta_sides(self, spec_file, tmp_path, capsys):
+        payload = {"version": 1, "gamma": {"shapes": [2.0], "lambda": 1.0}, "q": 1.5}
+        out = tmp_path / "op.json"
+        rc = main(["operator", "--spec", spec_file(payload), "--out", str(out)])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert "lhs: 1 x^0 prod(theta + r) over r in [2.0]" in text
+        assert "rhs: 1.5 x^1.5 prod(theta + r) over r in []" in text
+        assert json.loads(out.read_text()) == {"theta_form": {
+            "lhs": {"coeff": 1.0, "xpow": 0.0, "roots": [2.0]},
+            "rhs": {"coeff": 1.5, "xpow": 1.5, "roots": []}}}
+
     def test_sample_csv(self, spec_file, tmp_path):
         out = tmp_path / "w.csv"
         rc = main(["sample", "--spec", spec_file(PN1), "--count", "100",
@@ -141,6 +153,22 @@ class TestExitCodes:
         assert rc == 0
         data = json.loads(out.read_text())
         assert data["reports"][0]["passed"] is True
+
+    @pytest.mark.parametrize("suite", ["adjoint", "mellin", "ks"])
+    def test_verify_suite_needing_density_rejects_q(self, spec_file, capsys, suite):
+        payload = {"version": 1, "gamma": {"shapes": [1.0, 1.0], "lambda": 1.0}, "q": 2.0}
+        rc = main(["verify", "--spec", spec_file(payload), "--suite", suite])
+        assert rc == 1
+        assert f"suite '{suite}'" in capsys.readouterr().err
+
+    def test_verify_all_runs_applicable_suites(self, spec_file, tmp_path):
+        payload = {"version": 1, "gamma": {"shapes": [1.0, 1.0], "lambda": 1.0}, "q": 2.0}
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--spec", spec_file(payload), "--suite", "all",
+                   "--samples", "20000", "--out", str(out)])
+        assert rc == 0
+        ids = [r["test_id"] for r in json.loads(out.read_text())["reports"]]
+        assert len(ids) == 1 and ids[0].startswith("mc-stein")
 
     def test_unknown_test_function(self, capsys):
         rc = main(["stein-solve", "--r1", "1", "--r2", "1", "--lam", "1",

@@ -1,4 +1,4 @@
-"""Operator algebra: exact construction, composition, disentangling, adjoints."""
+"""Operator algebra: exact construction, composition, disentangling, theta-form adjoints."""
 
 import math
 from fractions import Fraction as F
@@ -9,9 +9,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from steinprod import funcs
-from steinprod.opalg import (FactoredOp, PolyDiffOp, adjoint_expanded,
-                             adjoint_under_weight, compose_chain, disentangle_b,
-                             make_an, make_t, shift_past_an, stirling2)
+from steinprod.opalg import (PolyDiffOp, ThetaOp, adjoint_expanded, compose_chain,
+                             disentangle_b, make_an, make_t, shift_past_an, stirling2)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 chains = st.lists(rationals, min_size=1, max_size=6)
@@ -107,6 +106,20 @@ class TestDisentangle:
     def test_matches_composition(self, rs):
         assert disentangle_b(rs) == compose_chain(rs)
 
+    def test_float_order_ten_accuracy(self):
+        # XYZ chains with m = n = N = 2: roots a, a-1, r, r-1 and 0, 0
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(200):
+            a, r = rng.uniform(0.3, 3.0, 2), rng.uniform(0.3, 3.0, 2)
+            rs = [*a, *(a - 1), *r, *(r - 1), 0.0, 0.0]
+            exact = disentangle_b([F(v) for v in rs]).terms
+            got = disentangle_b(rs).terms
+            assert got.keys() == exact.keys()
+            worst = max(worst, max(abs(got[k] - float(c)) / abs(float(c))
+                                   for k, c in exact.items()))
+        assert worst <= 1e-14, worst
+
 
 class TestShiftPastAn:
     def test_base_case(self):
@@ -174,43 +187,57 @@ class TestApply:
 
 class TestAdjoint:
     def test_single_t(self):
-        adj = adjoint_under_weight(make_t(F(1, 2)), 0)
+        adj = ThetaOp(1, 0, (F(1, 2),)).adjoint()
         assert adj.expand() == make_t(F(1, 2)).scale(-1)
 
     def test_two_factor_signs_cancel(self):
         r, s = F(2), F(5, 2)
-        adj = adjoint_under_weight(compose_chain([r, s]), 0)
+        adj = ThetaOp(1, 0, (r, s)).adjoint()
         assert adj.expand() == compose_chain([1 - r, 1 - s])
-
-    def test_factored_form_required(self):
-        op = PolyDiffOp({(1, 1): 1, (0, 0): 2})  # no trace attached
-        with pytest.raises(ValueError, match="factored form required"):
-            adjoint_under_weight(op, 0)
 
     @given(rs=st.lists(rationals, min_size=1, max_size=4),
            gamma=rationals)
     @settings(max_examples=40, deadline=None)
     def test_double_adjoint_restores_chain(self, rs, gamma):
-        ch = compose_chain(rs)
-        twice = adjoint_under_weight(adjoint_under_weight(ch, gamma), gamma)
-        assert twice.expand() == ch
+        op = ThetaOp(F(1), gamma, tuple(rs))
+        assert op.adjoint().adjoint() == op
 
     @given(rs=st.lists(rationals, min_size=1, max_size=3),
            gamma=st.integers(min_value=-1, max_value=2),
            xpow=st.integers(min_value=-1, max_value=2))
     @settings(max_examples=40, deadline=None)
     def test_matches_expanded_leibniz_oracle(self, rs, gamma, xpow):
-        fac = FactoredOp(F(1), (("x", xpow),) + tuple(("t", r) for r in rs))
-        lhs = adjoint_under_weight(fac, gamma).expand()
-        rhs = adjoint_expanded(fac.expand(), gamma)
-        assert lhs == rhs
+        # the adjoint under the weight x^gamma is x^{-gamma} L* x^gamma
+        op = ThetaOp(F(1), xpow, tuple(rs))
+        lhs = (PolyDiffOp.x_power(-gamma).compose(op.adjoint().expand())
+               .compose(PolyDiffOp.x_power(gamma)))
+        assert lhs == adjoint_expanded(op.expand(), gamma)
 
     def test_weight_one_indices(self):
-        # under weight x: T_r adjoint index is 2 - r, with the x prefactor kept
+        # with an x prefactor: T_r adjoint index is 2 - r, the x prefactor kept
         r = F(3)
-        fac = FactoredOp(1, (("x", 1), ("t", r)))
-        adj = adjoint_under_weight(fac, 0)
-        assert adj.expand() == FactoredOp(-1, (("x", 1), ("t", 2 - r))).expand()
+        adj = ThetaOp(1, 1, (r,)).adjoint()
+        assert adj.expand() == ThetaOp(-1, 1, (2 - r,)).expand()
+
+
+class TestThetaOp:
+    @given(rs=st.lists(rationals, max_size=6), coeff=rationals,
+           xpow=st.integers(min_value=-1, max_value=2))
+    @settings(max_examples=60, deadline=None)
+    def test_expand_is_stirling_map_of_theta_coeffs(self, rs, coeff, xpow):
+        op = ThetaOp(coeff, xpow, tuple(rs))
+        terms = {}
+        for k, c in enumerate(op.theta_coeffs()):
+            for j in range(k + 1):
+                terms[(j, j + xpow)] = terms.get((j, j + xpow), 0) + c * stirling2(k, j)
+        assert op.expand() == PolyDiffOp(terms)
+
+    def test_theta_coeffs(self):
+        assert ThetaOp(2, 0, (1, 3)).theta_coeffs() == [6, 8, 2]
+
+    def test_non_integer_power_has_no_expansion(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            ThetaOp(1, 1.5, (1.0,)).expand()
 
 
 class TestPresentation:

@@ -1,15 +1,17 @@
 """Stein operator construction, order reduction and the density ODE."""
 
+import itertools
 import math
 from fractions import Fraction as F
+from numbers import Rational
 
 import numpy as np
 import pytest
 
 from steinprod import dist, funcs
-from steinprod.opalg import PolyDiffOp, compose_chain
-from steinprod.steinops import (ProductSpec, adjoint_ode, build_stein,
-                                reduce_order, reduction_sets)
+from steinprod.opalg import PolyDiffOp, compose_chain, make_an
+from steinprod.steinops import (ProductSpec, adjoint_ode, adjoint_sides, build_stein,
+                                reduce_order)
 
 
 class TestProductSpec:
@@ -50,6 +52,21 @@ class TestClassicalRecovery:
         assert b.operator == PolyDiffOp(
             {(1, 1): 1, (1, 2): -1, (0, 0): a, (0, 1): -(a + bb)})
 
+    def test_beta_exact_multiplier(self):
+        # a + b = 19/10 is not an integer, so a float anywhere in the
+        # construction would show up in the x term
+        a, bb = F(13, 10), F(6, 10)
+        op = build_stein(ProductSpec(beta_pairs=((a, bb),))).operator
+        assert op == PolyDiffOp(
+            {(1, 1): 1, (1, 2): -1, (0, 0): a, (0, 1): -(a + bb)})
+        assert all(isinstance(c, Rational) for c in op.terms.values())
+
+    def test_exact_xz_operator_and_adjoint(self):
+        spec = ProductSpec(beta_pairs=((F(13, 10), F(6, 10)),), normal_count=1,
+                           sigma=F(3, 2))
+        for op in (build_stein(spec).operator, adjoint_ode(spec)):
+            assert all(isinstance(c, Rational) for c in op.terms.values())
+
     def test_normal(self):
         b = build_stein(ProductSpec(normal_count=1, sigma=F(1)))
         assert b.operator == PolyDiffOp({(1, 0): 1, (0, 1): -1})
@@ -85,7 +102,7 @@ class TestOrders:
         spec = ProductSpec(gamma_shapes=(1.0, 1.0), lam=1.0 / math.sqrt(2.0), q=2.0)
         b = build_stein(spec)
         # half-normal product: s^2 T_1^N f - x^2 f with lam = 1/(sqrt 2 s)
-        assert b.mult_power == 2.0
+        assert b.rhs.xpow == 2.0
         assert b.operator is not None  # integer power embeds as polynomial
         expect = compose_chain([1.0, 1.0]) + PolyDiffOp.x_power(2, -(2.0 * 0.5) ** 2)
         assert b.operator.isclose(expect)
@@ -178,12 +195,11 @@ class TestAdjointOde:
         # reproduce the G-function differential-equation parameter rows
         spec = ProductSpec(beta_pairs=((1.3, 0.6),), gamma_shapes=(1.4,),
                            lam=1.0, normal_count=1, sigma=1.0)
-        side_s, side_r = reduction_sets(spec)
+        lhs, rhs = adjoint_sides(spec)
+        assert (lhs.xpow, rhs.xpow) == (0, 2)
         ev = dist.density(spec)
-        lhs = sorted(-0.5 * np.array(side_s))
-        assert np.allclose(lhs, sorted(-np.array(ev.g_params.b)))
-        rhs = sorted(0.5 * (2.0 - np.array(side_r)))
-        assert np.allclose(rhs, sorted(1.0 - np.array(ev.g_params.a)))
+        assert np.allclose(sorted(-0.5 * np.array(lhs.roots)), sorted(ev.g_params.b))
+        assert np.allclose(sorted(1.0 - 0.5 * np.array(rhs.roots)), sorted(ev.g_params.a))
 
     def test_polynomial_and_order(self):
         spec = ProductSpec(beta_pairs=((1.3, 0.6),), gamma_shapes=(1.4,),
@@ -191,3 +207,29 @@ class TestAdjointOde:
         ode = adjoint_ode(spec)
         assert ode.is_polynomial
         assert ode.order == 5
+
+
+def _chain_or_identity(rs):
+    return compose_chain(rs) if rs else PolyDiffOp.identity()
+
+
+@pytest.mark.parametrize("m,n,N", [c for c in itertools.product(range(3), repeat=3)
+                                   if sum(c) > 0])
+def test_operator_matches_paper_formula(m, n, N):
+    """build_stein against the table built literally from T_r and A_N compositions."""
+    betas = ((F(13, 10), F(6, 10)), (F(4, 5), F(23, 20)))[:m]
+    shapes = (F(7, 5), F(49, 20))[:n]
+    lam, sigma = (F(3, 2) if n else None), (F(5, 4) if N else None)
+    spec = ProductSpec(beta_pairs=betas, gamma_shapes=shapes, lam=lam,
+                       normal_count=N, sigma=sigma)
+    b_a = _chain_or_identity([a for a, _ in betas])
+    b_r = _chain_or_identity(list(shapes))
+    ab = [a + b for a, b in betas]
+    if N:
+        lhs = b_a.compose(b_r).compose(make_an(N)).compose(b_r).compose(b_a).scale(sigma**2)
+        rhs = PolyDiffOp.x_power(1, lam ** (2 * n) if n else 1).compose(
+            _chain_or_identity(ab).compose(_chain_or_identity([v - 1 for v in ab])))
+    else:
+        lhs = b_a.compose(b_r)
+        rhs = PolyDiffOp.x_power(1, lam**n if n else 1).compose(_chain_or_identity(ab))
+    assert build_stein(spec).operator == lhs - rhs
