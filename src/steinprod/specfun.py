@@ -5,14 +5,18 @@ real parameters, which covers every density in scope.  It has one entry,
 ``meijer_g_batch`` (``meijer_g`` is a batch of one), with two routes:
 
 * the convergent left-residue series, which handles small z where the
-  contour integrand suffers catastrophic cancellation; poles of order
-  one and two (coincident b-parameters modulo integers) are supported;
+  contour integrand suffers catastrophic cancellation.  One Laurent rule
+  gives the residue at a pole of any order (b-parameters that coincide
+  modulo integers, less any upper parameters that hit the same point);
+  its coefficients of (ln z)^j do not depend on z, so they are tabulated
+  once per call and summed for every argument at once;
 * a straight vertical Bromwich contour (trapezoidal quadrature of the
   Mellin-Barnes integral in log-space), accurate away from z = 0, whose
   Gamma-product grid is shared by every argument of a logarithmic band.
 
-A z-derivative of order d multiplies the Mellin-Barnes integrand by the
-polynomial s (s+1) ... (s+d-1) on the same grid and the result by
+When q = p, G vanishes for z > 1.  A z-derivative of order d multiplies
+the Mellin-Barnes integrand by s (s+1) ... (s+d-1) = Gamma(s+d) / Gamma(s),
+so it is G with 0 added to the upper and d to the lower parameters, times
 (-1)^d z^{-d}.
 
 Bessel functions use the defining integral K_nu(x) = int exp(-x cosh t)
@@ -24,6 +28,7 @@ beyond 30 (1 + |nu|); the switchover is cross-validated in the tests.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,11 +41,11 @@ class NumericalError(RuntimeError):
 
 
 class SeriesUnsupported(NumericalError):
-    """Residue series not available for this parameter constellation."""
+    """Residue series does not converge at the argument (q = p, z near 1)."""
 
 
 # ---------------------------------------------------------------------------
-# log-gamma (Lanczos, g = 607/128, 15 terms) and digamma
+# log-gamma (Lanczos, g = 607/128, 15 terms) and polygamma
 # ---------------------------------------------------------------------------
 
 _LANCZOS_G = 607.0 / 128.0
@@ -95,19 +100,34 @@ def log_gamma_complex(z):
     return out[0] if scalar else out
 
 
-def digamma(x: float) -> float:
-    """Real digamma by upward recurrence and the asymptotic series."""
+_BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+
+
+@functools.cache
+def _polygamma_tail(m: int) -> tuple[float, ...]:
+    """B_2k (2k+m-1)! / (2k)!, the coefficients of x^{-2k-m} in the tail of psi^(m)."""
+    return tuple(b2k * math.factorial(2 * k + m - 1) / math.factorial(2 * k)
+                 for k, b2k in enumerate(_BERNOULLI_2K, 1))
+
+
+def polygamma(m: int, x: float) -> float:
+    """Real polygamma psi^(m)(x), m >= 0 (m = 0 is the digamma function).
+
+    Upward recurrence psi^(m)(x) = psi^(m)(x+1) - (-1)^m m! x^{-m-1} to
+    x >= 12 + m, then the asymptotic series in the Bernoulli numbers B_2k.
+    """
     if x <= 0 and x == round(x):
-        raise ValueError("digamma pole at nonpositive integer")
-    acc = 0.0
-    while x < 8.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    tail = inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 * (
-        1.0 / 240 - inv2 * (1.0 / 132 - inv2 * 691.0 / 32760)))))
-    return acc + math.log(x) - 0.5 * inv - tail
+        raise ValueError("polygamma pole at nonpositive integer")
+    sign = (-1.0) ** (m + 1)
+    shift = max(0, math.ceil(12 + m - x))
+    acc = sign * math.factorial(m) * sum((x + i) ** -(m + 1.0) for i in range(shift))
+    x += shift
+    inv2 = 1.0 / (x * x)
+    tail = 0.0
+    for c in reversed(_polygamma_tail(m)):
+        tail = (tail + c) * inv2
+    lead = math.log(x) if m == 0 else sign * math.factorial(m - 1) / x**m
+    return acc + lead + sign * (math.factorial(m) / (2.0 * x ** (m + 1)) + tail / x**m)
 
 
 def _loggamma_signed(x: float) -> tuple[float, float]:
@@ -316,23 +336,6 @@ def asymptotic_g(params: MeijerGParams, x: float) -> float:
             * x**theta * math.exp(-sigma * x ** (1.0 / sigma)))
 
 
-def _deriv_poly(s, deriv: int):
-    """P(s) = s (s+1) ... (s+deriv-1) and its derivative."""
-    if deriv == 0:
-        return 1.0, 0.0
-    val = 1.0
-    for i in range(deriv):
-        val = val * (s + i)
-    dval = 0.0
-    for i in range(deriv):
-        prod = 1.0
-        for l in range(deriv):
-            if l != i:
-                prod = prod * (s + l)
-        dval += prod
-    return val, dval
-
-
 def _cluster_b(b: Sequence[float], tol: float = 1e-9):
     """Group b-parameters whose pairwise differences are integers."""
     clusters: list[list[float]] = []
@@ -347,151 +350,114 @@ def _cluster_b(b: Sequence[float], tol: float = 1e-9):
     return clusters
 
 
-def _near_nonpositive_integer(x: float, tol: float = 1e-9) -> bool:
-    return x < 0.5 and abs(x - round(x)) < tol
+def _gamma_laurent(n: int, delta: float, terms: int):
+    """(sign, logmag, [c_1 .. c_terms]) of the Laurent form of Gamma(delta - n + e).
+
+    Gamma(delta - n + e) = sign e^{logmag} exp(sum_i c_i e^i), times 1/e at a
+    pole (delta = 0, n >= 0).  Right of 1/2 (n < 0) c_i = psi^(i-1)(x) / i!.
+    Left of it the reflection, with u = delta + e,
+        Gamma(u - n) = (-1)^n Gamma(1 + u) Gamma(1 - u) / (u Gamma(n + 1 - u)),
+    takes the distance delta to the pole -n exactly; at delta = 0 the
+    factor Gamma(1 + u) Gamma(1 - u) = pi u / sin(pi u) gives
+    sum_j zeta(2j) u^{2j} / j, with zeta(2j) = psi^(2j-1)(1) / (2j-1)!.
+    """
+    orders = range(1, terms + 1)
+    if n < 0:
+        x = delta - n
+        return 1.0, math.lgamma(x), [polygamma(i - 1, x) / math.factorial(i) for i in orders]
+    sign = (-1.0) ** n * math.copysign(1.0, delta)
+    logmag = math.lgamma(1 + delta) + math.lgamma(1 - delta) - math.lgamma(n + 1 - delta)
+    c = [(polygamma(i - 1, 1 + delta) + (-1) ** i * (polygamma(i - 1, 1 - delta)
+          - polygamma(i - 1, n + 1 - delta))) / math.factorial(i) for i in orders]
+    if delta:  # off the pole 1/u = 1/(delta + e) is regular: its log is expanded too
+        logmag -= math.log(abs(delta))
+        c = [ci + (-1) ** i / (i * delta**i) for i, ci in enumerate(c, 1)]
+    return sign, logmag, c
 
 
-def _meijer_g_series(params: MeijerGParams, z: float, deriv: int = 0,
-                     kmax: int = 4000) -> float:
-    """Sum of left residues; converges for all z > 0 when q > p, |z| < 1 when q = p.
+# Each residue term carries a rounding error of about 1e-15 of its size, so a
+# sum more than 1e6 times smaller than its terms is not trusted to 1e-9.  Such
+# sums arise from b-parameters close to, but not at, an integer spacing.
+_SERIES_MAX_CANCELLATION = 1e6
 
-    Numerator poles of order one and two are supported; a denominator
-    gamma hitting a nonpositive integer at the same point lowers the pole
-    order (possible when an upper parameter differs from a lower one by
-    an integer), which is handled down to net order zero.
+
+def _meijer_g_series(params: MeijerGParams, zs, kmax: int = 4000) -> np.ndarray:
+    """Sum of left residues; converges for all z > 0 when q > p, z < 1 when q = p.
+
+    At each candidate pole s0 = -min(cluster) - k the integrand
+    prod Gamma(b + s) / prod Gamma(a + s) z^{-s} has net order
+    p = (numerator poles) - (denominator poles), and its residue is the
+    e^{p-1} coefficient of the Laurent-expanded Gamma products times
+    z^{-s0} e^{-e ln z}: a polynomial sum_j c_j (ln z)^j whose coefficients
+    do not depend on z.  The coefficients are tabulated once, cut by the
+    per-term test at the largest z, and summed for every z at once.  A sum
+    that cancels by more than _SERIES_MAX_CANCELLATION is returned as nan.
     """
     a, b = params.a, params.b
-    sigma = params.q - params.p
-    if sigma == 0 and z >= 0.95:
+    zs = np.asarray(zs, dtype=float)
+    if params.q == params.p and np.max(zs) >= 0.95:
         raise SeriesUnsupported("q = p series converges only for z < 1")
-    clusters = _cluster_b(b)
-    if any(len(cl) > 2 for cl in clusters):
-        raise SeriesUnsupported("pole order above two not supported")
-
-    lnz = math.log(z)
-    total = 0.0
+    lnz = np.log(zs)
+    ln_top = float(np.max(lnz))
+    powers, logmags, coeffs = [], [], []
     max_abs_term = 0.0
+    for cl in _cluster_b(b):
+        base = cl[-1]  # the smallest member: its pole s = -base is the rightmost
+        # Gamma(v + s) at s = -base - k + e is Gamma(delta - (k - r) + e) with
+        # v - base = r + delta, delta summed exactly; integer spacings within
+        # 1e-9 count as exact
+        offsets = []
+        for v, power in [(v, 1) for v in b] + [(v, -1) for v in a]:
+            r = round(v - base)
+            delta = math.fsum((v, -base, -r))
+            offsets.append((r, 0.0 if abs(delta) < 1e-9 else delta, power))
+        small_run = 0
+        for k in range(kmax):
+            order = sum(power for r, delta, power in offsets if not delta and k >= r)
+            sign, logmag, logser = 1.0, 0.0, [0.0] * order
+            for r, delta, power in offsets:
+                sg, lg, c = _gamma_laurent(k - r, delta, order - 1)
+                sign *= sg
+                logmag += power * lg
+                for i, ci in enumerate(c, 1):
+                    logser[i] += power * ci
+            ex = [1.0]  # exp of the log-series: i ex_i = sum_j j logser_j ex_{i-j}
+            for i in range(1, order):
+                ex.append(sum(j * logser[j] * ex[i - j] for j in range(1, i + 1)) / i)
+            c = [sign * ex[order - 1 - j] * (-1.0) ** j / math.factorial(j) for j in range(order)]
+            powers.append(base + k)
+            logmags.append(logmag)
+            coeffs.append(c)
+            poly = sum(cj * ln_top**j for j, cj in enumerate(c))
+            term = abs(poly) * np.exp(logmag + (base + k) * ln_top)
+            max_abs_term = max(max_abs_term, term)
+            if term < 1e-18 * max(1e-300, max_abs_term):
+                small_run += 1
+                if small_run >= 3 and k > max(2, round(cl[0] - base)):
+                    break
+            else:
+                small_run = 0
 
-    def rest_product(s0: float, skip: tuple[float, ...]):
-        """(log|R|, sign, den_hits) for R = prod' Gamma(b+s0) / prod'' Gamma(a+s0).
-
-        Denominator gammas at nonpositive integers are excluded from the
-        product and reported via ``den_hits`` (their pole levels).
-        """
-        logr, sign = 0.0, 1.0
-        den_hits: list[int] = []
-        used = list(skip)
-        for bv in b:
-            if bv in used:
-                used.remove(bv)
-                continue
-            lg, sg = _loggamma_signed(bv + s0)
-            logr += lg
-            sign *= sg
-        for av in a:
-            arg = av + s0
-            if _near_nonpositive_integer(arg):
-                den_hits.append(int(round(-arg)))
-                continue
-            lg, sg = _loggamma_signed(arg)
-            logr -= lg
-            sign /= sg
-        return logr, sign, den_hits
-
-    def rest_psi(s0: float, skip: tuple[float, ...]) -> float:
-        acc = 0.0
-        used = list(skip)
-        for bv in b:
-            if bv in used:
-                used.remove(bv)
-                continue
-            acc += digamma(bv + s0)
-        for av in a:
-            acc -= digamma(av + s0)
-        return acc
-
-    for cl in clusters:
-        if len(cl) == 1:
-            (bh,) = cl
-            small_run = 0
-            for k in range(kmax):
-                s0 = -bh - k
-                logr, sign, den_hits = rest_product(s0, (bh,))
-                if den_hits:
-                    continue  # net pole order zero
-                pval, _ = _deriv_poly(s0, deriv)
-                logmag = (bh + k) * lnz - math.lgamma(k + 1) + logr
-                if logmag < -745.0:
-                    term = 0.0
-                else:
-                    term = sign * (-1.0) ** k * math.exp(logmag) * pval
-                total += term
-                max_abs_term = max(max_abs_term, abs(term))
-                if abs(term) < 1e-18 * max(1e-300, max_abs_term):
-                    small_run += 1
-                    if small_run >= 3 and k > 2:
-                        break
-                else:
-                    small_run = 0
-        else:
-            bhi, blo = cl[0], cl[1]
-            d = round(bhi - blo)
-            small_run = 0
-            for k in range(kmax):
-                s0 = -blo - k
-                if k < d:
-                    # only Gamma(s + blo) is singular here
-                    logr, sign, den_hits = rest_product(s0, (blo,))
-                    if den_hits:
-                        continue
-                    pval, _ = _deriv_poly(s0, deriv)
-                    logmag = (blo + k) * lnz - math.lgamma(k + 1) + logr
-                    term = 0.0 if logmag < -745.0 else sign * (-1.0) ** k * math.exp(logmag) * pval
-                else:
-                    k1, k2 = k, k - d
-                    logr, sign, den_hits = rest_product(s0, (blo, bhi))
-                    if len(den_hits) >= 2:
-                        continue
-                    pval, pder = _deriv_poly(s0, deriv)
-                    if len(den_hits) == 1:
-                        # one denominator zero: net simple pole
-                        kd = den_hits[0]
-                        logmag = ((blo + k) * lnz - math.lgamma(k1 + 1)
-                                  - math.lgamma(k2 + 1) + math.lgamma(kd + 1) + logr)
-                        if logmag < -745.0:
-                            term = 0.0
-                        else:
-                            term = (sign * (-1.0) ** (k1 + k2 + kd)
-                                    * math.exp(logmag) * pval)
-                    else:
-                        lfac = digamma(k1 + 1.0) + digamma(k2 + 1.0) + rest_psi(s0, (blo, bhi))
-                        logmag = (blo + k) * lnz - math.lgamma(k1 + 1) - math.lgamma(k2 + 1) + logr
-                        if logmag < -700.0:
-                            term = 0.0
-                        else:
-                            term = (sign * (-1.0) ** (k1 + k2) * math.exp(logmag)
-                                    * (pval * (lfac - lnz) + pder))
-                total += term
-                max_abs_term = max(max_abs_term, abs(term))
-                if abs(term) < 1e-18 * max(1e-300, max_abs_term):
-                    small_run += 1
-                    if small_run >= 3 and k > max(2, d):
-                        break
-                else:
-                    small_run = 0
-
-    if deriv:
-        total *= (-1.0) ** deriv * z ** (-float(deriv))
-    return total
+    table = np.zeros((len(coeffs), max(map(len, coeffs))))
+    for row, c in zip(table, coeffs):
+        row[:len(c)] = c
+    powers, logmags = np.array(powers), np.array(logmags)
+    out, scale = np.empty(len(lnz)), np.empty(len(lnz))
+    for lo in range(0, len(lnz), 256):
+        ln_pow = lnz[lo:lo + 256] ** np.arange(table.shape[1])[:, None]
+        size = np.exp(logmags[:, None] + np.outer(powers, lnz[lo:lo + 256]))
+        out[lo:lo + 256] = np.sum((table @ ln_pow) * size, axis=0)
+        scale[lo:lo + 256] = np.sum((np.abs(table) @ np.abs(ln_pow)) * size, axis=0)
+    out[scale > _SERIES_MAX_CANCELLATION * np.abs(out)] = np.nan
+    return out
 
 
 def _meijer_g_contour_batch(params: MeijerGParams, zs: np.ndarray,
-                            tol: float, deriv: int = 0) -> np.ndarray:
+                            tol: float) -> np.ndarray:
     """Contour evaluation at many arguments sharing one Gamma-product grid.
 
     The Bromwich line is planned for the worst argument in the batch; the
-    t-grid Gamma products, times P(s) = s (s+1) ... (s+deriv-1) for the
-    deriv-th z-derivative, are computed once and reused, so the
+    t-grid Gamma products are computed once and reused, so the
     per-argument cost is a single weighted exponential sum.
     """
     zs = np.asarray(zs, dtype=float)
@@ -507,9 +473,9 @@ def _meijer_g_contour_batch(params: MeijerGParams, zs: np.ndarray,
         c = max(c, zmax ** (1.0 / sigma))
 
     def log_grid(t):
-        """log of the Gamma product times P(s) along s = c + i t."""
+        """log of the Gamma product along s = c + i t."""
         s = c + 1j * np.asarray(t, dtype=float)
-        lf = np.log(_deriv_poly(s, deriv)[0]) if deriv else 0.0
+        lf = 0.0
         for bv in b:
             lf = lf + log_gamma_complex(s + bv)
         for av in a:
@@ -556,10 +522,7 @@ def _meijer_g_contour_batch(params: MeijerGParams, zs: np.ndarray,
     else:
         raise NumericalError("batch step-halving did not converge")
     with np.errstate(divide="ignore"):
-        out = np.sign(vals) * np.exp(ref - c * lnz + np.log(np.abs(vals)))
-    if deriv:
-        out *= (-1.0) ** deriv * zs ** (-float(deriv))
-    return out
+        return np.sign(vals) * np.exp(ref - c * lnz + np.log(np.abs(vals)))
 
 
 _SERIES_BELOW = 0.04
@@ -569,38 +532,36 @@ def meijer_g_batch(params: MeijerGParams, zs, tol: float = 1e-10,
                    deriv: int = 0) -> np.ndarray:
     """G^{q,0}_{p,q}(z | a; b), or its deriv-th z-derivative, at positive zs.
 
-    Absolute error target tol * max(1, |result|).  Arguments up to
-    0.04, and every argument when q = p, take the residue series; the rest
-    (and series points whose pole order the series does not support) are
-    grouped into logarithmic argument bands so that the shared contour
-    abscissa never sits far from any member's saddle.
+    Absolute error target tol * max(1, |result|).  Arguments up to 0.04
+    take the residue series; the rest, and series points whose residues
+    cancel, are grouped into logarithmic argument bands so that the shared
+    contour abscissa never sits far from any member's saddle.  When q = p
+    every argument up to 1 takes the series, and G vanishes beyond 1:
+    closing the contour to the right encloses no pole.
     """
     zs = np.asarray(zs, dtype=float)
     if np.any(zs <= 0):
         raise ValueError("arguments must be positive")
+    if deriv:
+        # P(s) = s (s+1) ... (s+deriv-1) = Gamma(s + deriv) / Gamma(s)
+        params = MeijerGParams.upper_zero(params.a + (0.0,), params.b + (float(deriv),))
     flat = zs.ravel()
-    out = np.empty_like(flat)
-    if params.q == params.p:
-        for i, z in enumerate(flat):
-            out[i] = _meijer_g_series(params, float(z), deriv)
-        return out.reshape(zs.shape)
-    small = flat <= _SERIES_BELOW
-    for i in np.flatnonzero(small):
-        try:
-            out[i] = _meijer_g_series(params, float(flat[i]), deriv)
-        except SeriesUnsupported:
-            small[i] = False
-    rest = np.flatnonzero(~small)
+    out = np.zeros_like(flat)
+    sigma = params.q - params.p
+    series = flat <= (_SERIES_BELOW if sigma else 1.0)
+    if np.any(series):
+        out[series] = _meijer_g_series(params, flat[series])
+    # the contour takes the rest and the series points whose residues cancel
+    rest = np.flatnonzero(np.isnan(out) | (~series & (sigma > 0)))
     if len(rest):
-        sigma = params.q - params.p
         base = max(1.0, 1.0 - min(params.b) + 0.5)
         thr = base**sigma  # below this the abscissa is the base formula
         band = np.where(flat[rest] <= thr, 0,
                         1 + np.floor(np.log(np.maximum(flat[rest], thr) / thr)).astype(int))
         for bid in np.unique(band):
             idx = rest[band == bid]
-            out[idx] = _meijer_g_contour_batch(params, flat[idx], tol, deriv)
-    return out.reshape(zs.shape)
+            out[idx] = _meijer_g_contour_batch(params, flat[idx], tol)
+    return (out * (-1.0) ** deriv * flat ** (-float(deriv))).reshape(zs.shape)
 
 
 def meijer_g(params: MeijerGParams, x: float, tol: float = 1e-10,

@@ -26,6 +26,7 @@ the Lebesgue adjoints of the sides give the ODE annihilating the density.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -36,8 +37,8 @@ from .funcs import OpImage
 
 
 def _pos(name: str, value) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,16 @@ class TestExitCodes:
                    "--h", "nope", "--grid", "0.1:5:3"])
         assert rc == 1
 
+    @pytest.mark.parametrize("command, payload", [
+        (["operator"], {"version": 1, "gamma": {"shapes": [2.0], "lambda": 1.0}, "q": math.inf}),
+        (["density", "--grid", "0.5:2:3"],
+         {"version": 1, "gamma": {"shapes": [2.0], "lambda": math.inf}}),
+    ])
+    def test_infinite_parameter_is_one(self, spec_file, capsys, command, payload):
+        rc = main([command[0], "--spec", spec_file(payload), *command[1:]])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_unsupported_series_is_two(self, spec_file, capsys):
         # a pure product of three betas has q = p; its series stops short of z = 1
         payload = {"version": 1, "beta": [[1.3, 0.6], [2.0, 1.5], [0.8, 1.1]]}

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -148,9 +149,32 @@ class TestDensities:
 
     def test_two_beta_convolution_vs_series(self):
         ev = dist.density(ProductSpec(beta_pairs=((1.3, 0.7), (0.6, 1.1))))
-        for x in (0.1, 0.4, 0.8):
-            gen = ev.const * _meijer_g_series(ev.reduced, x)
-            assert ev(x) == pytest.approx(gen, rel=1e-8)
+        xs = np.array([0.1, 0.4, 0.8])
+        gen = ev.const * _meijer_g_series(ev.reduced, xs)
+        np.testing.assert_allclose(ev.batch(xs), gen, rtol=1e-8)
+
+    def test_three_beta_zero_beyond_support(self):
+        ev = dist.density(ProductSpec(beta_pairs=((1.3, 0.6), (2.0, 1.5), (0.8, 1.1))))
+        np.testing.assert_array_equal(ev.batch([1.5, 3.0]), [0.0, 0.0])
+
+    @pytest.mark.parametrize("spec", [
+        ProductSpec(normal_count=3, sigma=1.0),
+        ProductSpec(gamma_shapes=(1.0, 2.0), lam=1.0, normal_count=1, sigma=1.0),
+        ProductSpec(beta_pairs=((2.0, 1.0),), gamma_shapes=(1.0,), lam=3.0,
+                    normal_count=2, sigma=1.0),
+        ProductSpec(gamma_shapes=(2.0, 3.0, 4.0, 5.0), lam=1.0),
+        ProductSpec(gamma_shapes=(1.0, 1.0, 1.0), lam=1.0),
+        ProductSpec(gamma_shapes=(0.5, 1.5, 2.5), lam=1.0),
+    ])
+    def test_coincident_shapes_near_origin(self, spec):
+        # b-rows with poles of order 3 and more: N normals put 0 in N times
+        ev = dist.density(spec)
+        a, b = list(ev.reduced.a), list(ev.reduced.b)
+        for x in (1e-8, 1e-6, 1e-4):
+            ref = float(mp.exp(ev.log_const) * mp.meijerg([[], a], [b, []], ev.argument(x)))
+            value = ev(x)
+            assert value >= 0.0
+            assert value == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("spec", [
         ProductSpec(gamma_shapes=(1.1,), lam=1.0, normal_count=1, sigma=1.0),

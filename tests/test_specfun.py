@@ -2,16 +2,20 @@
 
 import math
 
+import hypothesis.strategies as st
 import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
 
-from steinprod.specfun import (MeijerGParams, _meijer_g_contour_batch,
-                               _meijer_g_series, asymptotic_g, bessel_i,
-                               bessel_k, digamma, log_gamma_complex,
-                               meijer_g, meijer_g_batch, reduce_params,
-                               shift_params)
+from steinprod import dist
+from steinprod.specfun import (MeijerGParams, NumericalError,
+                               _meijer_g_contour_batch, _meijer_g_series,
+                               asymptotic_g, bessel_i, bessel_k,
+                               log_gamma_complex, meijer_g, meijer_g_batch,
+                               polygamma, reduce_params, shift_params)
+from steinprod.steinops import ProductSpec
 
 
 class TestLogGamma:
@@ -39,7 +43,16 @@ class TestLogGamma:
 
     @pytest.mark.parametrize("x", [0.1, 0.7, 3.3, 12.0, -0.4, -5.7])
     def test_digamma(self, x):
-        assert digamma(x) == pytest.approx(sp.digamma(x), rel=1e-12, abs=1e-12)
+        assert polygamma(0, x) == pytest.approx(sp.digamma(x), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("m", range(5))
+    @pytest.mark.parametrize("x", [0.3, 1.0, 2.5, 13.0, -0.5, -2.7])
+    def test_polygamma(self, m, x):
+        assert polygamma(m, x) == pytest.approx(sp.polygamma(m, x), rel=1e-12, abs=1e-12)
+
+    def test_polygamma_pole_rejected(self):
+        with pytest.raises(ValueError):
+            polygamma(1, -3.0)
 
 
 class TestBessel:
@@ -108,24 +121,59 @@ class TestMeijerG:
 
     def test_series_contour_overlap(self):
         params = MeijerGParams.upper_zero([], [0.35, 0.0, -0.2, 0.6])
-        for z in (0.01, 0.02, 0.04, 0.08):
-            vs = _meijer_g_series(params, z)
-            vc = _meijer_g_contour_batch(params, [z], 1e-12)[0]
-            assert vs == pytest.approx(vc, rel=1e-9, abs=1e-12)
+        zs = np.array([0.01, 0.02, 0.04, 0.08])
+        vs = _meijer_g_series(params, zs)
+        vc = _meijer_g_contour_batch(params, zs, 1e-12)
+        np.testing.assert_allclose(vs, vc, rtol=1e-9, atol=1e-12)
 
     def test_double_pole_series(self):
-        for z in (1e-6, 1e-3, 0.03):
-            v = _meijer_g_series(MeijerGParams.upper_zero([], [0.0, 0.0]), z)
-            assert v == pytest.approx(2 * sp.kv(0, 2 * math.sqrt(z)), rel=1e-12)
-            v = _meijer_g_series(MeijerGParams.upper_zero([], [0.5, -0.5]), z)
-            assert v == pytest.approx(2 * sp.kv(1, 2 * math.sqrt(z)), rel=1e-11)
+        zs = np.array([1e-6, 1e-3, 0.03])
+        v = _meijer_g_series(MeijerGParams.upper_zero([], [0.0, 0.0]), zs)
+        np.testing.assert_allclose(v, 2 * sp.kv(0, 2 * np.sqrt(zs)), rtol=1e-12)
+        v = _meijer_g_series(MeijerGParams.upper_zero([], [0.5, -0.5]), zs)
+        np.testing.assert_allclose(v, 2 * sp.kv(1, 2 * np.sqrt(zs)), rtol=1e-11)
+        # pole orders 1 to 4: the b-row's largest integer-spaced group sets it
+        for b in ([0.3], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 1.0, 0.5, 1.0]):
+            ref = [float(mp.meijerg([[], []], [b, []], z)) for z in zs]
+            v = _meijer_g_series(MeijerGParams.upper_zero([], b), zs)
+            np.testing.assert_allclose(v, ref, rtol=1e-12)
 
     def test_denominator_collision_series(self):
-        # upper parameter one above a double-zero ladder: net simple poles
-        params = MeijerGParams.upper_zero([1.0], [0.0, 0.0, 0.3])
-        for z in (1e-6, 1e-3, 0.02):
-            ref = float(mp.meijerg([[], [1.0]], [[0.0, 0.0, 0.3], []], z))
-            assert _meijer_g_series(params, z) == pytest.approx(ref, rel=1e-10)
+        # upper parameters an integer above a multiple-zero ladder lower the
+        # net pole order (2 to 1, 4 to 3, 5 to 3); 0.9 leaves order 3 alone
+        zs = np.array([1e-6, 1e-3, 0.02])
+        for a, b in (([1.0], [0.0, 0.0, 0.3]), ([0.9], [0.0, 0.0, 0.0, 0.25]),
+                     ([1.0], [0.0, 0.0, 0.0, 0.0, 0.3]),
+                     ([2.0, 1.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.5])):
+            ref = [float(mp.meijerg([[], a], [b, []], z)) for z in zs]
+            np.testing.assert_allclose(_meijer_g_series(MeijerGParams.upper_zero(a, b), zs),
+                                       ref, rtol=1e-10)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_series_domain_against_mpmath(self, data):
+        # reduced rows of specs with m, n, N <= 3; integer and half-integer
+        # shapes give poles of order up to 4 and denominator collisions
+        shape = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), st.floats(0.3, 3.0))
+        m, n, N = data.draw(st.tuples(*[st.integers(0, 3)] * 3).filter(lambda c: sum(c) > 0))
+        spec = ProductSpec(beta_pairs=[data.draw(st.tuples(shape, shape)) for _ in range(m)],
+                           gamma_shapes=[data.draw(shape) for _ in range(n)],
+                           lam=1.0 if n else None, normal_count=N, sigma=1.0 if N else None)
+        params = dist.density(spec).reduced
+        z = math.exp(data.draw(st.floats(math.log(1e-10), math.log(0.04))))
+        deriv = data.draw(st.sampled_from([0, 1, 2]))
+        try:
+            value = meijer_g_batch(params, [z], deriv=deriv)[0]
+        except NumericalError:
+            # allowed only where two b-parameters nearly, but not exactly,
+            # differ by an integer: there the residues cancel
+            gaps = [abs(d - round(d)) for d in np.subtract.outer(params.b, params.b).ravel()]
+            assert any(1e-9 < gap < 1e-2 for gap in gaps)
+            return
+        g = lambda v: mp.meijerg([[], list(params.a)], [list(params.b), []], v)
+        with mp.workdps(20):
+            ref = float(mp.diff(g, z, deriv))
+        assert value == pytest.approx(ref, rel=1e-9)
 
     def test_beta_kernel_q_equals_p(self):
         a, b = 1.3, 0.7

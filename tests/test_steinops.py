@@ -24,6 +24,12 @@ class TestProductSpec:
             ProductSpec(beta_pairs=((0.0, 1.0),))
         with pytest.raises(ValueError):
             ProductSpec(gamma_shapes=(1.0,), lam=-1.0)
+        inf = math.inf
+        for kwargs in (dict(beta_pairs=((inf, 1.0),)), dict(beta_pairs=((1.0, inf),)),
+                       dict(gamma_shapes=(inf,), lam=1.0), dict(gamma_shapes=(1.0,), lam=inf),
+                       dict(normal_count=1, sigma=inf), dict(gamma_shapes=(1.0,), lam=1.0, q=inf)):
+            with pytest.raises(ValueError, match="finite"):
+                ProductSpec(**kwargs)
 
     def test_lam_requires_gammas(self):
         with pytest.raises(ValueError):

@@ -32,3 +32,9 @@ def test_methods_are_defined_on_their_class(tracing):
     for mod, cls_name, meth, *_ in tracing.METHODS:
         cls = getattr(importlib.import_module(f"steinprod.{mod}"), cls_name)
         assert meth in cls.__dict__, f"steinprod.{mod}.{cls_name}.{meth}"
+
+
+def test_series_threshold_matches(tracing):
+    # near_origin_points counts the arguments that take the residue series
+    from steinprod import specfun
+    assert tracing.G_SERIES_BELOW == specfun._SERIES_BELOW
