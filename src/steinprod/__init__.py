@@ -19,7 +19,7 @@ Subpackages:
 
 from .steinops import ProductSpec, SteinOperatorBundle, build_stein, reduce_order, adjoint_ode
 from .opalg import PolyDiffOp, ThetaOp, make_t, make_an, compose_chain, disentangle_b, stirling2
-from .specfun import MeijerGParams, meijer_g, bessel_i, bessel_k
+from .specfun import MeijerGParams, meijer_g, meijer_g_batch, bessel_i, bessel_k
 from .dist import DensityEvaluator, MellinTransform, density, mellin, sample, char_function, tail_asymptotic
 from .steinsolve import SteinSolution, solve_stein_pg, stein_residual, estimate_derivative_bounds
 from .verify import VerificationReport, TestFunctionFamily, mc_stein_identity

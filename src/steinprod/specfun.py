@@ -9,10 +9,12 @@ real parameters, which covers every density in scope.  It has one entry,
   gives the residue at a pole of any order (b-parameters that coincide
   modulo integers, less any upper parameters that hit the same point);
   its coefficients of (ln z)^j do not depend on z, so they are tabulated
-  once per call and summed for every argument at once;
+  once per parameter set and summed for every argument at once;
 * a straight vertical Bromwich contour (trapezoidal quadrature of the
-  Mellin-Barnes integral in log-space), accurate away from z = 0, whose
-  Gamma-product grid is shared by every argument of a logarithmic band.
+  Mellin-Barnes integral in log-space), accurate away from z = 0.  Its
+  abscissa sits on the lattice (k/4)^2 next to each argument's saddle, and
+  its Gamma-product grid, on nested dyadic levels, is cached per (params,
+  abscissa, tol): step halvings and later calls evaluate only new nodes.
 
 When q = p, G vanishes for z > 1.  A z-derivative of order d multiplies
 the Mellin-Barnes integrand by s (s+1) ... (s+d-1) = Gamma(s+d) / Gamma(s),
@@ -27,7 +29,6 @@ beyond 30 (1 + |nu|); the switchover is cross-validated in the tests.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -79,25 +80,18 @@ def log_gamma_complex(z):
     which the principal branch satisfies exactly.
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
     if np.any((z.real <= 0) & (z.imag == 0) & (np.round(z.real) == z.real)):
         raise ValueError("log_gamma_complex: pole at nonpositive integer")
-    if np.all(z.real >= 0.5):
-        out = _lanczos_loggamma(z)
-        return out[0] if scalar else out
-    out = np.empty_like(z)
-    right = z.real >= 0.5
-    if np.any(right):
-        out[right] = _lanczos_loggamma(z[right])
-    for idx in np.flatnonzero(~right):
-        zv = complex(z[idx])
-        shift = int(math.ceil(0.5 - zv.real))
-        correction = 0.0 + 0.0j
-        for k in range(shift):
-            correction += cmath.log(zv + k)
-        out[idx] = complex(_lanczos_loggamma(np.array([zv + shift]))[0]) - correction
-    return out[0] if scalar else out
+    left = z.real < 0.5
+    if not np.any(left):
+        return _lanczos_loggamma(z)
+    out = np.array(z)  # any shape: the left points are shifted as one masked array
+    zl = z[left]
+    shift = np.ceil(0.5 - zl.real)
+    out[~left] = _lanczos_loggamma(z[~left])
+    out[left] = _lanczos_loggamma(zl + shift) - sum(
+        np.log(np.where(k < shift, zl + k, 1.0)) for k in range(int(shift.max())))
+    return out[()] if out.ndim == 0 else out
 
 
 _BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
@@ -381,24 +375,17 @@ def _gamma_laurent(n: int, delta: float, terms: int):
 _SERIES_MAX_CANCELLATION = 1e6
 
 
-def _meijer_g_series(params: MeijerGParams, zs, kmax: int = 4000) -> np.ndarray:
-    """Sum of left residues; converges for all z > 0 when q > p, z < 1 when q = p.
+def _residue_table(params: MeijerGParams, ln_top: float, kmax: int = 4000):
+    """(powers, logmags, table): residue coefficients of z^power (ln z)^j.
 
     At each candidate pole s0 = -min(cluster) - k the integrand
     prod Gamma(b + s) / prod Gamma(a + s) z^{-s} has net order
     p = (numerator poles) - (denominator poles), and its residue is the
     e^{p-1} coefficient of the Laurent-expanded Gamma products times
     z^{-s0} e^{-e ln z}: a polynomial sum_j c_j (ln z)^j whose coefficients
-    do not depend on z.  The coefficients are tabulated once, cut by the
-    per-term test at the largest z, and summed for every z at once.  A sum
-    that cancels by more than _SERIES_MAX_CANCELLATION is returned as nan.
+    do not depend on z.  The table is cut by the per-term test at ln_top.
     """
     a, b = params.a, params.b
-    zs = np.asarray(zs, dtype=float)
-    if params.q == params.p and np.max(zs) >= 0.95:
-        raise SeriesUnsupported("q = p series converges only for z < 1")
-    lnz = np.log(zs)
-    ln_top = float(np.max(lnz))
     powers, logmags, coeffs = [], [], []
     max_abs_term = 0.0
     for cl in _cluster_b(b):
@@ -441,7 +428,32 @@ def _meijer_g_series(params: MeijerGParams, zs, kmax: int = 4000) -> np.ndarray:
     table = np.zeros((len(coeffs), max(map(len, coeffs))))
     for row, c in zip(table, coeffs):
         row[:len(c)] = c
-    powers, logmags = np.array(powers), np.array(logmags)
+    return np.array(powers), np.array(logmags), table
+
+
+@functools.lru_cache(maxsize=64)
+def _residue_slot(params: MeijerGParams) -> list:
+    """[ln z the table was cut at, residue table] of one parameter set."""
+    return [-math.inf, None]
+
+
+def _meijer_g_series(params: MeijerGParams, zs) -> np.ndarray:
+    """Sum of left residues; converges for all z > 0 when q > p, z < 1 when q = p.
+
+    The residue table, cached per parameter set, is cut at max(z, 0.04) and
+    rebuilt only when a larger z arrives.  A sum that cancels by more than
+    _SERIES_MAX_CANCELLATION is returned as nan.
+    """
+    zs = np.asarray(zs, dtype=float)
+    if params.q == params.p and np.max(zs) >= 0.95:
+        raise SeriesUnsupported("q = p series converges only for z < 1")
+    lnz = np.log(zs)
+    ln_top = max(float(np.max(lnz)), math.log(_SERIES_BELOW))
+    cut, rows = slot = _residue_slot(params)
+    if ln_top > cut:
+        rows = _residue_table(params, ln_top)
+        slot[:] = ln_top, rows
+    powers, logmags, table = rows
     out, scale = np.empty(len(lnz)), np.empty(len(lnz))
     for lo in range(0, len(lnz), 256):
         ln_pow = lnz[lo:lo + 256] ** np.arange(table.shape[1])[:, None]
@@ -452,77 +464,101 @@ def _meijer_g_series(params: MeijerGParams, zs, kmax: int = 4000) -> np.ndarray:
     return out
 
 
-def _meijer_g_contour_batch(params: MeijerGParams, zs: np.ndarray,
-                            tol: float) -> np.ndarray:
-    """Contour evaluation at many arguments sharing one Gamma-product grid.
+@functools.lru_cache(maxsize=64)  # one grid per (params, c, tol), built once
+class _ContourGrid:
+    """prod Gamma(s + b) / prod Gamma(s + a) on s = c + i t, over its value at t = 0.
 
-    The Bromwich line is planned for the worst argument in the batch; the
-    t-grid Gamma products are computed once and reused, so the
-    per-argument cost is a single weighted exponential sum.
+    Values are kept on nested trapezoid levels: level 0 holds t = i h_0,
+    i = 0 .. 24, h_0 = t_top / 24, and level j > 0 the odd multiples of
+    h_0 / 2^j, the nodes a step halving adds.  A halving, or a later batch,
+    evaluates only the levels not yet built.  t_top is None when the tail
+    does not decay.
+    """
+
+    def __init__(self, params: MeijerGParams, c: float, tol: float):
+        self.shifts = c + np.array(params.b + params.a)
+        self.signs = np.repeat([1.0, -1.0], [params.q, params.p])
+        self.ref = self.log_product(np.zeros(1))[0].real
+        cutoff = self.ref + math.log(max(tol, 1e-16)) - 8.0
+        tops = (6.0 + 2.0 * (params.q - params.p) + 2.0 * math.sqrt(c)) * 1.4 ** np.arange(60.0)
+        self.t_top = next((float(t) for t in tops  # the first where the tail has decayed
+                           if self.log_product(np.array([t]))[0].real <= cutoff), None)
+        self.levels: tuple = ()
+
+    def log_product(self, t: np.ndarray) -> np.ndarray:
+        """log of the product at s = c + i t: one log-gamma call for all factors
+        (per 4096 nodes, which bounds the memory of the deep levels)."""
+        return np.concatenate([log_gamma_complex(1j * t[lo:lo + 4096, None] + self.shifts)
+                               @ self.signs for lo in range(0, len(t), 4096)])
+
+    def level(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """(t, scaled product) on the nodes that level j adds."""
+        levels = self.levels  # extended as a new tuple, so a reader never sees a partial one
+        while len(levels) <= j:
+            n = len(levels)
+            idx = np.arange(25.0) if n == 0 else np.arange(1.0, 24 * 2**n, 2)
+            t = idx * (self.t_top / 24 / 2**n)
+            levels += ((t, np.exp(self.log_product(t) - self.ref)),)
+        self.levels = levels
+        return levels[j]
+
+
+def _contour_cell(params: MeijerGParams, c: float, zs: np.ndarray, tol: float) -> np.ndarray:
+    """Contour evaluation of arguments that share the abscissa c."""
+    grid = _ContourGrid(params, c, tol)
+    where = f"a = {params.a}, b = {params.b}, c = {c:g}, z in [{zs.min():.6g}, {zs.max():.6g}]"
+    if grid.t_top is None:
+        raise NumericalError(f"contour tail does not decay: {where}")
+    lnz = np.log(zs)
+    h0 = grid.t_top / 24.0
+    h = min(0.25, math.pi / (4.0 + float(np.max(np.abs(lnz)))))
+    start = max(0, math.ceil(math.log2(h0 / h)))  # the first level with step <= h
+
+    def halve(vals, n: int) -> np.ndarray:
+        """Trapezoid sum at step h_n from the one at h_{n-1} and level n's nodes."""
+        t, g = grid.level(n)
+        gw = g * (h0 / 2**n / math.pi) * np.where(t == 0.0, 0.5, 1.0)  # trapezoid end weight
+        out = 0.5 * vals
+        for lo in range(0, len(lnz), 256):
+            out[lo:lo + 256] += (np.exp(-1j * np.outer(lnz[lo:lo + 256], t)) @ gw).real  # z^{-i t}
+        return out
+
+    # per-argument scale of "raw" units relative to a unit true result
+    unit_scale = np.exp(np.minimum(-grid.ref + c * lnz, 700.0))
+    vals = np.zeros(len(zs))
+    try:
+        for n in range(start + 13):  # up to 12 halvings after the first level with step <= h
+            vals, old = halve(vals, n), vals
+            bound = 0.25 * tol * np.maximum(unit_scale, np.abs(vals))
+            if n > start and np.all(np.abs(vals - old) <= bound):
+                break
+        else:
+            raise NumericalError(f"batch step-halving did not converge: {where}")
+    finally:  # levels past 9 (12288 nodes) would hold megabytes in the cache
+        grid.levels = grid.levels[:10]
+    with np.errstate(divide="ignore"):
+        return np.sign(vals) * np.exp(grid.ref - c * lnz + np.log(np.abs(vals)))
+
+
+def _meijer_g_contour_batch(params: MeijerGParams, zs, tol: float) -> np.ndarray:
+    """Contour evaluation at many arguments.
+
+    Each argument's abscissa c is the first point of the lattice (k/4)^2 at
+    or right of its saddle z^{1/sigma} and of 1.5 - min(b): a step of about
+    sqrt(c)/2, which costs at most about e^{sigma/8} in relative accuracy.
+    Arguments of one lattice cell share a cached Gamma-product grid.
     """
     zs = np.asarray(zs, dtype=float)
-    a = np.array(params.a, dtype=float)
-    b = np.array(params.b, dtype=float)
     sigma = params.q - params.p
     if sigma <= 0:
         raise NumericalError("contour route requires q > p")
-    zmax = float(np.max(zs))
-    zmin = float(np.min(zs))
-    c = max(1.0, 1.0 - float(np.min(b)) + 0.5)
-    if zmax > 1.0:
-        c = max(c, zmax ** (1.0 / sigma))
-
-    def log_grid(t):
-        """log of the Gamma product along s = c + i t."""
-        s = c + 1j * np.asarray(t, dtype=float)
-        lf = 0.0
-        for bv in b:
-            lf = lf + log_gamma_complex(s + bv)
-        for av in a:
-            lf = lf - log_gamma_complex(s + av)
-        return lf
-
-    ref = log_grid(0.0).real
-    cutoff = math.log(max(tol, 1e-16)) - 8.0
-    t_top = 6.0 + 2.0 * sigma + 2.0 * math.sqrt(max(c, 1.0))
-    for _ in range(60):
-        if log_grid(t_top).real - ref <= cutoff:
-            break
-        t_top *= 1.4
-    else:
-        raise NumericalError("contour tail does not decay")
-
-    max_abs_lnz = max(abs(math.log(zmin)), abs(math.log(zmax)))
-    h = min(0.25, math.pi / (4.0 + max_abs_lnz), t_top / 24.0)
-
-    def sweep(h: float) -> np.ndarray:
-        k = int(math.ceil(t_top / h))
-        t = np.arange(k + 1) * h
-        gvals = np.exp(log_grid(t) - ref)  # shared integrand grid, scaled
-        weights = np.full(k + 1, h / math.pi)
-        weights[0] *= 0.5
-        gw = gvals * weights
-        out = np.empty(len(zs))
-        for lo in range(0, len(zs), 256):
-            phase = np.exp(-1j * np.outer(lnz[lo:lo + 256], t))  # z^{-i t}
-            out[lo:lo + 256] = (phase @ gw).real
-        return out
-
-    lnz = np.log(zs)
-    # per-argument scale of "raw" units relative to a unit true result
-    unit_scale = np.exp(np.minimum(-ref + c * lnz, 700.0))
-    vals = sweep(h)
-    for _ in range(12):
-        h *= 0.5
-        new = sweep(h)
-        if np.all(np.abs(new - vals) <= 0.25 * tol * np.maximum(unit_scale, np.abs(new))):
-            vals = new
-            break
-        vals = new
-    else:
-        raise NumericalError("batch step-halving did not converge")
-    with np.errstate(divide="ignore"):
-        return np.sign(vals) * np.exp(ref - c * lnz + np.log(np.abs(vals)))
+    base = max(1.0, 1.0 - min(params.b) + 0.5)
+    cells = np.ceil(4.0 * np.sqrt(np.maximum(base, zs ** (1.0 / sigma))))
+    out = np.empty(len(zs))
+    for cell in np.unique(cells):
+        idx = np.flatnonzero(cells == cell)
+        out[idx] = _contour_cell(params, float(cell / 4.0) ** 2, zs[idx], tol)
+    return out
 
 
 _SERIES_BELOW = 0.04
@@ -534,8 +570,8 @@ def meijer_g_batch(params: MeijerGParams, zs, tol: float = 1e-10,
 
     Absolute error target tol * max(1, |result|).  Arguments up to 0.04
     take the residue series; the rest, and series points whose residues
-    cancel, are grouped into logarithmic argument bands so that the shared
-    contour abscissa never sits far from any member's saddle.  When q = p
+    cancel, take the contour, on an abscissa lattice whose Gamma-product
+    grids are cached per (params, abscissa, tol) across calls.  When q = p
     every argument up to 1 takes the series, and G vanishes beyond 1:
     closing the contour to the right encloses no pole.
     """
@@ -554,13 +590,7 @@ def meijer_g_batch(params: MeijerGParams, zs, tol: float = 1e-10,
     # the contour takes the rest and the series points whose residues cancel
     rest = np.flatnonzero(np.isnan(out) | (~series & (sigma > 0)))
     if len(rest):
-        base = max(1.0, 1.0 - min(params.b) + 0.5)
-        thr = base**sigma  # below this the abscissa is the base formula
-        band = np.where(flat[rest] <= thr, 0,
-                        1 + np.floor(np.log(np.maximum(flat[rest], thr) / thr)).astype(int))
-        for bid in np.unique(band):
-            idx = rest[band == bid]
-            out[idx] = _meijer_g_contour_batch(params, flat[idx], tol)
+        out[rest] = _meijer_g_contour_batch(params, flat[rest], tol)
     return (out * (-1.0) ** deriv * flat ** (-float(deriv))).reshape(zs.shape)
 
 

@@ -9,7 +9,7 @@ import pytest
 import scipy.special as sp
 from hypothesis import given, settings
 
-from steinprod import dist
+from steinprod import dist, specfun
 from steinprod.specfun import (MeijerGParams, NumericalError,
                                _meijer_g_contour_batch, _meijer_g_series,
                                asymptotic_g, bessel_i, bessel_k,
@@ -40,6 +40,14 @@ class TestLogGamma:
         s = 1.5 + 1j * np.linspace(0, 40, 64)
         np.testing.assert_allclose(log_gamma_complex(s), sp.loggamma(s),
                                    rtol=1e-13, atol=1e-13)
+
+    def test_any_shape(self):
+        # a 2-D argument whose left half-plane entries take the shifted branch
+        z = np.array([[2.5 + 3j, -1.5 + 0.5j, -3.2 - 1.1j, -2.5],
+                      [0.2 + 0.7j, -0.5 + 0.1j, -7.3, 0.3 - 20j]])
+        got = log_gamma_complex(z)
+        assert got.shape == z.shape
+        np.testing.assert_allclose(got, sp.loggamma(z), rtol=5e-14, atol=5e-14)
 
     @pytest.mark.parametrize("x", [0.1, 0.7, 3.3, 12.0, -0.4, -5.7])
     def test_digamma(self, x):
@@ -149,17 +157,24 @@ class TestMeijerG:
             np.testing.assert_allclose(_meijer_g_series(MeijerGParams.upper_zero(a, b), zs),
                                        ref, rtol=1e-10)
 
-    @settings(derandomize=True, deadline=None, max_examples=30)
-    @given(data=st.data())
-    def test_series_domain_against_mpmath(self, data):
-        # reduced rows of specs with m, n, N <= 3; integer and half-integer
-        # shapes give poles of order up to 4 and denominator collisions
+    @staticmethod
+    def draw_density_params(data, counts):
+        """Reduced rows of a spec with (m, n, N) drawn from ``counts``; integer
+        and half-integer shapes give poles of order up to 4 and denominator
+        collisions."""
         shape = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), st.floats(0.3, 3.0))
-        m, n, N = data.draw(st.tuples(*[st.integers(0, 3)] * 3).filter(lambda c: sum(c) > 0))
+        m, n, N = data.draw(counts)
         spec = ProductSpec(beta_pairs=[data.draw(st.tuples(shape, shape)) for _ in range(m)],
                            gamma_shapes=[data.draw(shape) for _ in range(n)],
                            lam=1.0 if n else None, normal_count=N, sigma=1.0 if N else None)
-        params = dist.density(spec).reduced
+        return dist.density(spec).reduced
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_series_domain_against_mpmath(self, data):
+        # reduced rows of specs with m, n, N <= 3
+        counts = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda c: sum(c) > 0)
+        params = self.draw_density_params(data, counts)
         z = math.exp(data.draw(st.floats(math.log(1e-10), math.log(0.04))))
         deriv = data.draw(st.sampled_from([0, 1, 2]))
         try:
@@ -174,6 +189,23 @@ class TestMeijerG:
         with mp.workdps(20):
             ref = float(mp.diff(g, z, deriv))
         assert value == pytest.approx(ref, rel=1e-9)
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_contour_domain_against_mpmath(self, data):
+        # whole batches in the contour region (q > p): every value within
+        # 1e-9 relative of mpmath, or the batch raises a typed error
+        counts = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda c: c[1] + c[2] > 0)
+        params = self.draw_density_params(data, counts)
+        lnz = st.floats(math.log(0.04), math.log(1e2))
+        zs = np.exp(data.draw(st.lists(lnz, min_size=1, max_size=12)))
+        try:
+            values = meijer_g_batch(params, zs)
+        except NumericalError:
+            return
+        with mp.workdps(20):
+            ref = [float(mp.meijerg([[], list(params.a)], [list(params.b), []], z)) for z in zs]
+        np.testing.assert_allclose(values, ref, rtol=1e-9, atol=0)
 
     def test_beta_kernel_q_equals_p(self):
         a, b = 1.3, 0.7
@@ -210,9 +242,66 @@ class TestMeijerG:
         single = np.array([meijer_g(params, float(z), 1e-11) for z in zs])
         np.testing.assert_allclose(batch, single, rtol=1e-9, atol=1e-300)
 
+    def test_batch_keeps_relative_accuracy(self):
+        # each argument's abscissa sits next to its own saddle: an abscissa
+        # shared at the batch's largest saddle lost 1.5e-3 at z = 30.7
+        zs = np.array([30.7, 47.6, 80.0])
+        np.testing.assert_allclose(meijer_g_batch(EXP, zs), np.exp(-zs), rtol=1e-12)
+
     def test_invalid_argument(self):
         with pytest.raises(ValueError):
             meijer_g(EXP, -1.0)
+
+
+class TestCaches:
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        specfun._ContourGrid.cache_clear()
+        specfun._residue_slot.cache_clear()
+
+    @pytest.fixture
+    def lg_points(self, monkeypatch):
+        """Sizes of the log-gamma calls made."""
+        points = []
+        real = specfun.log_gamma_complex
+        monkeypatch.setattr(specfun, "log_gamma_complex",
+                            lambda z: points.append(np.size(z)) or real(z))
+        return points
+
+    def test_contour_grid_reused(self, lg_points):
+        zs = [1.0, 1.3]
+        first = meijer_g_batch(EXP, zs)
+        assert sum(lg_points) > 0
+        lg_points.clear()
+        np.testing.assert_array_equal(meijer_g_batch(EXP, zs), first)
+        assert sum(lg_points) == 0
+        # an argument of the same abscissa cell that needs one more halving
+        # (a series point handed over when residues cancel) evaluates only
+        # the odd nodes of the new level: 12 * 2^level nodes for one factor
+        grid = specfun._ContourGrid(EXP, 1.5625, 1e-10)
+        built = len(grid.levels)
+        value = _meijer_g_contour_batch(EXP, [1.5e-4], 1e-10)
+        assert len(grid.levels) == built + 1
+        assert sum(lg_points) == 12 * 2**built
+        assert value[0] == pytest.approx(math.exp(-1.5e-4), abs=1e-10)  # the default tol
+
+    def test_residue_table_reused(self, monkeypatch):
+        builds = []
+        real = specfun._residue_table
+        monkeypatch.setattr(specfun, "_residue_table",
+                            lambda *args: builds.append(args[1]) or real(*args))
+        params = MeijerGParams.upper_zero([0.9], [0.0, 0.0, 0.0, 0.25])
+        small = _meijer_g_series(params, [1e-6, 1e-3])
+        np.testing.assert_array_equal(_meijer_g_series(params, [1e-6, 1e-3]), small)
+        _meijer_g_series(params, [0.02, 0.04])
+        assert builds == [math.log(0.04)]  # cut at 0.04 at least: no rebuild up to it
+        _meijer_g_series(params, [0.3])
+        assert builds == [math.log(0.04), math.log(0.3)]
+
+    def test_contour_errors_name_the_evaluation(self):
+        with pytest.raises(NumericalError, match=r"did not converge: a = \(\), b = \(0.0,\), "
+                                                 r"c = 1.5625, z in \[1e-06, 1e-06\]"):
+            _meijer_g_contour_batch(EXP, [1e-6], 1e-10)
 
 
 class TestParameterIdentities:
