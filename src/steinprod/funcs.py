@@ -3,7 +3,9 @@
 Operator identities are verified against function families whose
 derivatives are available analytically, so Monte Carlo noise stays the
 only stochastic error source.  The workhorse family is p(x) exp(q(x))
-with polynomial p, q, which is closed under differentiation.
+with polynomial p, q, which is closed under differentiation and under
+theta = x d/dx: ``PolyExp.theta_image`` applies a theta-form chain
+prod (theta + r_i) in closed form and returns another ``PolyExp``.
 """
 
 from __future__ import annotations
@@ -20,14 +22,6 @@ def _poly_deriv(c: np.ndarray) -> np.ndarray:
     return c[1:] * np.arange(1, len(c))
 
 
-def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai != 0:
-            out[i:i + len(b)] += ai * b
-    return out
-
-
 def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = max(len(a), len(b))
     out = np.zeros(n)
@@ -37,10 +31,12 @@ def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _poly_eval(c: np.ndarray, x):
-    out = 0.0 * x if not np.isscalar(x) else 0.0
-    for ck in reversed(c):
-        out = out * x + ck
-    return out
+    """Horner's rule, in place on one output array."""
+    out = np.full(np.shape(x), c[-1])
+    for ck in c[-2::-1]:
+        out *= x
+        out += ck
+    return out if np.ndim(x) else out[()]
 
 
 class PolyExp:
@@ -57,7 +53,7 @@ class PolyExp:
     def _prefactor(self, k: int) -> np.ndarray:
         while len(self._cache) <= k:
             last = self._cache[-1]
-            self._cache.append(_poly_add(_poly_deriv(last), _poly_mul(last, self._qp)))
+            self._cache.append(_poly_add(_poly_deriv(last), np.convolve(last, self._qp)))
         return self._cache[k]
 
     def deriv(self, x, k: int = 0):
@@ -65,6 +61,18 @@ class PolyExp:
 
     def __call__(self, x):
         return self.deriv(x, 0)
+
+    def theta_image(self, roots) -> "PolyExp":
+        """prod_i (theta + r_i) f, theta = x d/dx, as a PolyExp with the same q.
+
+        (theta + r)(p e^q) = (x p' + r p + x q' p) e^q: one polynomial
+        update per root, with x p' + r p = sum_k (k + r) p_k x^k.
+        """
+        p = self._p0
+        xqp = np.concatenate(([0.0], self._qp))
+        for r in roots:
+            p = _poly_add(p * (np.arange(len(p)) + float(r)), np.convolve(p, xqp))
+        return PolyExp(p, self._q)
 
 
 class Sinusoid:
@@ -97,32 +105,6 @@ class BoundedRational:
             return x / (self.shift + x)
         # x/(s+x) = 1 - s/(s+x); d^k of (s+x)^{-1} is (-1)^k k! (s+x)^{-k-1}
         return -self.shift * (-1.0) ** k * math.factorial(k) * (self.shift + x) ** (-k - 1)
-
-    def __call__(self, x):
-        return self.deriv(x, 0)
-
-
-class OpImage:
-    """The image (O f) of a handle under a PolyDiffOp, itself a handle.
-
-    Derivatives are taken by composing with D^k, so the result supplies
-    exact derivatives as long as the base handle does.
-    """
-
-    def __init__(self, op, base):
-        self._base = base
-        self._ops = [op]
-        self.max_order = math.inf
-
-    def _op(self, k: int):
-        from .opalg import PolyDiffOp
-
-        while len(self._ops) <= k:
-            self._ops.append(PolyDiffOp.derivative(1).compose(self._ops[-1]))
-        return self._ops[k]
-
-    def deriv(self, x, k: int = 0):
-        return self._op(k).apply(self._base, x)
 
     def __call__(self, x):
         return self.deriv(x, 0)

@@ -29,11 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from numbers import Rational
 
 from .opalg import PolyDiffOp, ThetaOp
-from .funcs import OpImage
+from .funcs import PolyExp
 
 
 def _pos(name: str, value) -> None:
@@ -181,31 +180,30 @@ class SteinOperatorBundle:
             return None
         return self.lhs.expand() - self.rhs.expand()
 
-    @cached_property
-    def _expanded_sides(self) -> tuple[PolyDiffOp, PolyDiffOp]:
-        """lhs expanded, and rhs expanded without its x-power.
-
-        The rhs x-power is applied outside: it may be a non-integer q, and
-        folding it in would raise every rhs power by one; numpy's x**j
-        for j > 2 is ~20x slower on negative samples than on positive ones.
-        """
-        return self.lhs.expand(), replace(self.rhs, xpow=0).expand()
-
     def apply(self, f, x):
-        """Evaluate the operator on a smooth handle at scalar/array x."""
+        """Evaluate the operator on a PolyExp handle at scalar/array x."""
         lhs, rhs = self.apply_terms(f, x)
         return lhs - rhs
 
     def apply_terms(self, f, x):
-        """The two sides separately (for magnitude scales in MC tests)."""
-        lhs, rhs = self._expanded_sides
-        return lhs.apply(f, x), x**self.rhs.xpow * rhs.apply(f, x)
+        """The two sides separately (for magnitude scales in MC tests).
+
+        A side coeff x^xpow prod (theta + r_i) maps the PolyExp f to
+        coeff x^xpow times the PolyExp ``f.theta_image(roots)``.
+        """
+        return tuple(float(side.coeff) * x**side.xpow * _theta_image(f, side.roots)(x)
+                     for side in (self.lhs, self.rhs))
 
     def transformed_function(self, f):
         """g = B_C f for the common chain removed by order reduction."""
-        if not self.transform_chain:
-            return f
-        return OpImage(ThetaOp(1, 0, self.transform_chain).expand(), f)
+        return _theta_image(f, self.transform_chain)
+
+
+def _theta_image(f, roots) -> PolyExp:
+    if not isinstance(f, PolyExp):
+        raise TypeError(f"closed-form sides need a PolyExp handle, not {type(f).__name__};"
+                        " use bundle.operator.apply for other handles")
+    return f.theta_image(roots)
 
 
 def build_stein(spec: ProductSpec) -> SteinOperatorBundle:

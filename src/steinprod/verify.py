@@ -15,8 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import dist, funcs
-from .steinops import (ProductSpec, SteinOperatorBundle, adjoint_ode, adjoint_sides,
-                       build_stein, reduce_order)
+from .steinops import ProductSpec, adjoint_ode, adjoint_sides, build_stein, reduce_order
 
 REPORT_VERSION = 1
 
@@ -71,10 +70,7 @@ class TestFunctionFamily:
 
 def default_family(spec: ProductSpec) -> TestFunctionFamily:
     """Five-member damped family scaled to the spec's standard deviation."""
-    try:
-        tau = math.sqrt(max(dist.moment(spec, 2), 1e-6))
-    except ValueError:
-        tau = 1.0
+    tau = math.sqrt(max(dist.moment(spec, 2), 1e-6))
     return TestFunctionFamily(kind="gaussian_damped", indices=(0, 1, 2, 3, 4), tau=tau)
 
 
@@ -83,11 +79,9 @@ def default_family(spec: ProductSpec) -> TestFunctionFamily:
 # ---------------------------------------------------------------------------
 
 def mc_stein_identity(spec: ProductSpec, family: TestFunctionFamily,
-                      samples: int, seed: int, workers: int = 1,
-                      bundle: SteinOperatorBundle | None = None,
-                      transform: bool = False) -> VerificationReport:
+                      samples: int, seed: int, workers: int = 1) -> VerificationReport:
     """Estimate E[A f(W)] for every family member; report the worst one."""
-    bundle = bundle or build_stein(spec)
+    bundle = build_stein(spec)
     members = family.members()
     if bundle.reduced_order > max(getattr(f, "max_order", 0) for f in members):
         raise ValueError("operator order exceeds family smoothness")
@@ -95,8 +89,7 @@ def mc_stein_identity(spec: ProductSpec, family: TestFunctionFamily,
     worst = None
     lines = []
     for i, f in zip(family.indices, members):
-        g = bundle.transformed_function(f) if transform else f
-        term_diff, term_mult = bundle.apply_terms(g, w)
+        term_diff, term_mult = bundle.apply_terms(f, w)
         vals = term_diff - term_mult
         est = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))

@@ -115,6 +115,14 @@ class TestCommands:
         assert lines[0] == "s,mellin"
         assert float(lines[1].split(",")[1]) == pytest.approx(1.0, rel=1e-12)
 
+    def test_mellin_generalised_gamma(self, spec_file, capsys):
+        payload = {"version": 1, "gamma": {"shapes": [1.0, 1.0], "lambda": 1.0}, "q": 2.0}
+        rc = main(["mellin", "--spec", spec_file(payload), "--grid", "1:3:3"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        # M(3) = E W^2 = (E V^2)^2 with E V^2 = Gamma(3/2) / Gamma(1/2) = 1/2
+        assert float(lines[3].split(",")[1]) == pytest.approx(0.25, rel=1e-12)
+
     def test_stein_solve_csv(self, capsys):
         rc = main(["stein-solve", "--r1", "1", "--r2", "1", "--lam", "1",
                    "--h", "exp", "--grid", "0.1:5:4"])

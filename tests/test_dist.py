@@ -1,6 +1,8 @@
 """Distribution machinery: samplers, Mellin transforms, densities, CF, tails."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -324,13 +326,43 @@ class TestNumericCdf:
         assert np.all(np.diff(vals) >= -1e-12)
 
 
+# the 26 (m, n, N <= 2) specs at two (lam, sigma) pairs, and generalised gamma
+MELLIN_SPECS = [ProductSpec(beta_pairs=((1.3, 0.6), (0.8, 1.15))[:m],
+                            gamma_shapes=(1.4, 2.45)[:n], lam=lam if n else None,
+                            normal_count=N, sigma=sigma if N else None)
+                for m, n, N in itertools.product(range(3), repeat=3) if m + n + N
+                for lam, sigma in ((1.5, 0.8), (0.7, 2.3))]
+GG_SPECS = [ProductSpec(gamma_shapes=(1.4, 2.45), lam=1.3, q=q) for q in (0.5, 2.0, 3.0)]
+
+
 class TestMomentRecursion:
     @pytest.mark.parametrize("spec", [PG2, PN2,
-                                      ProductSpec(gamma_shapes=(1.0, 2.0), lam=1.0)])
+                                      ProductSpec(gamma_shapes=(1.0, 2.0), lam=1.0)]
+                             + MELLIN_SPECS + GG_SPECS)
     def test_report_passes(self, spec):
         rep = dist.moment_recursion_check(spec, 6)
         assert rep.passed, rep
         assert rep.estimate <= rep.tolerance
+
+    @pytest.mark.parametrize("spec", [XYZ, PN2, PG2,
+                                      ProductSpec(gamma_shapes=(2.0,), lam=1.0, q=0.5)])
+    def test_moved_root_fails(self, spec, monkeypatch):
+        real = dist.stein_sides
+
+        def moved(s):
+            lhs, rhs = real(s)
+            return replace(lhs, roots=(lhs.roots[0] + 1e-6,) + lhs.roots[1:]), rhs
+
+        monkeypatch.setattr(dist, "stein_sides", moved)
+        assert not dist.moment_recursion_check(spec, 6).passed
+
+    @pytest.mark.parametrize("spec", GG_SPECS)
+    def test_generalised_gamma_moments(self, spec):
+        q = spec.q
+        for k in range(1, 7):
+            expect = math.prod(st.gengamma(r / q, q, scale=1 / spec.lam).moment(k)
+                               for r in spec.gamma_shapes)
+            assert dist.moment(spec, k) == pytest.approx(expect, rel=1e-12)
 
     def test_pn_unit_variance_case(self):
         spec = ProductSpec(normal_count=1, sigma=1.0)

@@ -253,3 +253,21 @@ class TestPresentation:
         op = make_t(F(1)) - make_t(F(1))
         assert op.terms == {}
         assert op.is_zero
+
+
+class TestThetaImage:
+    """PolyExp.theta_image against the expanded chain applied term by term."""
+
+    @pytest.mark.parametrize("roots", [(), (F(3, 2),), (-2, -2, F(-1, 3)),
+                                       (0, 0, F(5, 4), -1, 3)])
+    @pytest.mark.parametrize("p,q", [([1.0], [0.0, 0.0, -0.5]),
+                                     ([0.5, -1.0, 0.0, 2.0], [0.1, -0.7]),
+                                     ([0.0, 0.0, 1.0], [0.0])])
+    def test_matches_expanded_chain(self, roots, p, q):
+        f = funcs.PolyExp(p, q)
+        xs = np.linspace(-2.5, 2.5, 11)
+        expect = ThetaOp(1, 0, roots).expand().apply(f, xs)
+        got = f.theta_image(roots)(xs)
+        # (theta - 2) x^2 = 0: that image is exactly zero, the expanded one rounds
+        np.testing.assert_allclose(got, expect, rtol=1e-12,
+                                   atol=1e-12 * (1.0 + np.max(np.abs(expect))))

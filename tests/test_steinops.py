@@ -2,14 +2,15 @@
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 from numbers import Rational
 
 import numpy as np
 import pytest
 
-from steinprod import dist, funcs
-from steinprod.opalg import PolyDiffOp, compose_chain, make_an
+from steinprod import dist, funcs, verify
+from steinprod.opalg import PolyDiffOp, ThetaOp, compose_chain, make_an
 from steinprod.steinops import (ProductSpec, adjoint_ode, adjoint_sides, build_stein,
                                 reduce_order)
 
@@ -122,6 +123,66 @@ class TestOrders:
         direct = (xs * f.deriv(xs, 1) + 2.0 * f.deriv(xs, 0)
                   - (1.5 ** 1) * xs ** 1.5 * f.deriv(xs, 0))
         np.testing.assert_allclose(vals, direct, rtol=1e-13)
+
+
+def _spec(m, n, N, lam=1.0, sigma=1.0):
+    return ProductSpec(beta_pairs=((1.3, 0.6), (0.8, 1.15))[:m],
+                       gamma_shapes=(1.4, 2.45)[:n], lam=lam if n else None,
+                       normal_count=N, sigma=sigma if N else None)
+
+
+TABLE_ROW_SPECS = [_spec(2, 0, 0), _spec(0, 2, 0, lam=1.5), _spec(0, 0, 2),
+                   _spec(1, 1, 0), _spec(1, 0, 1), _spec(0, 1, 1), _spec(1, 1, 1)]
+PGG_SPECS = [ProductSpec(gamma_shapes=(1.4, 2.45), lam=1.3, q=q) for q in (0.5, 2.0, 3.0)]
+REDUCTION_SPECS = [ProductSpec(beta_pairs=(ab,), gamma_shapes=(r,), lam=1.0,
+                               normal_count=1, sigma=1.0)
+                   for ab, r in (((1.3, 1.0), 1.4), ((0.4, 0.6), 1.3),
+                                 ((0.4, 0.6), 1.0), ((0.4, 0.6), 2.0))]
+
+
+def _termwise(side, f, x):
+    """x^xpow times the side expanded without its x-power, applied term by term."""
+    return x**side.xpow * replace(side, xpow=0).expand().apply(f, x)
+
+
+def _assert_sides_match(bundle, f, w):
+    closed = bundle.apply_terms(f, w)
+    termwise = [_termwise(side, f, w) for side in (bundle.lhs, bundle.rhs)]
+    for c, t in zip(closed, termwise):
+        assert np.max(np.abs(c - t)) <= 1e-10 * np.max(np.abs(t))
+    scale = np.mean(np.abs(termwise[0])) + np.mean(np.abs(termwise[1]))
+    gap = np.mean(closed[0] - closed[1]) - np.mean(termwise[0] - termwise[1])
+    assert abs(gap) <= 1e-10 * scale
+
+
+class TestClosedFormSides:
+    """apply_terms (theta images of PolyExp) against the expanded sides."""
+
+    @pytest.mark.parametrize("spec", TABLE_ROW_SPECS + PGG_SPECS, ids=lambda s: s.describe())
+    def test_matches_termwise_route(self, spec):
+        bundle = build_stein(spec)
+        w = dist.sample(spec, 50_000, seed=5)
+        for f in verify.default_family(spec).members():
+            _assert_sides_match(bundle, f, w)
+
+    @pytest.mark.parametrize("spec", REDUCTION_SPECS, ids=lambda s: s.describe())
+    def test_reduced_matches_termwise_route(self, spec):
+        red = reduce_order(spec)
+        chain = ThetaOp(1, 0, red.transform_chain).expand()
+        w = dist.sample(spec, 50_000, seed=5)
+        for f in verify.default_family(spec).members():
+            g = red.transformed_function(f)
+            expect = chain.apply(f, w)
+            assert np.max(np.abs(g(w) - expect)) <= 1e-10 * np.max(np.abs(expect))
+            _assert_sides_match(red, g, w)
+            _assert_sides_match(build_stein(spec), f, w)
+
+    def test_other_handles_rejected(self):
+        bundle = build_stein(_spec(1, 1, 1))
+        with pytest.raises(TypeError, match="operator.apply"):
+            bundle.apply_terms(funcs.Sinusoid(), np.array([0.5, 1.0]))
+        with pytest.raises(TypeError, match="operator.apply"):
+            reduce_order(REDUCTION_SPECS[0]).transformed_function(funcs.Sinusoid())
 
 
 class TestMonomialSteinIdentities:
