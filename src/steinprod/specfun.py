@@ -25,6 +25,8 @@ Bessel functions use the defining integral K_nu(x) = int exp(-x cosh t)
 cosh(nu t) dt (spectrally accurate trapezoid, uniform in nu) and the
 ascending series for I_nu, with large-argument asymptotic expansions
 beyond 30 (1 + |nu|); the switchover is cross-validated in the tests.
+The trapezoid nodes and the series length are set per octave of x and
+cached, so a point's value and cost do not depend on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -145,125 +147,144 @@ def _bessel_switch(nu: float) -> float:
     return _BESSEL_ASYMPTOTIC_AT * (1.0 + abs(nu))
 
 
-def _bessel_uk(nu: float, kmax: int = 24) -> np.ndarray:
-    """Coefficients u_k of the large-argument expansions."""
-    four_nu2 = 4.0 * nu * nu
-    out = [1.0]
-    for k in range(1, kmax + 1):
-        out.append(out[-1] * (four_nu2 - (2 * k - 1) ** 2) / (8.0 * k))
-    return np.array(out)
+def _by_route(nu: float, x: np.ndarray, near: np.ndarray, near_route, far_route) -> np.ndarray:
+    """near_route(nu, .) on x[near] and far_route(nu, .) on the rest; a call
+    that one route takes whole is not split."""
+    if near.all():
+        return near_route(nu, x)
+    out = np.empty_like(x)
+    if near.any():
+        out[near] = near_route(nu, x[near])
+    out[~near] = far_route(nu, x[~near])
+    return out
 
 
-def _bessel_asym_sum(nu: float, x: np.ndarray, alternating: bool) -> np.ndarray:
-    """sum_k (+-1)^k u_k(nu) x^{-k}, truncated at the smallest term."""
-    uk = _bessel_uk(nu)
-    total = np.zeros_like(x)
-    smallest = np.full_like(x, np.inf)
-    stopped = np.zeros(x.shape, dtype=bool)
-    for k in range(len(uk)):
-        piece = uk[k] / x**k
-        mag = np.abs(piece)
-        stopped |= mag > smallest
-        if alternating and k % 2 == 1:
-            piece = -piece
-        total += np.where(stopped, 0.0, piece)
-        smallest = np.minimum(smallest, mag)
-        if np.all(stopped | (mag < 1e-18)):
-            break
-    return total
+def _octave_blocks(x: np.ndarray) -> list:
+    """(e, index) for blocks of at most 256 points (a memory bound) in one octave
+    2^e <= x < 2^{e+1}."""
+    octave = np.frexp(x)[1] - 1
+    if 0 < len(x) <= 256 and octave.min() == octave.max():
+        return [(int(octave[0]), slice(None))]
+    return [(int(e), rows[lo:lo + 256]) for e in np.unique(octave)
+            for rows in [np.flatnonzero(octave == e)] for lo in range(0, len(rows), 256)]
 
 
-def _k_quadrature(nu: float, x: np.ndarray) -> np.ndarray:
-    """K_nu by trapezoidal quadrature of the defining integral."""
-    xmin = float(np.min(x))
-    xmax = float(np.max(x))
-    anu = abs(nu)
+def _bessel_asym_sums(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_k u_k(nu) x^{-k}, sum_k (-1)^k u_k(nu) x^{-k}): 25 terms for every point,
+    each point's sums cut after its own smallest term."""
+    k = np.arange(1.0, 25.0)
+    uk = np.concatenate(([1.0], np.cumprod((4.0 * nu * nu - (2.0 * k - 1.0) ** 2) / (8.0 * k))))
+    terms = uk * np.vander(1.0 / x, 25, increasing=True)  # one row per point
+    terms[np.arange(25) > np.argmin(np.abs(terms), axis=1)[:, None]] = 0.0
+    return terms.sum(axis=1), (terms * (-1.0) ** np.arange(25)).sum(axis=1)
+
+
+@functools.lru_cache(maxsize=256)  # one table per (|nu|, octave), built once
+def _k_nodes(anu: float, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cosh t, weights cosh(|nu| t) h) of the K_nu trapezoid on the octave [2^e, 2^{e+1}).
+
+    The octave's smallest argument sets t_max, where exp(-x cosh t + |nu| t)
+    has fallen below e^{-52}, and its largest sets the step h.
+    """
+    xmin, xmax = math.ldexp(1.0, e), math.ldexp(1.0, e + 1)
     t_max = 3.0
     for _ in range(60):
-        need = (52.0 + anu * t_max) / xmin
-        t_new = math.acosh(1.0 + need)
+        t_new = math.acosh(1.0 + (52.0 + anu * t_max) / xmin)
         if t_new <= t_max:
             break
         t_max = t_new + 0.25
     h = min(0.05, 0.35 / math.sqrt(max(1.0, xmax)))
     t = np.arange(0.0, t_max + h, h)
-    w = np.full(t.shape, h)
+    w = np.cosh(anu * t) * h
     w[0] *= 0.5
-    out = np.empty_like(x, dtype=float)
-    block = 256
-    cosh_t = np.cosh(t)
-    cosh_nut = np.cosh(anu * t)
-    for lo in range(0, len(x), block):
-        xs = x[lo:lo + block, None]
-        out[lo:lo + block] = np.sum(np.exp(-xs * cosh_t) * cosh_nut * w, axis=1)
+    nodes = np.cosh(t)
+    nodes.flags.writeable = w.flags.writeable = False  # shared by every later call
+    return nodes, w
+
+
+def _k_quadrature(nu: float, x: np.ndarray) -> np.ndarray:
+    """K_nu by trapezoidal quadrature of the defining integral on each point's octave nodes."""
+    out = np.empty_like(x)
+    for e, rows in _octave_blocks(x):
+        nodes, w = _k_nodes(nu, e)
+        out[rows] = np.exp(-x[rows, None] * nodes) @ w
     return out
+
+
+def _k_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
+    return np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) * _bessel_asym_sums(nu, x)[0]
 
 
 def bessel_k(nu: float, x) -> "float | np.ndarray":
     """Modified Bessel function of the second kind, K_nu(x), x > 0.
 
-    K_{-nu} = K_nu.  Defining-integral quadrature below 30 (1 + |nu|),
-    the exponential asymptotic expansion above.
+    K_{-nu} = K_nu.  The defining-integral trapezoid below 30 (1 + |nu|),
+    its nodes cached per (|nu|, octave of x); the exponential asymptotic
+    expansion above.  NaN gives NaN and inf gives 0.
     """
     nu = abs(float(nu))
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr <= 0):
+    flat = arr.ravel()
+    if (flat <= 0).any():
         raise ValueError("bessel_k requires x > 0")
-    out = np.empty_like(arr)
-    small = arr < _bessel_switch(nu)
-    if np.any(small):
-        out[small] = _k_quadrature(nu, arr[small])
-    if np.any(~small):
-        xs = arr[~small]
-        out[~small] = (np.sqrt(math.pi / (2.0 * xs)) * np.exp(-xs)
-                       * _bessel_asym_sum(nu, xs, alternating=False))
-    return float(out[0]) if scalar else out
+    out = _by_route(nu, flat, flat < _bessel_switch(nu), _k_quadrature, _k_asymptotic)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+@functools.lru_cache(maxsize=256)  # one table per (nu, octave), built once
+def _i_ratios(nu: float, e: int) -> np.ndarray:
+    """Ratios 1 / (k (nu + k)) of consecutive ascending-series terms, per (x/2)^2, up to
+    the count (at most 399) after which the terms of the octave's top 2^{e+1} have
+    fallen below 1e-18 of their largest; smaller arguments have smaller ratios."""
+    log_h2 = 2.0 * e * math.log(2.0)  # ((2^{e+1}) / 2)^2
+    n, log_term, log_peak = 0, 0.0, 0.0
+    while n < 399 and log_term > log_peak - 41.5:  # e^{-41.5} < 1e-18
+        n += 1
+        log_term += log_h2 - math.log(abs(n * (nu + n)))
+        log_peak = max(log_peak, log_term)
+    k = np.arange(1.0, n + 1.0)
+    ratio = 1.0 / (k * (nu + k))
+    ratio.flags.writeable = False  # shared by every later call
+    return ratio
+
+
+def _i_series(nu: float, x: np.ndarray) -> np.ndarray:
+    """I_nu(x), x >= 0, by the ascending series: one row of terms per point, whose
+    length, and so whose sum, is set by the point's octave alone."""
+    half = 0.5 * x
+    h2 = half * half
+    total = np.empty_like(x)
+    for e, rows in _octave_blocks(x):
+        total[rows] = np.cumprod(h2[rows, None] * _i_ratios(nu, e), axis=1).sum(axis=1)
+    lg, sign = _loggamma_signed(nu + 1.0)
+    return sign * math.exp(-lg) * half**nu * (1.0 + total)
+
+
+def _i_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
+    plain, alternating = _bessel_asym_sums(nu, x)
+    root = np.sqrt(2.0 * math.pi * np.minimum(x, 1e300))  # finite, so I_nu(inf) = inf
+    return (np.exp(x) * alternating - math.sin(math.pi * nu) * np.exp(-x) * plain) / root
 
 
 def bessel_i(nu: float, x) -> "float | np.ndarray":
     """Modified Bessel function of the first kind, I_nu(x), x >= 0.
 
     Negative integer orders fold to positive; negative non-integer orders
-    use the ascending series directly (signs via the reflected gamma).
+    use the ascending series directly (signs via the reflected gamma).  The
+    series below 30 (1 + |nu|), its length cached per (nu, octave of x);
+    the asymptotic expansion above.  NaN gives NaN and inf gives inf.
     """
     nu = float(nu)
     if nu < 0 and nu == round(nu):
         nu = -nu
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr < 0):
+    flat = arr.ravel()
+    if (flat < 0).any():
         raise ValueError("bessel_i implemented for x >= 0")
-    out = np.zeros_like(arr)
-    zero = arr == 0.0
-    if np.any(zero):
-        if nu < 0:
-            raise ValueError("bessel_i diverges at x = 0 for negative order")
-        out[zero] = 1.0 if nu == 0 else 0.0
-    small = (~zero) & (arr < _bessel_switch(nu))
-    if np.any(small):
-        xs = arr[small]
-        half = 0.5 * xs
-        lg, sign = _loggamma_signed(nu + 1.0)
-        term = sign * np.exp(nu * np.log(half) - lg)
-        total = term.copy()
-        h2 = half * half
-        for k in range(1, 400):
-            term = term * h2 / (k * (nu + k))
-            total += term
-            if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
-                break
-        out[small] = total
-    big = (~zero) & ~small
-    if np.any(big):
-        xs = arr[big]
-        main = np.exp(xs) / np.sqrt(2.0 * math.pi * xs) * _bessel_asym_sum(nu, xs, alternating=True)
-        refl = (-math.sin(math.pi * nu) * np.exp(-xs) / np.sqrt(2.0 * math.pi * xs)
-                * _bessel_asym_sum(nu, xs, alternating=False))
-        out[big] = main + refl
-    return float(out[0]) if scalar else out
+    if nu < 0 and (flat == 0).any():
+        raise ValueError("bessel_i diverges at x = 0 for negative order")
+    out = _by_route(nu, flat, flat < _bessel_switch(nu), _i_series, _i_asymptotic)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------

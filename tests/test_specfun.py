@@ -1,6 +1,7 @@
 """Special functions against oracles: scipy/mpmath values and identities."""
 
 import math
+import warnings
 
 import hypothesis.strategies as st
 import mpmath as mp
@@ -105,6 +106,47 @@ class TestBessel:
 
     def test_k_symmetric_in_order(self):
         assert bessel_k(-1.7, 2.0) == bessel_k(1.7, 2.0)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.5, 2.5, 3.5, -0.5, -1.3])
+    def test_values_do_not_depend_on_batch(self, nu):
+        # one batch mixing both routes and many octaves, octave edges 2^e
+        # and both sides of the switch; each value against the point alone
+        rng = np.random.default_rng(13)
+        switch = specfun._bessel_switch(nu)
+        xs = np.concatenate([
+            np.exp(rng.uniform(math.log(1e-4), math.log(1.5 * switch), 300)),
+            2.0 ** np.arange(-13, math.floor(math.log2(1.5 * switch)) + 1),
+            switch * np.array([1 - 1e-12, 1.0, 1 + 1e-12])])
+        rng.shuffle(xs)
+        for f, ref in ((bessel_i, sp.iv), (bessel_k, sp.kv)):
+            batch = f(nu, xs)
+            alone = np.array([f(nu, x) for x in xs])
+            np.testing.assert_allclose(batch, alone, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(batch, ref(nu, xs), rtol=2e-12)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.5, -1.3])
+    def test_infinity_and_nan(self, nu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bessel_i(nu, math.inf) == math.inf
+            assert bessel_k(nu, math.inf) == 0.0
+            assert math.isnan(bessel_i(nu, math.nan))
+            assert math.isnan(bessel_k(nu, math.nan))
+            # a NaN inside a batch stays NaN and leaves the other points alone
+            xs = np.array([1e-3, math.nan, 0.7, 3.0, 200.0])
+            finite = [0, 2, 3, 4]
+            for f in (bessel_i, bessel_k):
+                out = f(nu, xs)
+                assert math.isnan(out[1])
+                np.testing.assert_array_equal(out[finite], [f(nu, x) for x in xs[finite]])
+
+    def test_array_shapes(self):
+        assert bessel_i(1.0, []).shape == bessel_k(1.0, []).shape == (0,)
+        xs = np.array([[0.5, 2.0, 90.0], [1e-3, 7.0, 300.0]])
+        for f in (bessel_i, bessel_k):
+            out = f(1.0, xs)
+            assert out.shape == xs.shape
+            np.testing.assert_array_equal(out.ravel(), f(1.0, xs.ravel()))
 
 
 EXP = MeijerGParams.upper_zero([], [0.0])
@@ -258,6 +300,8 @@ class TestCaches:
     def cold_caches(self):
         specfun._ContourGrid.cache_clear()
         specfun._residue_slot.cache_clear()
+        specfun._k_nodes.cache_clear()
+        specfun._i_ratios.cache_clear()
 
     @pytest.fixture
     def lg_points(self, monkeypatch):
@@ -302,6 +346,28 @@ class TestCaches:
         with pytest.raises(NumericalError, match=r"did not converge: a = \(\), b = \(0.0,\), "
                                                  r"c = 1.5625, z in \[1e-06, 1e-06\]"):
             _meijer_g_contour_batch(EXP, [1e-6], 1e-10)
+
+    @pytest.mark.parametrize("table, f", [("_k_nodes", bessel_k), ("_i_ratios", bessel_i)])
+    def test_bessel_tables_reused_per_octave(self, table, f):
+        cache = getattr(specfun, table)
+        first = f(1.5, 2.5)
+        assert cache.cache_info().misses == 1
+        # new points in the octave [2, 4) build no table; 4.0 opens the next one
+        f(1.5, [2.0, 3.9])
+        assert cache.cache_info().misses == 1
+        f(1.5, 4.0)
+        assert cache.cache_info().misses == 2
+        assert f(1.5, 2.5) == first
+
+    @pytest.mark.parametrize("table, f", [("_k_nodes", bessel_k), ("_i_ratios", bessel_i)])
+    def test_bessel_tables_bounded(self, table, f):
+        cache = getattr(specfun, table)
+        xs = 1.5 * 2.0 ** np.arange(-20, 5)  # 25 octaves, all below the switch
+        for nu in np.linspace(0.1, 3.0, 12):  # 300 tables
+            f(nu, xs)
+        info = cache.cache_info()
+        assert info.misses == 300
+        assert info.currsize == info.maxsize == 256
 
 
 class TestParameterIdentities:
