@@ -15,6 +15,9 @@ real parameters, which covers every density in scope.  It has one entry,
   abscissa sits on the lattice (k/4)^2 next to each argument's saddle, and
   its Gamma-product grid, on nested dyadic levels, is cached per (params,
   abscissa, tol): step halvings and later calls evaluate only new nodes.
+  One halving loop advances every abscissa of a batch together, with one
+  log-gamma pass per level, and each argument stops at its own level, so
+  its value does not depend on the rest of the batch.
 
 When q = p, G vanishes for z > 1.  A z-derivative of order d multiplies
 the Mellin-Barnes integrand by s (s+1) ... (s+d-1) = Gamma(s+d) / Gamma(s),
@@ -63,6 +66,7 @@ _LANCZOS_C = np.array([
     0.36899182659531622704e-5,
 ])
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LN2 = math.log(2.0)
 
 
 def _lanczos_loggamma(z: np.ndarray) -> np.ndarray:
@@ -180,8 +184,9 @@ def _bessel_asym_sums(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 @functools.lru_cache(maxsize=256)  # one table per (|nu|, octave), built once
-def _k_nodes(anu: float, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cosh t, weights cosh(|nu| t) h) of the K_nu trapezoid on the octave [2^e, 2^{e+1}).
+def _k_nodes(anu: float, e: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(cosh t, weights cosh(|nu| t) h, False) of the K_nu trapezoid on the octave [2^e, 2^{e+1}),
+    or (2^e cosh t, log weights, True) where cosh t or cosh(|nu| t) would overflow.
 
     The octave's smallest argument sets t_max, where exp(-x cosh t + |nu| t)
     has fallen below e^{-52}, and its largest sets the step h.
@@ -189,25 +194,33 @@ def _k_nodes(anu: float, e: int) -> tuple[np.ndarray, np.ndarray]:
     xmin, xmax = math.ldexp(1.0, e), math.ldexp(1.0, e + 1)
     t_max = 3.0
     for _ in range(60):
-        t_new = math.acosh(1.0 + (52.0 + anu * t_max) / xmin)
+        y = 52.0 + anu * t_max
+        t_new = math.acosh(1.0 + y / xmin) if y / xmin < math.inf else math.log(2.0 * y) - e * _LN2
         if t_new <= t_max:
             break
         t_max = t_new + 0.25
     h = min(0.05, 0.35 / math.sqrt(max(1.0, xmax)))
     t = np.arange(0.0, t_max + h, h)
-    w = np.cosh(anu * t) * h
-    w[0] *= 0.5
-    nodes = np.cosh(t)
+    ends = np.where(t == 0.0, 0.5 * h, h)  # trapezoid weights
+    with np.errstate(over="ignore"):
+        nodes, w = np.cosh(t), np.cosh(anu * t) * ends
+    if in_logs := max(nodes[-1], w[-1]) == math.inf:  # then 2^e cosh t and the log weights
+        nodes = 0.5 * (np.exp(t + e * _LN2) + np.exp(e * _LN2 - t))
+        w = anu * t + np.log1p(np.exp(-2.0 * anu * t)) - _LN2 + np.log(ends)
     nodes.flags.writeable = w.flags.writeable = False  # shared by every later call
-    return nodes, w
+    return nodes, w, in_logs
 
 
 def _k_quadrature(nu: float, x: np.ndarray) -> np.ndarray:
     """K_nu by trapezoidal quadrature of the defining integral on each point's octave nodes."""
     out = np.empty_like(x)
     for e, rows in _octave_blocks(x):
-        nodes, w = _k_nodes(nu, e)
-        out[rows] = np.exp(-x[rows, None] * nodes) @ w
+        nodes, w, in_logs = _k_nodes(nu, e)
+        if in_logs:  # x cosh t = (x 2^-e) (2^e cosh t); a sum past the float range is inf
+            with np.errstate(over="ignore"):
+                out[rows] = np.exp(w - np.ldexp(x[rows], -e)[:, None] * nodes).sum(axis=1)
+        else:
+            out[rows] = np.exp(-x[rows, None] * nodes) @ w
     return out
 
 
@@ -485,80 +498,52 @@ def _meijer_g_series(params: MeijerGParams, zs) -> np.ndarray:
     return out
 
 
+# Contour memory bounds, set by measured peak RSS: log-gamma points (node-factor pairs) per
+# call and (argument, node) pairs per phase-sum pass; and t_top candidates per search pass.
+_LG_POINTS, _PHASE_PAIRS, _TAIL_GROUP = 8192, 16384, 8
+
+
 @functools.lru_cache(maxsize=64)  # one grid per (params, c, tol), built once
 class _ContourGrid:
-    """prod Gamma(s + b) / prod Gamma(s + a) on s = c + i t, over its value at t = 0.
+    """prod Gamma(s + b) / prod Gamma(s + a) on s = c + i t, over its value ref at t = 0.
 
     Values are kept on nested trapezoid levels: level 0 holds t = i h_0,
     i = 0 .. 24, h_0 = t_top / 24, and level j > 0 the odd multiples of
-    h_0 / 2^j, the nodes a step halving adds.  A halving, or a later batch,
-    evaluates only the levels not yet built.  t_top is None when the tail
-    does not decay.
+    h_0 / 2^j, the nodes a step halving adds, as rows (t, Re, Im) of the
+    trapezoid-weighted product.  ``_find_tops`` sets ref and t_top (None when
+    the tail does not decay); the batch's halving loop adds the levels.
     """
 
     def __init__(self, params: MeijerGParams, c: float, tol: float):
         self.shifts = c + np.array(params.b + params.a)
         self.signs = np.repeat([1.0, -1.0], [params.q, params.p])
-        self.ref = self.log_product(np.zeros(1))[0].real
-        cutoff = self.ref + math.log(max(tol, 1e-16)) - 8.0
-        tops = (6.0 + 2.0 * (params.q - params.p) + 2.0 * math.sqrt(c)) * 1.4 ** np.arange(60.0)
-        self.t_top = next((float(t) for t in tops  # the first where the tail has decayed
-                           if self.log_product(np.array([t]))[0].real <= cutoff), None)
+        self.log_tol = math.log(max(tol, 1e-16))
+        self.tops = (6.0 + 2.0 * (params.q - params.p) + 2.0 * math.sqrt(c)) * 1.4 ** np.arange(60.0)
+        self.ref = self.t_top = None  # ref is None until the tail search has run
         self.levels: tuple = ()
 
-    def log_product(self, t: np.ndarray) -> np.ndarray:
-        """log of the product at s = c + i t: one log-gamma call for all factors
-        (per 4096 nodes, which bounds the memory of the deep levels)."""
-        return np.concatenate([log_gamma_complex(1j * t[lo:lo + 4096, None] + self.shifts)
-                               @ self.signs for lo in range(0, len(t), 4096)])
 
-    def level(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(t, scaled product) on the nodes that level j adds."""
-        levels = self.levels  # extended as a new tuple, so a reader never sees a partial one
-        while len(levels) <= j:
-            n = len(levels)
-            idx = np.arange(25.0) if n == 0 else np.arange(1.0, 24 * 2**n, 2)
-            t = idx * (self.t_top / 24 / 2**n)
-            levels += ((t, np.exp(self.log_product(t) - self.ref)),)
-        self.levels = levels
-        return levels[j]
+def _log_products(grids: list, ts: list) -> list:
+    """log of each grid's product at its own nodes ts[k], one log-gamma call per _LG_POINTS."""
+    t, sizes = np.concatenate(ts), [len(t) for t in ts]
+    owner, shifts = np.repeat(np.arange(len(grids)), sizes), np.array([g.shifts for g in grids])
+    step = max(1, _LG_POINTS // shifts.shape[1])
+    return np.split(np.concatenate([np.einsum("ij,j->i", log_gamma_complex(
+        1j * t[lo:lo + step, None] + shifts[owner[lo:lo + step]]), grids[0].signs)
+        for lo in range(0, len(t), step)]), np.cumsum(sizes)[:-1])
 
 
-def _contour_cell(params: MeijerGParams, c: float, zs: np.ndarray, tol: float) -> np.ndarray:
-    """Contour evaluation of arguments that share the abscissa c."""
-    grid = _ContourGrid(params, c, tol)
-    where = f"a = {params.a}, b = {params.b}, c = {c:g}, z in [{zs.min():.6g}, {zs.max():.6g}]"
-    if grid.t_top is None:
-        raise NumericalError(f"contour tail does not decay: {where}")
-    lnz = np.log(zs)
-    h0 = grid.t_top / 24.0
-    h = min(0.25, math.pi / (4.0 + float(np.max(np.abs(lnz)))))
-    start = max(0, math.ceil(math.log2(h0 / h)))  # the first level with step <= h
-
-    def halve(vals, n: int) -> np.ndarray:
-        """Trapezoid sum at step h_n from the one at h_{n-1} and level n's nodes."""
-        t, g = grid.level(n)
-        gw = g * (h0 / 2**n / math.pi) * np.where(t == 0.0, 0.5, 1.0)  # trapezoid end weight
-        out = 0.5 * vals
-        for lo in range(0, len(lnz), 256):
-            out[lo:lo + 256] += (np.exp(-1j * np.outer(lnz[lo:lo + 256], t)) @ gw).real  # z^{-i t}
-        return out
-
-    # per-argument scale of "raw" units relative to a unit true result
-    unit_scale = np.exp(np.minimum(-grid.ref + c * lnz, 700.0))
-    vals = np.zeros(len(zs))
-    try:
-        for n in range(start + 13):  # up to 12 halvings after the first level with step <= h
-            vals, old = halve(vals, n), vals
-            bound = 0.25 * tol * np.maximum(unit_scale, np.abs(vals))
-            if n > start and np.all(np.abs(vals - old) <= bound):
-                break
-        else:
-            raise NumericalError(f"batch step-halving did not converge: {where}")
-    finally:  # levels past 9 (12288 nodes) would hold megabytes in the cache
-        grid.levels = grid.levels[:10]
-    with np.errstate(divide="ignore"):
-        return np.sign(vals) * np.exp(grid.ref - c * lnz + np.log(np.abs(vals)))
+def _find_tops(grids: list) -> None:
+    """ref, and t_top: the first candidate where the tail has decayed, of unsearched grids."""
+    todo, lo = [g for g in grids if g.ref is None], 0
+    while todo and lo < 60:
+        head = [0.0] * (lo == 0)  # t = 0 gives ref
+        logs = _log_products(todo, [np.r_[head, g.tops[lo:lo + _TAIL_GROUP]] for g in todo])
+        for g, lp in zip(todo, logs):
+            g.ref = lp[0].real if head else g.ref
+            decayed = np.flatnonzero(lp[len(head):].real <= g.ref + g.log_tol - 8.0)
+            g.t_top = float(g.tops[lo + decayed[0]]) if len(decayed) else None
+        todo, lo = [g for g in todo if g.t_top is None], lo + _TAIL_GROUP
 
 
 def _meijer_g_contour_batch(params: MeijerGParams, zs, tol: float) -> np.ndarray:
@@ -567,19 +552,64 @@ def _meijer_g_contour_batch(params: MeijerGParams, zs, tol: float) -> np.ndarray
     Each argument's abscissa c is the first point of the lattice (k/4)^2 at
     or right of its saddle z^{1/sigma} and of 1.5 - min(b): a step of about
     sqrt(c)/2, which costs at most about e^{sigma/8} in relative accuracy.
-    Arguments of one lattice cell share a cached Gamma-product grid.
+    Arguments of one lattice cell share a cached Gamma-product grid.  One
+    halving loop advances every cell together: at level n, one log-gamma
+    pass builds the level for every grid that lacks it, and one phase-sum
+    pass covers every argument still running.  Each argument starts its
+    convergence test, and stops, by its own ln z, so its value does not
+    depend on the rest of the batch.
     """
     zs = np.asarray(zs, dtype=float)
     sigma = params.q - params.p
     if sigma <= 0:
         raise NumericalError("contour route requires q > p")
     base = max(1.0, 1.0 - min(params.b) + 0.5)
-    cells = np.ceil(4.0 * np.sqrt(np.maximum(base, zs ** (1.0 / sigma))))
-    out = np.empty(len(zs))
-    for cell in np.unique(cells):
-        idx = np.flatnonzero(cells == cell)
-        out[idx] = _contour_cell(params, float(cell / 4.0) ** 2, zs[idx], tol)
-    return out
+    keys, cell = np.unique(np.ceil(4.0 * np.sqrt(np.maximum(base, zs ** (1.0 / sigma)))),
+                           return_inverse=True)
+    c = (keys / 4.0) ** 2
+    grids = [_ContourGrid(params, float(ck), tol) for ck in c]
+    _find_tops(grids)
+
+    def where(bad: np.ndarray) -> str:  # the failing arguments and their abscissas
+        zb, cs = zs[bad], "/".join(f"{ck:g}" for ck in c[np.unique(cell[bad])])
+        return f"a = {params.a}, b = {params.b}, c = {cs}, z in [{zb.min():.6g}, {zb.max():.6g}]"
+    if (dead := np.array([g.t_top is None for g in grids])[cell]).any():
+        raise NumericalError(f"contour tail does not decay: {where(dead)}")
+    lnz, c = np.log(zs), c[cell]
+    ref, h0 = np.array([(g.ref, g.t_top / 24.0) for g in grids]).reshape(-1, 2)[cell].T
+    # the first level with step <= h, and the scale of "raw" units relative to a unit true result
+    start = np.maximum(0.0, np.ceil(np.log2(h0 / np.minimum(0.25, math.pi / (4.0 + np.abs(lnz))))))
+    unit_scale = np.exp(np.minimum(-ref + c * lnz, 700.0))
+    vals, failed = np.zeros(len(zs)), np.zeros(len(zs), dtype=bool)
+    run, n = np.argsort(cell, kind="stable"), 0  # by cell, so a chunk of arguments spans few grids
+    try:
+        while len(run):  # up to 12 halvings after each argument's start
+            new_level = [g for g in (grids[k] for k in np.unique(cell[run])) if len(g.levels) == n]
+            idx = np.arange(25.0) if n == 0 else np.arange(1.0, 24 * 2**n, 2)
+            ts = [idx * (g.t_top / 24 / 2**n) for g in new_level]
+            for g, t, lp in zip(new_level, ts, _log_products(new_level, ts) if ts else ()):
+                gw = np.exp(lp - g.ref) * (g.t_top / 24.0 / 2**n / math.pi)
+                gw[t == 0.0] *= 0.5  # trapezoid end weight
+                g.levels += (np.array([t, gw.real, gw.imag]),)  # a new tuple: never seen partial
+            new, step = 0.5 * vals[run], max(1, _PHASE_PAIRS // (25 if n == 0 else 12 * 2**n))
+            for lo in range(0, len(run), step):  # Re sum of gw z^{-i t}
+                live, local = np.unique(cell[run[lo:lo + step]], return_inverse=True)
+                t, re, im = np.stack([grids[k].levels[n] for k in live])[local].transpose(1, 0, 2)
+                phase = lnz[run[lo:lo + step], None] * t
+                new[lo:lo + step] += (np.einsum("ij,ij->i", np.cos(phase), re)
+                                      + np.einsum("ij,ij->i", np.sin(phase), im))
+            bound = 0.25 * tol * np.maximum(unit_scale[run], np.abs(new))
+            done = (n > start[run]) & (np.abs(new - vals[run]) <= bound)
+            vals[run] = new
+            failed[run[~done & (n >= start[run] + 12)]] = True
+            run, n = run[~done & (n < start[run] + 12)], n + 1
+    finally:  # levels past 9 (12288 nodes) would hold megabytes in the cache
+        for g in grids:
+            g.levels = g.levels[:10]
+    if failed.any():
+        raise NumericalError(f"batch step-halving did not converge: {where(failed)}")
+    with np.errstate(divide="ignore"):
+        return np.sign(vals) * np.exp(ref - c * lnz + np.log(np.abs(vals)))
 
 
 _SERIES_BELOW = 0.04

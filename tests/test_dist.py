@@ -276,6 +276,26 @@ class TestCharFunction:
             est, se = np.mean(mc), np.std(mc, ddof=1) / math.sqrt(len(w))
             assert abs(dist.char_function(XYZ, t) - est) < 3 * se
 
+    def test_cosine_panels_share_one_batch(self, monkeypatch):
+        calls, inside = [], []
+        batch, tanh_sinh = dist.DensityEvaluator.batch, dist.quad.tanh_sinh
+
+        def counted(self, xs):
+            calls.append(bool(inside))
+            return batch(self, xs)
+
+        def first_panel(*args, **kwargs):
+            inside.append(True)
+            try:
+                return tanh_sinh(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(dist.DensityEvaluator, "batch", counted)
+        monkeypatch.setattr(dist.quad, "tanh_sinh", first_panel)
+        dist.char_function(XYZ, 1.0)
+        assert calls.count(False) == 1  # the calls of the tanh-sinh first panel aside
+
     def test_requires_normal_factor(self):
         with pytest.raises(ValueError):
             dist.char_function(PG2, 1.0)

@@ -140,6 +140,15 @@ class TestBessel:
                 assert math.isnan(out[1])
                 np.testing.assert_array_equal(out[finite], [f(nu, x) for x in xs[finite]])
 
+    @pytest.mark.parametrize("x", [1e-310, 5e-324])
+    def test_k_subnormal_arguments(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bessel_k(0.0, x) == pytest.approx(float(mp.besselk(0, x)), rel=1e-12)
+            assert bessel_k(0.5, x) == pytest.approx(
+                math.sqrt(math.pi / 2) / math.sqrt(x) * math.exp(-x), rel=1e-12)
+            assert bessel_k(1.5, x) == math.inf  # K_1.5 itself is beyond the float range
+
     def test_array_shapes(self):
         assert bessel_i(1.0, []).shape == bessel_k(1.0, []).shape == (0,)
         xs = np.array([[0.5, 2.0, 90.0], [1e-3, 7.0, 300.0]])
@@ -346,6 +355,35 @@ class TestCaches:
         with pytest.raises(NumericalError, match=r"did not converge: a = \(\), b = \(0.0,\), "
                                                  r"c = 1.5625, z in \[1e-06, 1e-06\]"):
             _meijer_g_contour_batch(EXP, [1e-6], 1e-10)
+
+    def test_contour_errors_name_only_the_failing_arguments(self):
+        # 0.5 shares the failing argument's cell and 2.0 has its own; both converge
+        with pytest.raises(NumericalError, match=r"c = 1.5625, z in \[1e-06, 1e-06\]"):
+            _meijer_g_contour_batch(EXP, [1e-6, 0.5, 2.0], 1e-10)
+
+    def test_contour_work_is_per_level(self, lg_points):
+        # one log-gamma call for every grid's tail search, then one per level
+        zs = np.array([1.0, 2.5, 4.0, 6.0, 9.0, 12.0])
+        cs = {float(k / 4.0) ** 2 for k in np.ceil(4.0 * np.sqrt(np.maximum(1.5, zs)))}
+        assert len(cs) >= 5
+        np.testing.assert_allclose(meijer_g_batch(EXP, zs), np.exp(-zs), rtol=1e-12)
+        deepest = max(len(specfun._ContourGrid(EXP, c, 1e-10).levels) for c in cs) - 1
+        assert len(lg_points) <= deepest + 2
+
+    def test_contour_values_do_not_depend_on_batch(self):
+        # each argument stops at its own level, whatever its cellmates need
+        rng = np.random.default_rng(29)
+        rows = [dist.density(ProductSpec(beta_pairs=((1.3, 0.6),), gamma_shapes=(1.4,), lam=1.0,
+                                         normal_count=1, sigma=1.0)).reduced,
+                MeijerGParams.upper_zero([0.9], [0.0, 0.35, 1.3])]
+        for params in rows:
+            zs = np.exp(rng.uniform(math.log(0.05), math.log(60.0), 200))
+            batch = meijer_g_batch(params, zs, 1e-11)
+            alone = []
+            for z in zs:
+                specfun._ContourGrid.cache_clear()
+                alone.append(meijer_g(params, z, 1e-11))
+            np.testing.assert_array_equal(batch, alone)
 
     @pytest.mark.parametrize("table, f", [("_k_nodes", bessel_k), ("_i_ratios", bessel_i)])
     def test_bessel_tables_reused_per_octave(self, table, f):
