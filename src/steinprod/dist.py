@@ -9,13 +9,16 @@ normals (sigma = product of scales), the density is a Meijer G-function:
   (a_i/2, (a_i-1)/2, r_j/2, (r_j-1)/2, 0 x N), symmetric about the origin;
 * N == 0:  p(x) = K G^{m+n,0}_{m,m+n}(lam^n x | a_i+b_i-1; a_i-1, r_j-1) on x > 0.
 
+``NumericCdf`` takes the distribution function from the survival function,
+one more G-function.
+
 The rows are read off the Stein operator's theta-form roots
 (``steinops.stein_sides``): rhs roots give the a-row and lhs roots the
 b-row, halved for N >= 1 and shifted by -1 for N = 0.
 
-Evaluators reduce their parameters first and dispatch to elementary
-closed forms (exponential, Bessel-K, single-beta, two-beta convolution)
-whenever reduction lands there, and to ``meijer_g_batch`` otherwise.
+Evaluators reduce their parameters first and dispatch to the closed forms
+G^{1,0}_{0,1} (exponential) and G^{2,0}_{0,2} (Bessel-K) whenever reduction
+lands there, and to ``meijer_g_batch`` otherwise, pure betas included.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quad
-from .specfun import (MeijerGParams, NumericalError, asymptotic_g, bessel_k,
+from .specfun import (MeijerGParams, asymptotic_g, bessel_k,
                       meijer_g_batch, reduce_params)
 from .steinops import ProductSpec, stein_sides
 
@@ -182,10 +185,6 @@ class DensityEvaluator:
             self.kind = "exp"
         elif rp == 0 and rq == 2:
             self.kind = "bessel"
-        elif rp == 1 and rq == 1:
-            self.kind = "beta1"
-        elif self.spec.n == 0 and self.spec.N == 0 and self.spec.m == 2:
-            self.kind = "beta_conv"
         else:
             self.kind = "general"
 
@@ -218,39 +217,13 @@ class DensityEvaluator:
         if self.kind == "exp":
             with np.errstate(divide="ignore"):
                 return np.exp(self.log_const + b[0] * np.log(y) - y)
-        if self.kind == "bessel":
-            half = 0.5 * (b[0] + b[1])
-            nu = b[0] - b[1]
-            out = np.zeros_like(y)
-            pos = y > 0
-            out[pos] = (2.0 * self.const * y[pos] ** half
-                        * bessel_k(nu, 2.0 * np.sqrt(y[pos])))
-            return out
-        if self.kind == "beta1":
-            alpha, beta = self.reduced.a[0], b[0]
-            out = np.zeros_like(y)
-            inside = (y > 0) & (y < 1)
-            out[inside] = (self.const * y[inside] ** beta
-                           * (1.0 - y[inside]) ** (alpha - beta - 1.0)
-                           / math.gamma(alpha - beta))
-            return out
-        if self.kind == "beta_conv":
-            return np.array([self._beta_convolution(v) for v in y])
-        raise NumericalError("no closed form for this evaluator")
-
-    def _beta_convolution(self, x: float) -> float:
-        (a1, b1), (a2, b2) = self.spec.beta_pairs
-        if not 0.0 < x < 1.0:
-            return 0.0
-        logc = (math.lgamma(a1 + b1) - math.lgamma(a1) - math.lgamma(b1)
-                + math.lgamma(a2 + b2) - math.lgamma(a2) - math.lgamma(b2))
-        c = math.exp(logc)
-
-        def integrand(u):
-            t = x / u
-            return c * t ** (a1 - 1) * (1 - t) ** (b1 - 1) * u ** (a2 - 2) * (1 - u) ** (b2 - 1)
-
-        return quad.tanh_sinh(integrand, x, 1.0, tol=1e-12)
+        half = 0.5 * (b[0] + b[1])  # "bessel": 2 K y^half K_nu(2 sqrt y)
+        nu = b[0] - b[1]
+        out = np.zeros_like(y)
+        pos = y > 0
+        out[pos] = (2.0 * self.const * y[pos] ** half
+                    * bessel_k(nu, 2.0 * np.sqrt(y[pos])))
+        return out
 
     # -- evaluation -------------------------------------------------------------
 
@@ -350,18 +323,16 @@ def normalization(spec: ProductSpec, tol: float = 1e-8) -> float:
     """Numerical integral of the density over its support."""
     ev = density(spec)
     f = lambda xs: ev.batch(xs)
-    if ev.kind == "beta1" or ev.kind == "beta_conv" or (ev.reduced.q == ev.reduced.p):
-        left = quad.tanh_sinh(f, 0.0, 0.5, tol=tol * 0.1)
-        right = quad.tanh_sinh(f, 0.5, 1.0, tol=tol * 0.1)
-        return left + right
     x_tail = ev.tail_cut(38.0)
-    # split where the G argument reaches ~0.5 so the singular head is isolated
+    # split where the G argument reaches ~0.5 so the singular head is isolated;
+    # compact support (q = p) has a singular end at x_tail too
     if ev.squared_argument:
         x_head = min(math.sqrt(0.5 / ev.arg_coeff), 0.5 * x_tail)
     else:
         x_head = min(0.5 / ev.arg_coeff, 0.5 * x_tail)
     head = quad.tanh_sinh(f, 0.0, x_head, tol=tol * 0.1)
-    body = quad.adaptive(f, x_head, x_tail, tol=tol * 0.1)
+    rule = quad.tanh_sinh if ev.reduced.q == ev.reduced.p else quad.adaptive
+    body = rule(f, x_head, x_tail, tol=tol * 0.1)
     total = head + body
     return 2.0 * total if ev.squared_argument else total
 
@@ -448,56 +419,31 @@ def tail_asymptotic(spec: ProductSpec, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 class NumericCdf:
-    """Cumulative distribution by panel quadrature on a cached grid.
+    """Cumulative distribution function from the survival function, a Meijer G.
 
-    Symmetric products fold around zero (F(0) = 1/2); positive products
-    integrate up from the origin.  Evaluation interpolates the panel
-    prefix sums, refining inside the panel with a short Gauss rule.
+    For the density K G(k x | A; B) on x > 0, P(W > x) = (K/k) G(k x | A+1, 1;
+    B+1, 0); with a normal factor, for K G(k x^2 | A; B) on the line,
+    P(|W| > x) = (K/sqrt k) G(k x^2 | A+1/2, 1; B+1/2, 0).  Both come from
+    M[int_x^inf f](s) = M[f](s+1) / s, and both are evaluated in one
+    ``meijer_g_batch`` call.
     """
 
-    def __init__(self, spec: ProductSpec, grid_size: int = 2500):
-        self.spec = spec
-        self.ev = density(spec)
-        x_tail = self.ev.tail_cut(40.0)
-        lo = x_tail * 1e-9
-        head = np.geomspace(lo, x_tail / 6.0, (2 * grid_size) // 3)
-        body = np.linspace(x_tail / 6.0, x_tail, grid_size - (2 * grid_size) // 3)
-        self.grid = np.unique(np.concatenate(([0.0], head, body)))
-        nodes, weights = quad.gauss_legendre(12)
-        a = self.grid[:-1]
-        b = self.grid[1:]
-        mids = 0.5 * (a + b)
-        halves = 0.5 * (b - a)
-        xs = (mids[:, None] + halves[:, None] * nodes[None, :]).ravel()
-        vals = self.ev.batch(xs).reshape(len(a), -1)
-        self.panel = halves * (vals @ weights)
-        self.prefix = np.concatenate(([0.0], np.cumsum(self.panel)))
-        self.half_mass = self.prefix[-1]
-        self.dens = self.ev.batch(self.grid)
-        if not np.isfinite(self.dens[0]):
-            self.dens[0] = self.dens[1]
-        if not np.isfinite(self.dens[-1]):
-            self.dens[-1] = self.dens[-2]
-
-    def positive_mass(self, x) -> np.ndarray:
-        """integral of p on (0, x]; within-panel by trapezoid on cached values."""
-        x = np.asarray(x, dtype=float)
-        xc = np.clip(x, 0.0, self.grid[-1])
-        i = np.clip(np.searchsorted(self.grid, xc, side="right") - 1, 0, len(self.grid) - 2)
-        x0 = self.grid[i]
-        h = self.grid[i + 1] - x0
-        frac = np.where(h > 0, (xc - x0) / h, 0.0)
-        p0 = self.dens[i]
-        p1 = self.dens[i + 1]
-        partial = h * frac * (p0 + 0.5 * frac * (p1 - p0))
-        return self.prefix[i] + partial
+    def __init__(self, spec: ProductSpec):
+        self.ev = ev = density(spec)
+        shift = 0.5 if ev.squared_argument else 1.0
+        self.params = reduce_params(MeijerGParams.upper_zero(
+            [v + shift for v in ev.reduced.a] + [1.0], [v + shift for v in ev.reduced.b] + [0.0]))
+        self.log_const = ev.log_const - shift * math.log(ev.arg_coeff)
 
     def __call__(self, x) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.ev.squared_argument:
-            out = 0.5 + np.sign(xs) * self.positive_mass(np.abs(xs)) * (0.5 / self.half_mass)
-        else:
-            out = self.positive_mass(np.maximum(xs, 0.0)) / self.half_mass
+        y = self.ev.argument(xs)  # < 0 left of a positive support, 0 at (or underflowing to) 0
+        tail = np.where(y == 0, 1.0, 0.0)  # mass beyond |x|: P(W > x) or P(|W| > |x|)
+        tail[np.isnan(y)] = np.nan
+        live = (y > 0) & (y < math.inf)
+        tail[live] = math.exp(self.log_const) * meijer_g_batch(self.params, y[live], self.ev.tol)
+        share = 0.5 if self.ev.squared_argument else 1.0  # of that mass on the side of x
+        out = np.where(xs < 0, share * tail, 1.0 - share * tail)
         return out if np.ndim(x) else float(out[0])
 
 

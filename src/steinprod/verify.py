@@ -288,7 +288,7 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
 
 def sampler_density_ks(spec: ProductSpec, samples: int, seed: int,
                        workers: int = 1) -> VerificationReport:
-    """Kolmogorov-Smirnov distance between draws and the numeric CDF."""
+    """Kolmogorov-Smirnov distance between draws and the CDF of ``dist.NumericCdf``."""
     w = dist.sample(spec, samples, seed, workers=workers)
     cdf = dist.NumericCdf(spec)
     d = ks_statistic(w, cdf)
@@ -297,7 +297,7 @@ def sampler_density_ks(spec: ProductSpec, samples: int, seed: int,
         test_id=f"sampler-ks[{spec.describe()}]",
         estimate=d, standard_error=0.0, tolerance=crit,
         samples=samples, seed=seed, passed=d <= crit,
-        details="numeric CDF by panel quadrature")
+        details="CDF from the survival Meijer G")
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Command-line interface: spec parsing, outputs, exit codes."""
 
+import io
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from steinprod import dist
 from steinprod.cli import SpecError, load_spec, main, parse_grid
+from steinprod.specfun import NumericalError
 
 
 @pytest.fixture
@@ -193,9 +197,22 @@ class TestExitCodes:
         assert rc == 1
         assert "finite" in capsys.readouterr().err
 
-    def test_unsupported_series_is_two(self, spec_file, capsys):
-        # a pure product of three betas has q = p; its series stops short of z = 1
+    def test_three_beta_density_near_one(self, spec_file, capsys):
+        # a pure product of three betas has q = p: Norlund's expansion takes x near 1
         payload = {"version": 1, "beta": [[1.3, 0.6], [2.0, 1.5], [0.8, 1.1]]}
-        rc = main(["density", "--spec", spec_file(payload), "--grid", "0.9:0.99:3"])
+        rc = main(["density", "--spec", spec_file(payload), "--grid", "0.9:0.999:4"])
+        assert rc == 0
+        xs, values = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",",
+                                skiprows=1).T
+        ev = dist.density(load_spec(spec_file(payload)))
+        g = lambda x: mp.meijerg([[], list(ev.reduced.a)], [list(ev.reduced.b), []], x)
+        ref = [float(mp.exp(ev.log_const) * g(float(x))) for x in xs]
+        np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0)
+
+    def test_numerical_failure_is_two(self, spec_file, capsys, monkeypatch):
+        def fail(ev, xs):
+            raise NumericalError("batch step-halving did not converge")
+        monkeypatch.setattr(dist.DensityEvaluator, "batch", fail)
+        rc = main(["density", "--spec", spec_file(PN1), "--grid", "0.5:2:3"])
         assert rc == 2
         assert "numerical failure" in capsys.readouterr().err

@@ -7,11 +7,12 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.integrate as integrate
 import scipy.special as sp
 import scipy.stats as st
 
 from steinprod import dist
-from steinprod.specfun import NumericalError, _meijer_g_series, meijer_g_batch
+from steinprod.specfun import NumericalError, meijer_g_batch
 from steinprod.steinops import ProductSpec
 
 PN1 = ProductSpec(normal_count=1, sigma=1.0)
@@ -150,10 +151,32 @@ class TestDensities:
         assert ev(1.5) == 0.0
 
     def test_two_beta_convolution_vs_series(self):
-        ev = dist.density(ProductSpec(beta_pairs=((1.3, 0.7), (0.6, 1.1))))
-        xs = np.array([0.1, 0.4, 0.8])
-        gen = ev.const * _meijer_g_series(ev.reduced, xs)
-        np.testing.assert_allclose(ev.batch(xs), gen, rtol=1e-8)
+        # oracle: p(x) = int_x^1 f1(x/u) f2(u) du/u by QUADPACK's algebraic-weight rule,
+        # (u - x)^(b1-1) (1 - u)^(b2-1) times the smooth rest
+        (a1, b1), (a2, b2) = pairs = ((1.3, 0.7), (0.6, 1.1))
+        ev = dist.density(ProductSpec(beta_pairs=pairs))
+        xs = np.array([0.1, 0.4, 0.8, 0.97, 0.999])
+        c = 1.0 / (sp.beta(a1, b1) * sp.beta(a2, b2))
+        ref = [integrate.quad(lambda u: c * (x / u) ** (a1 - 1) * u ** (a2 - b1 - 1), x, 1.0,
+                              weight="alg", wvar=(b1 - 1, b2 - 1), epsabs=0, epsrel=1e-13)[0]
+               for x in xs]
+        np.testing.assert_allclose(ev.batch(xs), ref, rtol=1e-12)
+
+    def test_three_beta_near_one(self):
+        # q = p: the series takes x <= 0.3 and Norlund's expansion the rest
+        pairs = ((1.3, 0.6), (2.0, 1.5), (0.8, 1.1))
+        ev = dist.density(ProductSpec(beta_pairs=pairs))
+        values = ev.batch([1e-3, 0.5, 0.97])
+        assert values.shape == (3,) and np.all(np.isfinite(values) & (values > 0))
+        # 1 - W is near 0 a sum of three small terms, each with density
+        # Gamma(a + b) / (Gamma(a) Gamma(b)) t^(b-1) + ...: their convolution gives
+        # p(x) (1 - x)^(1 - sum b) -> prod Gamma(a + b) / Gamma(a) / Gamma(sum b)
+        sum_b = sum(b for _, b in pairs)
+        limit = math.prod(math.gamma(a + b) / math.gamma(a) for a, b in pairs) / math.gamma(sum_b)
+        for x in (1.0 - 1e-9, 1.0 - 1e-12):  # the next term is 0.55 (1 - x) relative
+            assert ev(x) * (1.0 - x) ** (1.0 - sum_b) == pytest.approx(limit, rel=1.0 - x)
+        x = 1.0 - 1e-12
+        assert ev(x) * (1.0 - x) ** (1.0 - sum_b) == pytest.approx(limit, rel=1e-10)
 
     def test_three_beta_zero_beyond_support(self):
         ev = dist.density(ProductSpec(beta_pairs=((1.3, 0.6), (2.0, 1.5), (0.8, 1.1))))
@@ -201,8 +224,8 @@ class TestDensities:
     @pytest.mark.parametrize("spec, kind", [
         (PN1, "exp"),
         (PN2, "bessel"),
-        (ProductSpec(beta_pairs=((1.3, 0.7),)), "beta1"),
-        (ProductSpec(beta_pairs=((1.3, 0.7), (0.6, 1.1))), "beta_conv"),
+        (ProductSpec(beta_pairs=((1.3, 0.7),)), "general"),
+        (ProductSpec(beta_pairs=((1.3, 0.7), (0.6, 1.1))), "general"),
         (XYZ, "general"),
     ])
     def test_scalar_is_batch_of_one(self, spec, kind):
@@ -328,7 +351,47 @@ class TestTails:
         assert dist.tail_alpha(PN2) == pytest.approx(-0.5)
 
 
+W222 = ProductSpec(beta_pairs=((1.3, 0.6), (0.8, 1.15)), gamma_shapes=(1.4, 2.45), lam=1.0,
+                   normal_count=2, sigma=1.0)
+
+
 class TestNumericCdf:
+    @pytest.mark.parametrize("spec, law, xs", [
+        (ProductSpec(beta_pairs=((1.5, 0.5),)), st.beta(1.5, 0.5),
+         [1e-6, 0.1, 0.5, 0.9, 0.999, 0.999999]),
+        (ProductSpec(beta_pairs=((2.0, 0.8),)), st.beta(2.0, 0.8),
+         [1e-6, 0.1, 0.5, 0.9, 0.999, 0.999999]),
+        (ProductSpec(gamma_shapes=(2.0,), lam=1.0), st.gamma(2.0), [1e-6, 0.2, 1.0, 3.0, 7.0, 30.0]),
+        (PN1, st.norm(), [-6.0, -1.5, -1e-6, 0.0, 0.7, 2.2, 8.0]),
+    ])
+    def test_single_factor_against_scipy(self, spec, law, xs):
+        np.testing.assert_allclose(dist.NumericCdf(spec)(xs), law.cdf(xs), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", [ProductSpec(beta_pairs=((1.5, 0.5),)), W222])
+    def test_total_mass_and_monotone(self, spec):
+        cdf = dist.NumericCdf(spec)
+        # the survival G at the origin is the whole mass
+        at_origin = 0.5 if spec.N else 0.0
+        assert cdf(1e-150) == pytest.approx(at_origin, abs=1e-12)
+        assert cdf(0.0) == at_origin and cdf(1e-300) == at_origin  # 1e-300^2 underflows
+        assert cdf(math.inf) == 1.0 and cdf(-math.inf) == 0.0
+        x_tail = cdf.ev.tail_cut(36.0)
+        assert cdf(x_tail) == pytest.approx(1.0, abs=1e-12)
+        xs = np.linspace(-x_tail if spec.N else 0.0, x_tail, 10_000)
+        assert np.all(np.diff(cdf(xs)) >= 0.0)
+
+    def test_near_origin_against_mpmath(self):
+        # the panel quadrature this replaces was 8.1e-5 off at -6.3e-7
+        cdf = dist.NumericCdf(W222)
+        ev = cdf.ev
+        a = [v + 0.5 for v in ev.reduced.a] + [1.0]
+        b = [v + 0.5 for v in ev.reduced.b] + [0.0]
+        for x in (-6.3e-7, -1e-4):
+            with mp.workdps(30):
+                tail = (mp.exp(ev.log_const) / mp.sqrt(ev.arg_coeff)
+                        * mp.meijerg([[], a], [b, []], ev.arg_coeff * mp.mpf(x) ** 2))
+            assert cdf(x) == pytest.approx(float(tail / 2), abs=1e-12)
+
     def test_gamma_cdf(self):
         cdf = dist.NumericCdf(ProductSpec(gamma_shapes=(2.0,), lam=1.0))
         for x in (0.2, 1.0, 3.0, 7.0):

@@ -265,6 +265,35 @@ class TestMeijerG:
             ref = x ** (a - 1) * (1 - x) ** (b - 1) / math.gamma(b)
             assert meijer_g(params, x) == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("params, w_min", [
+        (dist.density(ProductSpec(beta_pairs=((1.3, 0.7), (0.6, 1.1)))).reduced, 1e-6),
+        # mpmath takes 5 s for its 3F2 sums from z = 0.999 on
+        (dist.density(ProductSpec(beta_pairs=((1.3, 0.6), (0.8, 1.15), (2.2, 0.9)))).reduced, 1e-2),
+        (MeijerGParams.upper_zero([3.0, 2.0], [1.0, 0.0]), 1e-6),  # integer spacings, psi = 4
+    ])
+    def test_norlund_against_mpmath(self, params, w_min):
+        # q = p rows from 0.5 to 1 - w_min take Norlund's expansion in 1 - z
+        zs = np.array([0.5, 0.8, 0.95, 1.0 - w_min])
+        ref = [float(mp.meijerg([[], list(params.a)], [list(params.b), []], z)) for z in zs]
+        np.testing.assert_allclose(meijer_g_batch(params, zs, 1e-12), ref, rtol=1e-12, atol=0)
+        for deriv in (1, 2):  # (d/dz)^d G = (-z)^-d G(z | a, 0; b, d)
+            ref = [float(mp.meijerg([[], [*params.a, 0]], [[*params.b, deriv], []], z) / (-z) ** deriv)
+                   for z in zs[:3]]
+            np.testing.assert_allclose(meijer_g_batch(params, zs[:3], 1e-12, deriv), ref,
+                                       rtol=1e-9, atol=0)
+
+    def test_norlund_takes_cancelled_series_points(self):
+        # betas (30, 40) (50, 60): psi = 100, and the residues cancel beyond 1e6 from
+        # z ~ 0.05 on; Norlund's expansion takes those points where 96 terms converge
+        params = dist.density(ProductSpec(beta_pairs=((30.0, 40.0), (50.0, 60.0)))).reduced
+        assert np.isnan(_meijer_g_series(params, [0.3])[0])
+        with mp.workdps(30):
+            ref = float(mp.meijerg([[], list(params.a)], [list(params.b), []], 0.3))
+        assert meijer_g_batch(params, [0.3], 1e-11)[0] == pytest.approx(ref, rel=1e-10)
+        with pytest.raises(NumericalError, match=r"neither residue nor Norlund series converges: "
+                                                 r"a = \(69.0, 109.0\), .* z in \[0.05, 0.05\]"):
+            meijer_g_batch(params, [0.05, 0.3, 0.6], 1e-11)
+
     def test_against_mpmath_high_order(self):
         params = MeijerGParams.upper_zero([1.0, 0.65],
                                           [0.65, 0.15, 0.7, 0.2, 0.0])
@@ -383,6 +412,19 @@ class TestCaches:
             for z in zs:
                 specfun._ContourGrid.cache_clear()
                 alone.append(meijer_g(params, z, 1e-11))
+            np.testing.assert_array_equal(batch, alone)
+
+    def test_series_and_norlund_values_do_not_depend_on_batch(self):
+        # each argument is summed on its own: a matrix product per chunk of
+        # arguments made 175 of the first row's 300 series values move with their batch
+        rng = np.random.default_rng(31)
+        three_beta = dist.density(ProductSpec(beta_pairs=((1.3, 0.6), (2.0, 1.5),
+                                                          (0.8, 1.1)))).reduced
+        for params, zs in [(MeijerGParams.upper_zero([0.9], [0.0, 0.35, 1.3]),
+                            np.exp(rng.uniform(math.log(1e-6), math.log(0.04), 300))),
+                           (three_beta, rng.uniform(0.0, 1.0, 300))]:
+            batch = meijer_g_batch(params, zs, 1e-11)
+            alone = [meijer_g(params, z, 1e-11) for z in zs]
             np.testing.assert_array_equal(batch, alone)
 
     @pytest.mark.parametrize("table, f", [("_k_nodes", bessel_k), ("_i_ratios", bessel_i)])
