@@ -42,10 +42,12 @@ def load_spec(path: str) -> ProductSpec:
     if data.get("version") != SPEC_VERSION:
         raise SpecError(f"spec field 'version' must be {SPEC_VERSION}")
     beta = data.get("beta", [])
-    if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in beta):
+    if not (isinstance(beta, list) and all(isinstance(p, list) and len(p) == 2 for p in beta)):
         raise SpecError("field 'beta' must be a list of [a, b] pairs")
-    gamma = data.get("gamma", {}) or {}
-    normal = data.get("normal", {}) or {}
+    gamma, normal = ({} if data.get(name) is None else data[name] for name in ("gamma", "normal"))
+    for name, field in (("gamma", gamma), ("normal", normal)):
+        if not isinstance(field, dict):
+            raise SpecError(f"field {name!r} must be an object, got {json.dumps(field)}")
     try:
         return ProductSpec(
             beta_pairs=tuple((float(a), float(b)) for a, b in beta),

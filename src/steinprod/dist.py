@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quad
-from .specfun import (MeijerGParams, asymptotic_g, bessel_k,
+from .specfun import (MeijerGParams, NumericalError, asymptotic_g, bessel_k,
                       meijer_g_batch, reduce_params)
 from .steinops import ProductSpec, stein_sides
 
@@ -190,7 +190,8 @@ class DensityEvaluator:
 
     @property
     def const(self) -> float:
-        return math.exp(self.log_const)
+        """K = exp(log_const); a NumericalError when K is beyond the float range."""
+        return _exp_const(self.log_const, self.spec)
 
     def argument(self, x):
         x = np.abs(x) if self.squared_argument else x
@@ -235,7 +236,13 @@ class DensityEvaluator:
         y = self.argument(xs[live])
         if self.kind != "general":
             out[live] = self._closed(y)
-        else:
+        elif y.size:
+            under = y == 0
+            if np.any(under):
+                lost = xs[live][under]
+                raise NumericalError(
+                    f"G argument underflows to 0 at x in [{lost.min():.3g}, {lost.max():.3g}]"
+                    f" ({self.spec.describe()})")
             out[live] = self.const * meijer_g_batch(self.reduced, y, self.tol)
         zero = ax == 0
         if np.any(zero):
@@ -252,8 +259,9 @@ class DensityEvaluator:
         if any(a <= 0 and a == round(a) for a in self.reduced.a):
             return 0.0  # 1/Gamma vanishes at a nonpositive integer
         rest = [v for v in self.reduced.b if v != 0.0]
-        return (self.const * math.prod(map(math.gamma, rest))
-                / math.prod(map(math.gamma, self.reduced.a)))
+        sign = math.prod(_gamma_sign(v) for v in rest + list(self.reduced.a))
+        return sign * _exp_const(self.log_const + sum(map(math.lgamma, rest))
+                                 - sum(map(math.lgamma, self.reduced.a)), self.spec)
 
     def __call__(self, x: float) -> float:
         return float(self.batch([x])[0])
@@ -269,6 +277,20 @@ class DensityEvaluator:
         if self.squared_argument:
             return math.sqrt(y / self.arg_coeff)
         return y / self.arg_coeff
+
+
+def _exp_const(log_value: float, spec: ProductSpec) -> float:
+    """exp(log_value) for a density constant, typed when it overflows."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise NumericalError(f"density constant exp({log_value:.6g}) overflows a double "
+                             f"({spec.describe()})") from None
+
+
+def _gamma_sign(v: float) -> int:
+    """Sign of Gamma(v) for v not a nonpositive integer."""
+    return 1 if v > 0 else (-1) ** math.ceil(-v)
 
 
 def density(spec: ProductSpec) -> DensityEvaluator:
@@ -441,7 +463,8 @@ class NumericCdf:
         tail = np.where(y == 0, 1.0, 0.0)  # mass beyond |x|: P(W > x) or P(|W| > |x|)
         tail[np.isnan(y)] = np.nan
         live = (y > 0) & (y < math.inf)
-        tail[live] = math.exp(self.log_const) * meijer_g_batch(self.params, y[live], self.ev.tol)
+        tail[live] = (_exp_const(self.log_const, self.ev.spec)
+                      * meijer_g_batch(self.params, y[live], self.ev.tol))
         share = 0.5 if self.ev.squared_argument else 1.0  # of that mass on the side of x
         out = np.where(xs < 0, share * tail, 1.0 - share * tail)
         return out if np.ndim(x) else float(out[0])

@@ -5,7 +5,8 @@ derivatives are available analytically, so Monte Carlo noise stays the
 only stochastic error source.  The workhorse family is p(x) exp(q(x))
 with polynomial p, q, which is closed under differentiation and under
 theta = x d/dx: ``PolyExp.theta_image`` applies a theta-form chain
-prod (theta + r_i) in closed form and returns another ``PolyExp``.
+prod (theta + r_i) in closed form and returns another ``PolyExp``, and
+``poly_exp_rows`` evaluates several of them that share q in one pass.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ class PolyExp:
         self._q = np.asarray(q, dtype=float)
         self._qp = _poly_deriv(self._q)
         self._cache = [self._p0]
+        self._images: dict[tuple, PolyExp] = {}
 
     def _prefactor(self, k: int) -> np.ndarray:
         while len(self._cache) <= k:
@@ -66,13 +68,43 @@ class PolyExp:
         """prod_i (theta + r_i) f, theta = x d/dx, as a PolyExp with the same q.
 
         (theta + r)(p e^q) = (x p' + r p + x q' p) e^q: one polynomial
-        update per root, with x p' + r p = sum_k (k + r) p_k x^k.
+        update per root, with x p' + r p = sum_k (k + r) p_k x^k.  Images
+        are kept per root tuple, so repeated sides cost one dict lookup.
         """
-        p = self._p0
-        xqp = np.concatenate(([0.0], self._qp))
-        for r in roots:
-            p = _poly_add(p * (np.arange(len(p)) + float(r)), np.convolve(p, xqp))
-        return PolyExp(p, self._q)
+        roots = tuple(roots)
+        image = self._images.get(roots)
+        if image is None:
+            p = self._p0
+            xqp = np.concatenate(([0.0], self._qp))
+            for r in roots:
+                p = _poly_add(p * (np.arange(len(p)) + float(r)), np.convolve(p, xqp))
+            image = self._images[roots] = PolyExp(p, self._q)
+        return image
+
+
+def poly_exp_rows(fs: Sequence[PolyExp], x) -> np.ndarray:
+    """Rows fs[i](x), shape (len(fs),) + x.shape, for PolyExps sharing one q.
+
+    One exp(q(x)) serves every row, and one Horner pass runs over the
+    prefactors zero-padded to a common degree.  For finite x a padding
+    zero stays zero until the row's own leading coefficient is added, so
+    each row has the bits of ``fs[i](x)``.
+    """
+    q = fs[0]._q
+    if any(f._q is not q and not np.array_equal(f._q, q) for f in fs[1:]):
+        raise ValueError("stacked PolyExp rows need one shared q")
+    x = np.asarray(x, dtype=float)
+    coeffs = np.zeros((max(len(f._p0) for f in fs), len(fs)))
+    for row, f in enumerate(fs):
+        coeffs[: len(f._p0), row] = f._p0
+    coeffs = coeffs.reshape(coeffs.shape + (1,) * x.ndim)
+    out = np.empty((len(fs),) + x.shape)
+    out[...] = coeffs[-1]
+    for ck in coeffs[-2::-1]:
+        out *= x
+        out += ck
+    out *= np.exp(_poly_eval(q, x))
+    return out
 
 
 class Sinusoid:

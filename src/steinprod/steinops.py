@@ -32,7 +32,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .opalg import PolyDiffOp, ThetaOp
-from .funcs import PolyExp
+from .funcs import PolyExp, poly_exp_rows
 
 
 def _pos(name: str, value) -> None:
@@ -189,10 +189,20 @@ class SteinOperatorBundle:
         """The two sides separately (for magnitude scales in MC tests).
 
         A side coeff x^xpow prod (theta + r_i) maps the PolyExp f to
-        coeff x^xpow times the PolyExp ``f.theta_image(roots)``.
+        coeff x^xpow times the PolyExp ``f.theta_image(roots)``.  ``f`` may
+        also be a list of PolyExp sharing one q: both sides of every member
+        then come from one exp(q(x)) and one stacked Horner pass, with shape
+        (len(f),) + x.shape, and each row has the bits of its own call.
         """
-        return tuple(float(side.coeff) * x**side.xpow * _theta_image(f, side.roots)(x)
-                     for side in (self.lhs, self.rhs))
+        single = not isinstance(f, (list, tuple))
+        fs = [f] if single else f
+        sides = (self.lhs, self.rhs)
+        rows = poly_exp_rows([_theta_image(g, side.roots) for g in fs for side in sides], x)
+        rows = rows.reshape((len(fs), 2) + rows.shape[1:])
+        for j, side in enumerate(sides):
+            rows[:, j] *= float(side.coeff) * x**side.xpow
+        lhs, rhs = rows[:, 0], rows[:, 1]
+        return (lhs[0], rhs[0]) if single else (lhs, rhs)
 
     def transformed_function(self, f):
         """g = B_C f for the common chain removed by order reduction."""

@@ -42,6 +42,14 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match="beta"):
             load_spec(spec_file({"version": 1, "beta": [[1.0]]}))
 
+    @pytest.mark.parametrize("field, value", [("gamma", [1.4]), ("normal", [1])])
+    def test_non_object_factor_field(self, spec_file, capsys, field, value):
+        path = spec_file({"version": 1, field: value})
+        with pytest.raises(SpecError, match=f"'{field}' must be an object"):
+            load_spec(path)
+        assert main(["operator", "--spec", path]) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
     def test_missing_file(self):
         with pytest.raises(SpecError, match="cannot read"):
             load_spec("/nonexistent/spec.json")
@@ -208,6 +216,21 @@ class TestExitCodes:
         g = lambda x: mp.meijerg([[], list(ev.reduced.a)], [list(ev.reduced.b), []], x)
         ref = [float(mp.exp(ev.log_const) * g(float(x))) for x in xs]
         np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0)
+
+    def test_verify_one_sample_is_one(self, spec_file, capsys):
+        rc = main(["verify", "--spec", spec_file(XYZ), "--suite", "stein", "--samples", "1"])
+        assert rc == 1
+        assert "samples >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, grid, message", [
+        ({"version": 1, "beta": [[200.0, 150.0]]}, "0.2:0.8:3", "overflows"),
+        ({"version": 1, "beta": [[0.5, 300.0]]}, "0.2:0.8:3", "overflows"),
+        (XYZ, "1e-170:2e-170:2", "underflows to 0 at x in"),
+    ])
+    def test_density_out_of_range_is_two(self, spec_file, capsys, payload, grid, message):
+        rc = main(["density", "--spec", spec_file(payload), f"--grid={grid}"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_numerical_failure_is_two(self, spec_file, capsys, monkeypatch):
         def fail(ev, xs):

@@ -272,6 +272,43 @@ class TestDensities:
         assert dist.normalization(spec) == pytest.approx(1.0, abs=1e-6)
 
 
+class TestTypedFailures:
+    """Values beyond the float range give NumericalError, not bare Python errors."""
+
+    @pytest.mark.parametrize("pair", [(200.0, 150.0), (0.5, 300.0)])
+    def test_constant_overflow(self, pair):
+        spec = ProductSpec(beta_pairs=(pair,))
+        ev = dist.density(spec)
+        for call in (lambda: ev(0.5), lambda: ev.batch([0.2, 0.5]),
+                     lambda: dist.NumericCdf(spec)(0.5)):
+            with pytest.raises(NumericalError, match="overflows"):
+                call()
+
+    def test_constant_overflow_in_tails(self):
+        spec = ProductSpec(beta_pairs=((0.5, 300.0),), normal_count=1, sigma=1.0)
+        with pytest.raises(NumericalError, match="overflows"):
+            dist.tail_constant(spec)
+        with pytest.raises(NumericalError, match="overflows"):
+            dist.tail_asymptotic(spec, 5.0)
+
+    @pytest.mark.parametrize("spec, value", [
+        (ProductSpec(beta_pairs=((1.0, 250.0),)), 250.0),            # b (1 - x)^(b - 1)
+        (ProductSpec(gamma_shapes=(1.0, 200.0), lam=1.0), 1 / 199),  # E[1 / Y], Y ~ gamma(200)
+    ])
+    def test_value_at_zero_in_logs(self, spec, value):
+        # K or Gamma(b) alone overflows, their product does not
+        assert dist.density(spec)(0.0) == pytest.approx(value, rel=1e-12)
+
+    def test_underflowed_argument_names_x_range(self):
+        ev = dist.density(XYZ)
+        assert ev.kind == "general"
+        assert ev(1e-150) == pytest.approx(ev(0.0), rel=1e-12)
+        with pytest.raises(NumericalError, match=r"x in \[1e-170, 1e-170\]"):
+            ev(1e-170)
+        with pytest.raises(NumericalError, match=r"x in \[-1e-170, 2e-170\]"):
+            ev.batch([-1e-170, 0.0, 2e-170, 0.5])
+
+
 class TestCharFunction:
     def test_unit_at_zero(self):
         assert dist.char_function(PN1, 0.0) == 1.0

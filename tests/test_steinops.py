@@ -185,6 +185,73 @@ class TestClosedFormSides:
             reduce_order(REDUCTION_SPECS[0]).transformed_function(funcs.Sinusoid())
 
 
+class TestStackedSides:
+    """apply_terms on a list of PolyExp: one exp and one stacked Horner pass."""
+
+    @pytest.mark.parametrize("spec", TABLE_ROW_SPECS + PGG_SPECS, ids=lambda s: s.describe())
+    def test_list_equals_single_calls_bit_for_bit(self, spec):
+        bundle = build_stein(spec)
+        w = dist.sample(spec, 20_000, seed=5)
+        members = verify.default_family(spec).members()
+        lhs, rhs = bundle.apply_terms(members, w)
+        assert lhs.shape == rhs.shape == (len(members),) + w.shape
+        for i, f in enumerate(members):
+            single = bundle.apply_terms(f, w)
+            np.testing.assert_array_equal(lhs[i], single[0])
+            np.testing.assert_array_equal(rhs[i], single[1])
+
+    @pytest.mark.parametrize("spec", REDUCTION_SPECS, ids=lambda s: s.describe())
+    def test_reduced_list_equals_single_calls(self, spec):
+        red = reduce_order(spec)
+        w = dist.sample(spec, 20_000, seed=5)
+        gs = [red.transformed_function(f) for f in verify.default_family(spec).members()]
+        stacked = red.apply_terms(gs, w)
+        for i, g in enumerate(gs):
+            for side, single in zip(stacked, red.apply_terms(g, w)):
+                np.testing.assert_array_equal(side[i], single)
+
+    @pytest.mark.parametrize("spec", TABLE_ROW_SPECS[4:] + PGG_SPECS[:1], ids=lambda s: s.describe())
+    def test_single_handle_is_coeff_power_times_image(self, spec):
+        # the one-handle result is coeff x^xpow times the image's own call, bit for bit
+        bundle = build_stein(spec)
+        w = dist.sample(spec, 5_000, seed=6)
+        f = verify.default_family(spec).members()[2]
+        for x in (w, float(w[1])):
+            got = bundle.apply_terms(f, x)
+            for side, value in zip((bundle.lhs, bundle.rhs), got):
+                expect = float(side.coeff) * x**side.xpow * f.theta_image(side.roots)(x)
+                assert np.shape(value) == np.shape(x)
+                np.testing.assert_array_equal(value, expect)
+
+    def test_members_need_one_q(self):
+        bundle = build_stein(_spec(1, 1, 1))
+        mixed = [funcs.gaussian_damped(1, 1.0), funcs.gaussian_damped(1, 2.0)]
+        with pytest.raises(ValueError, match="shared q"):
+            bundle.apply_terms(mixed, np.array([0.5, 1.0]))
+        with pytest.raises(TypeError, match="operator.apply"):
+            bundle.apply_terms([funcs.gaussian_damped(1), funcs.Sinusoid()], np.array([0.5]))
+
+
+class TestSmallXExponents:
+    """The density's small-x powers solve the adjoint lhs indicial equation.
+
+    theta x^s = s x^s, so x^s is annihilated by the adjoint lhs prod (theta + r)
+    exactly when P(s) = prod (s + r) vanishes; the powers are the reduced G
+    b-parameters, doubled when the G argument is x^2 (a normal factor).
+    """
+
+    @pytest.mark.parametrize("spec", TABLE_ROW_SPECS + REDUCTION_SPECS,
+                             ids=lambda s: s.describe())
+    def test_reduced_b_parameters_are_roots(self, spec):
+        ev = dist.density(spec)
+        poly = np.array(adjoint_sides(spec)[0].theta_coeffs(), dtype=float)
+        powers = [(2.0 if spec.N else 1.0) * b for b in ev.reduced.b]
+        for s in powers:
+            terms = poly * s ** np.arange(len(poly))
+            assert abs(terms.sum()) <= 1e-12 * np.abs(terms).sum()
+        assert ev.small_x_exponent()[0] in powers
+
+
 class TestMonomialSteinIdentities:
     def test_product_gamma_moment_recursion(self):
         spec = ProductSpec(gamma_shapes=(1.4, 2.6), lam=1.5)

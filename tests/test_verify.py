@@ -2,12 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from steinprod import dist, funcs, verify
-from steinprod.steinops import ProductSpec
+from steinprod.steinops import ProductSpec, build_stein, reduce_order
 
 XYZ = ProductSpec(beta_pairs=((1.3, 0.6),), gamma_shapes=(1.4,), lam=1.0,
                   normal_count=1, sigma=1.0)
@@ -83,6 +84,80 @@ class TestMcStein:
 
         with pytest.raises(ValueError, match="smoothness"):
             verify.mc_stein_identity(XYZ, Fam("gaussian_damped", (0,)), 100, 1)
+
+
+class TestStreamedStatistics:
+    """Chunked sums and Chan-merged M2 against full-array numpy statistics."""
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3])
+    def test_moments_match_full_arrays(self, chunks):
+        n = chunks * verify.MC_CHUNK + 17
+        vals = np.random.default_rng(chunks).normal(3.0, 2.0, (4, n)) ** 3
+        moments = verify._StreamedMoments(4)
+        for start in range(0, n, verify.MC_CHUNK):
+            moments.add(vals[:, start:start + verify.MC_CHUNK])
+        assert moments.count == n
+        np.testing.assert_allclose(moments.mean(), np.mean(vals, axis=1), rtol=1e-12)
+        np.testing.assert_allclose(moments.standard_error(),
+                                   np.std(vals, axis=1, ddof=1) / math.sqrt(n), rtol=1e-12)
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3])
+    def test_mc_report_matches_full_arrays(self, chunks):
+        n = chunks * verify.MC_CHUNK + 17
+        fam = verify.default_family(XYZ)
+        rep = verify.mc_stein_identity(XYZ, fam, n, seed=31)
+        w = dist.sample(XYZ, n, 31)
+        ref = []
+        for f in fam.members():
+            lhs, rhs = build_stein(XYZ).apply_terms(f, w)
+            vals = lhs - rhs
+            ref.append((np.mean(vals), np.std(vals, ddof=1) / math.sqrt(n),
+                        1e-3 * (np.mean(np.abs(lhs)) + np.mean(np.abs(rhs)))))
+        est, se, tol = max(ref, key=lambda r: abs(r[0]) / max(r[2], 3 * r[1]))
+        assert abs(rep.estimate - est) <= 1e-12 * tol / 1e-3
+        assert rep.standard_error == pytest.approx(se, rel=1e-12)
+        assert rep.tolerance == pytest.approx(tol, rel=1e-12)
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3])
+    def test_reduced_report_matches_full_arrays(self, chunks):
+        n = chunks * verify.MC_CHUNK + 17
+        spec = ProductSpec(beta_pairs=((0.4, 0.6),), gamma_shapes=(2.0,), lam=1.0,
+                           normal_count=1, sigma=1.0)
+        f = funcs.gaussian_damped(2, 1.0)
+        rep = verify.reduced_full_mc_compare(spec, f, n, seed=33)
+        w = dist.sample(spec, n, 33)
+        red = reduce_order(spec)
+        a_full = build_stein(spec).apply(f, w)
+        diff = a_full - red.apply(red.transformed_function(f), w)
+        scale = np.mean(np.abs(a_full))
+        assert abs(rep.estimate - np.mean(diff)) <= 1e-12 * scale
+        assert rep.standard_error == pytest.approx(
+            np.std(a_full, ddof=1) / math.sqrt(n), rel=1e-12)
+        assert rep.tolerance == pytest.approx(1e-3 * scale, rel=1e-12)
+        gap = np.max(np.abs(diff)) / np.max(np.abs(a_full))
+        assert f"pointwise gap {gap:.2e}" in rep.details
+
+    def test_one_sample_rejected(self):
+        fam = verify.default_family(XYZ)
+        with pytest.raises(ValueError, match="samples >= 2"):
+            verify.mc_stein_identity(XYZ, fam, 1, seed=1)
+        with pytest.raises(ValueError, match="samples >= 2"):
+            verify.reduced_full_mc_compare(XYZ, funcs.gaussian_damped(2, 1.0), 1, seed=1)
+
+    def test_memory_does_not_grow_with_members(self):
+        # five members x two sides x 1e6 draws would be 80 MB per array set
+        n = 1_000_000
+        fam = verify.default_family(XYZ)
+        tracemalloc.start()
+        try:
+            dist.sample(XYZ, n, 5)
+            _, sample_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            verify.mc_stein_identity(XYZ, fam, n, 5)
+            _, mc_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mc_peak <= sample_peak + 2 * 2**20, (mc_peak, sample_peak)
 
 
 class TestReducedCompare:
