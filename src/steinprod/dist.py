@@ -1,20 +1,25 @@
 """Product-distribution machinery: samplers, Mellin transforms, densities,
 characteristic function, tail asymptotics and closed-form moments.
 
-For a product W of m betas, n gammas (shared rate lam) and N centred
-normals (sigma = product of scales), the density is a Meijer G-function:
+The density is read off the Stein operator.  Its two theta-form sides
+(``steinops.stein_sides``) are c_L x^{j_L} prod (theta + r_L) and
+c_R x^{j_R} prod (theta + r_R); theta acts on x^s as s, so the Mellin
+transform M(s) = E|W|^{s-1} satisfies
+c_L prod (s + r_L) M(s + j_L + 1) = c_R prod (s + r_R) M(s + j_R + 1).
+With the power h = j_R - j_L its solution is
 
-* N >= 1:  p(x) = K G^{2m+2n+N,0}_{2m,2m+2n+N}(lam^{2n} x^2 / (2^{2n+N} s^2) | A; B)
-  with a-row ((a_i+b_i)/2, (a_i+b_i-1)/2) and b-row
-  (a_i/2, (a_i-1)/2, r_j/2, (r_j-1)/2, 0 x N), symmetric about the origin;
-* N == 0:  p(x) = K G^{m+n,0}_{m,m+n}(lam^n x | a_i+b_i-1; a_i-1, r_j-1) on x > 0.
+    M(s) = K (w/h) kappa^{-s/h} prod Gamma(b + s/h) / prod Gamma(a + s/h),
+    b = (r_L - j_L - 1)/h,  a = (r_R - j_L - 1)/h,
+    kappa = c_R h^{|r_R|} / (c_L h^{|r_L|}),
+
+the transform of p(x) = K G^{q,0}_{p,q}(kappa |x|^h | a; b) over its support
+(w = 2 on the line when a normal factor is present, w = 1 on x > 0
+otherwise).  M(1) = 1 fixes K.  A normal factor gives h = 2, otherwise
+h = 1; a generalised-gamma product (power q, not yet evaluated) would give
+h = q, b = (r - 1)/q and kappa = lam^{qn}.
 
 ``NumericCdf`` takes the distribution function from the survival function,
 one more G-function.
-
-The rows are read off the Stein operator's theta-form roots
-(``steinops.stein_sides``): rhs roots give the a-row and lhs roots the
-b-row, halved for N >= 1 and shifted by -1 for N = 0.
 
 Evaluators reduce their parameters first and dispatch to the closed forms
 G^{1,0}_{0,1} (exponential) and G^{2,0}_{0,2} (Bessel-K) whenever reduction
@@ -131,19 +136,16 @@ def mellin_gform_log(spec: ProductSpec, s: float) -> float:
     integral of the G-function against x^{s-1}.
     """
     ev = density(spec)
-    if spec.N >= 1:
-        total = ev.log_const - 0.5 * s * math.log(ev.arg_coeff)
-        for b in ev.g_params.b:
-            total += math.lgamma(b + 0.5 * s)
-        for a in ev.g_params.a:
-            total -= math.lgamma(a + 0.5 * s)
-        return total
-    total = ev.log_const - s * math.log(ev.arg_coeff)
-    for b in ev.g_params.b:
-        total += math.lgamma(b + s)
-    for a in ev.g_params.a:
-        total -= math.lgamma(a + s)
-    return total
+    return ev.log_const + _log_g_mellin(ev.g_params, ev.arg_coeff, ev.power, spec.symmetric, s)
+
+
+def _log_g_mellin(params: MeijerGParams, kappa: float, h: int, symmetric: bool,
+                  s: float) -> float:
+    """log int x^{s-1} G(kappa |x|^h | a; b) dx over the support, the line when symmetric:
+    (w/h) kappa^{-s/h} prod Gamma(b + s/h) / prod Gamma(a + s/h), w = 2 or 1."""
+    u = s / h
+    return (math.log((1 + symmetric) / h) - u * math.log(kappa)
+            + sum(math.lgamma(v + u) for v in params.b) - sum(math.lgamma(v + u) for v in params.a))
 
 
 def moment(spec: ProductSpec, k: int) -> float:
@@ -159,21 +161,25 @@ def moment(spec: ProductSpec, k: int) -> float:
 
 @dataclass
 class DensityEvaluator:
-    """Density of a product: ``batch`` is the one evaluation path.
+    """Density K G(kappa |x|^h | a; b) of a product: ``batch`` is the one evaluation path.
 
-    ``batch`` takes the closed form of ``kind`` unless it is "general",
-    in which case it evaluates the reduced G-function in one
-    ``meijer_g_batch`` call; x = 0 takes the exact limit.  A scalar call
-    is a batch of one.  ``arg_coeff`` maps x to the G argument:
-    y = arg_coeff * x^2 when a normal factor is present (density symmetric
-    on R), w = arg_coeff * x otherwise (support x > 0).
+    ``density`` reads every field off the Stein operator's theta-form sides:
+    the rows ``g_params``, kappa = ``arg_coeff`` and the integer ``power``
+    h = j_R - j_L, the difference of the sides' x-powers (2 with a normal
+    factor, 1 otherwise); M(1) = 1 fixes K = exp(``log_const``).  The
+    support is the line when ``spec.symmetric`` (a normal factor), x > 0
+    otherwise.  ``batch`` takes the closed form of ``kind`` unless it is
+    "general", in which case it evaluates the reduced G-function in one
+    ``meijer_g_batch`` call; x = 0 takes the exact limit, NaN stays NaN
+    and an argument past the float range gives the limit 0.  A scalar
+    call is a batch of one.
     """
 
     spec: ProductSpec
     g_params: MeijerGParams
     log_const: float
     arg_coeff: float
-    squared_argument: bool
+    power: int
     reduced: MeijerGParams = field(init=False)
     kind: str = field(init=False)
     tol: float = 1e-11
@@ -194,8 +200,9 @@ class DensityEvaluator:
         return _exp_const(self.log_const, self.spec)
 
     def argument(self, x):
-        x = np.abs(x) if self.squared_argument else x
-        return self.arg_coeff * (x * x if self.squared_argument else x)
+        """The G argument kappa |x|^h (kappa x^h off a positive support); inf past the float range."""
+        with np.errstate(over="ignore"):
+            return self.arg_coeff * (np.abs(x) if self.spec.symmetric else x) ** self.power
 
     # -- small-argument structure ------------------------------------------
 
@@ -204,8 +211,7 @@ class DensityEvaluator:
         b = self.reduced.b
         bmin = min(b)
         mult = sum(1 for v in b if abs(v - bmin) < 1e-12)
-        power = (2.0 if self.squared_argument else 1.0) * bmin
-        return power, mult
+        return self.power * bmin, mult
 
     def diverges_at_zero(self) -> bool:
         power, mult = self.small_x_exponent()
@@ -221,19 +227,21 @@ class DensityEvaluator:
         half = 0.5 * (b[0] + b[1])  # "bessel": 2 K y^half K_nu(2 sqrt y)
         nu = b[0] - b[1]
         out = np.zeros_like(y)
-        pos = y > 0
-        out[pos] = (2.0 * self.const * y[pos] ** half
-                    * bessel_k(nu, 2.0 * np.sqrt(y[pos])))
+        pos = np.flatnonzero(y > 0)
+        kv = bessel_k(nu, 2.0 * np.sqrt(y[pos]))
+        pos, kv = pos[kv > 0], kv[kv > 0]  # far out y^half may overflow where K_nu is 0
+        out[pos] = 2.0 * self.const * y[pos] ** half * kv
         return out
 
     # -- evaluation -------------------------------------------------------------
 
     def batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        ax = np.abs(xs) if self.squared_argument else xs
-        out = np.zeros_like(xs)
-        live = ax > 0
-        y = self.argument(xs[live])
+        ax = np.abs(xs) if self.spec.symmetric else xs
+        out = np.where(np.isnan(xs), np.nan, 0.0)
+        y = self.argument(xs)
+        live = (ax > 0) & (y < math.inf)
+        y = y[live]
         if self.kind != "general":
             out[live] = self._closed(y)
         elif y.size:
@@ -271,12 +279,9 @@ class DensityEvaluator:
     def tail_cut(self, target_exponent: float = 34.0) -> float:
         """x beyond which the asymptotic exponential factor is below e^{-target}."""
         sigma = self.reduced.q - self.reduced.p
-        if sigma <= 0:  # pure beta: compact support
-            return 1.0 / self.arg_coeff
-        y = (target_exponent / sigma) ** sigma
-        if self.squared_argument:
-            return math.sqrt(y / self.arg_coeff)
-        return y / self.arg_coeff
+        # pure beta: compact support, ending where the G argument reaches 1
+        y = (target_exponent / sigma) ** sigma if sigma > 0 else 1.0
+        return (y / self.arg_coeff) ** (1.0 / self.power)
 
 
 def _exp_const(log_value: float, spec: ProductSpec) -> float:
@@ -294,51 +299,17 @@ def _gamma_sign(v: float) -> int:
 
 
 def density(spec: ProductSpec) -> DensityEvaluator:
-    """Density evaluator for any q = 1 product specification."""
+    """Density evaluator for any q = 1 product, read off ``stein_sides`` (module docstring)."""
     if spec.q != 1:
         raise ValueError("densities implemented for q = 1")
-    if spec.N >= 1:
-        return density_product_normal_mixed(spec)
-    return density_beta_gamma(spec)
-
-
-def density_product_normal_mixed(spec: ProductSpec) -> DensityEvaluator:
-    """Symmetric mixed-product density (at least one normal factor)."""
-    if spec.N < 1:
-        raise ValueError("use density_beta_gamma when no normal factor is present")
-    n, N = spec.n, spec.N
     lhs, rhs = stein_sides(spec)
-    a_row = [0.5 * v for v in rhs.roots]
-    b_row = [0.5 * v for v in lhs.roots]
-    lam = spec.lam if n else 1.0
-    log_k = (n * math.log(lam) - (2 * n + 0.5 * N) * _LN2
-             - 0.5 * (n + N) * _LNPI - math.log(spec.sigma))
-    for a, b in spec.beta_pairs:
-        log_k += math.lgamma(a + b) - b * _LN2 - math.lgamma(a)
-    for r in spec.gamma_shapes:
-        log_k += r * _LN2 - math.lgamma(r)
-    coeff = lam ** (2 * n) / (2.0 ** (2 * n + N) * spec.sigma**2)
+    h, shift = rhs.xpow - lhs.xpow, lhs.xpow + 1
+    params = MeijerGParams.upper_zero([(v - shift) / h for v in rhs.roots],
+                                      [(v - shift) / h for v in lhs.roots])
+    kappa = float(rhs.coeff) / float(lhs.coeff) * h ** (len(rhs.roots) - len(lhs.roots))
     return DensityEvaluator(
-        spec=spec, g_params=MeijerGParams.upper_zero(a_row, b_row),
-        log_const=log_k, arg_coeff=coeff, squared_argument=True)
-
-
-def density_beta_gamma(spec: ProductSpec) -> DensityEvaluator:
-    """Positive-support density for beta/gamma products (no normal factor)."""
-    if spec.N != 0 or spec.q != 1:
-        raise ValueError("density_beta_gamma needs N = 0 and q = 1")
-    lhs, rhs = stein_sides(spec)
-    a_row = [v - 1 for v in rhs.roots]
-    b_row = [v - 1 for v in lhs.roots]
-    lam = spec.lam if spec.n else 1.0
-    log_k = spec.n * math.log(lam)
-    for a, b in spec.beta_pairs:
-        log_k += math.lgamma(a + b) - math.lgamma(a)
-    for r in spec.gamma_shapes:
-        log_k -= math.lgamma(r)
-    return DensityEvaluator(
-        spec=spec, g_params=MeijerGParams.upper_zero(a_row, b_row),
-        log_const=log_k, arg_coeff=lam**spec.n, squared_argument=False)
+        spec=spec, g_params=params, arg_coeff=kappa, power=h,
+        log_const=-_log_g_mellin(params, kappa, h, spec.symmetric, 1.0))
 
 
 def normalization(spec: ProductSpec, tol: float = 1e-8) -> float:
@@ -348,15 +319,12 @@ def normalization(spec: ProductSpec, tol: float = 1e-8) -> float:
     x_tail = ev.tail_cut(38.0)
     # split where the G argument reaches ~0.5 so the singular head is isolated;
     # compact support (q = p) has a singular end at x_tail too
-    if ev.squared_argument:
-        x_head = min(math.sqrt(0.5 / ev.arg_coeff), 0.5 * x_tail)
-    else:
-        x_head = min(0.5 / ev.arg_coeff, 0.5 * x_tail)
+    x_head = min((0.5 / ev.arg_coeff) ** (1.0 / ev.power), 0.5 * x_tail)
     head = quad.tanh_sinh(f, 0.0, x_head, tol=tol * 0.1)
     rule = quad.tanh_sinh if ev.reduced.q == ev.reduced.p else quad.adaptive
     body = rule(f, x_head, x_tail, tol=tol * 0.1)
     total = head + body
-    return 2.0 * total if ev.squared_argument else total
+    return 2.0 * total if spec.symmetric else total
 
 
 # ---------------------------------------------------------------------------
@@ -443,19 +411,20 @@ def tail_asymptotic(spec: ProductSpec, x: float) -> float:
 class NumericCdf:
     """Cumulative distribution function from the survival function, a Meijer G.
 
-    For the density K G(k x | A; B) on x > 0, P(W > x) = (K/k) G(k x | A+1, 1;
-    B+1, 0); with a normal factor, for K G(k x^2 | A; B) on the line,
-    P(|W| > x) = (K/sqrt k) G(k x^2 | A+1/2, 1; B+1/2, 0).  Both come from
-    M[int_x^inf f](s) = M[f](s+1) / s, and both are evaluated in one
-    ``meijer_g_batch`` call.
+    For the density K G(k |x|^h | A; B), the mass beyond |x| (P(W > x) on
+    x > 0, P(|W| > |x|) on the line) is
+    (w K / (h k^{1/h})) G(k |x|^h | A+1/h, 1; B+1/h, 0), w = 2 on the line
+    and 1 otherwise.  It comes from M[int_x^inf f](s) = M[f](s+1) / s and is
+    evaluated in one ``meijer_g_batch`` call.
     """
 
     def __init__(self, spec: ProductSpec):
         self.ev = ev = density(spec)
-        shift = 0.5 if ev.squared_argument else 1.0
+        shift = 1.0 / ev.power
         self.params = reduce_params(MeijerGParams.upper_zero(
             [v + shift for v in ev.reduced.a] + [1.0], [v + shift for v in ev.reduced.b] + [0.0]))
-        self.log_const = ev.log_const - shift * math.log(ev.arg_coeff)
+        self.log_const = (ev.log_const + math.log((1 + spec.symmetric) / ev.power)
+                          - shift * math.log(ev.arg_coeff))
 
     def __call__(self, x) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -465,7 +434,7 @@ class NumericCdf:
         live = (y > 0) & (y < math.inf)
         tail[live] = (_exp_const(self.log_const, self.ev.spec)
                       * meijer_g_batch(self.params, y[live], self.ev.tol))
-        share = 0.5 if self.ev.squared_argument else 1.0  # of that mass on the side of x
+        share = 0.5 if self.ev.spec.symmetric else 1.0  # of that mass on the side of x
         out = np.where(xs < 0, share * tail, 1.0 - share * tail)
         return out if np.ndim(x) else float(out[0])
 

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import time
+import warnings
 from dataclasses import replace
 
 import mpmath as mp
@@ -20,6 +22,21 @@ PN2 = ProductSpec(normal_count=2, sigma=1.0)
 PG2 = ProductSpec(gamma_shapes=(1.4, 2.2), lam=1.0)
 XYZ = ProductSpec(beta_pairs=((1.3, 0.6),), gamma_shapes=(1.4,), lam=1.0,
                   normal_count=1, sigma=1.0)
+
+
+def _seeded_specs():
+    """Every (m, n, N <= 2) combination, seeded shapes in [0.3, 30], (lam, sigma) != 1."""
+    rng = np.random.default_rng(1507)
+    for (m, n, N), (lam, sigma) in itertools.product(
+            itertools.product(range(3), repeat=3), [(0.7, 1.9), (2.3, 0.45)]):
+        if m + n + N:
+            yield ProductSpec(
+                beta_pairs=[tuple(map(float, p)) for p in rng.uniform(0.3, 30.0, (m, 2))],
+                gamma_shapes=tuple(map(float, rng.uniform(0.3, 30.0, n))),
+                lam=lam if n else None, normal_count=N, sigma=sigma if N else None)
+
+
+SEEDED = list(_seeded_specs())
 
 
 class TestSampler:
@@ -85,8 +102,9 @@ class TestMellin:
         with pytest.raises(ValueError, match="strip"):
             mel(-1.0)
 
-    @pytest.mark.parametrize("spec", [PN1, PN2, PG2, XYZ])
+    @pytest.mark.parametrize("spec", SEEDED, ids=ProductSpec.describe)
     def test_factorised_equals_g_form(self, spec):
+        # K, kappa and both rows, read off the Stein sides, against the factorised transform
         mel = dist.mellin(spec)
         lo, _ = mel.strip
         for s in np.linspace(max(lo + 0.1, 0.2), max(lo + 0.1, 0.2) + 6, 20):
@@ -298,6 +316,29 @@ class TestTypedFailures:
     def test_value_at_zero_in_logs(self, spec, value):
         # K or Gamma(b) alone overflows, their product does not
         assert dist.density(spec)(0.0) == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [XYZ, PG2, ProductSpec(gamma_shapes=(5.4, 7.2), lam=1.0)])
+    def test_far_tail_is_zero_and_fast(self, spec):
+        # the G argument's leading asymptote is below e^-760 (or inf): 0 without the
+        # contour, which took seconds from x = 1e12 on and raised at 1e200; the Bessel
+        # form gave nan where y^half overflows and K_nu is 0
+        ev, cdf = dist.density(spec), dist.NumericCdf(spec)
+        xs = np.r_[np.geomspace(1e4, 1e300, 12)[1:], math.inf]
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(ev.batch(xs), 0.0)
+            np.testing.assert_array_equal(cdf(xs), 1.0)
+            assert ev(1e4) >= 0.0 and cdf(1e4) <= 1.0
+            np.testing.assert_array_equal([ev(x) for x in xs], 0.0)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("spec", [XYZ, PG2, PN1, PN2])
+    def test_nan_gives_nan(self, spec):
+        ev = dist.density(spec)
+        out = ev.batch([math.nan, 0.5])
+        assert math.isnan(out[0]) and out[1] == ev(0.5)
+        assert math.isnan(ev(math.nan)) and math.isnan(dist.NumericCdf(spec)(math.nan))
 
     def test_underflowed_argument_names_x_range(self):
         ev = dist.density(XYZ)

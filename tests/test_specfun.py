@@ -332,6 +332,23 @@ class TestMeijerG:
         with pytest.raises(ValueError):
             meijer_g(EXP, -1.0)
 
+    def test_nan_gives_nan(self):
+        # q > p took the contour and raised "contour tail does not decay ... c = nan"
+        for params in (MeijerGParams.upper_zero([1.0], [0.65, 0.15, 0.0]),
+                       MeijerGParams.upper_zero([1.5], [0.5])):
+            out = meijer_g_batch(params, [math.nan, 0.02, 0.5])
+            assert math.isnan(out[0])
+            np.testing.assert_array_equal(out[1:], meijer_g_batch(params, [0.02, 0.5]))
+
+    def test_underflowing_arguments_give_zero(self):
+        # a leading asymptote below e^-760 gives 0 without the contour, z = inf included;
+        # just inside the range the contour still runs
+        params = MeijerGParams.upper_zero([0.95, 0.45], [0.65, 0.15, 0.7, 0.2, 0.0])
+        assert meijer_g(params, 1e7, 1e-11) == pytest.approx(
+            float(mp.meijerg([[], list(params.a)], [list(params.b), []], 1e7)), rel=1e-8)
+        np.testing.assert_array_equal(meijer_g_batch(params, [1e9, 1e300, math.inf]), 0.0)
+        assert asymptotic_g(params, math.inf) == 0.0
+
 
 class TestCaches:
     @pytest.fixture(autouse=True)
