@@ -21,9 +21,10 @@ h = q, b = (r - 1)/q and kappa = lam^{qn}.
 ``NumericCdf`` takes the distribution function from the survival function,
 one more G-function.
 
-Evaluators reduce their parameters first and dispatch to the closed forms
-G^{1,0}_{0,1} (exponential) and G^{2,0}_{0,2} (Bessel-K) whenever reduction
-lands there, and to ``meijer_g_batch`` otherwise, pure betas included.
+Evaluators reduce their parameters first.  Rows that reduce to G^{1,0}_{0,1}
+or G^{2,0}_{0,2} give one ``ClosedForm``, evaluated in logs;
+``meijer_g_batch`` takes every other spec, pure betas included, and each
+point where the closed form leaves the float range.
 """
 
 from __future__ import annotations
@@ -159,6 +160,26 @@ def moment(spec: ProductSpec, k: int) -> float:
 # density evaluators
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ClosedForm:
+    """p(x) = exp(log_c + alpha log|x|) Phi_nu(rate |x|^power) with Phi = e^{-z} (``phi``
+    "e", the reduced rows G^{1,0}_{0,1}) or K_nu ("k", G^{2,0}_{0,2}), the one term of a
+    ``funcs.BesselPowerComb`` of kind ``phi`` and coefficient exp(log_c)."""
+
+    log_c: float
+    alpha: float
+    nu: float
+    phi: str
+    rate: float
+    power: float
+
+    def log_value(self, ax: np.ndarray) -> np.ndarray:
+        """log p at |x| = ax > 0; not finite where Phi under- or overflows a double."""
+        z = self.rate * ax**self.power
+        log_phi = -z if self.phi == "e" else np.log(bessel_k(self.nu, np.where(z > 0, z, np.nan)))
+        return self.log_c + self.alpha * np.log(ax) + log_phi
+
+
 @dataclass
 class DensityEvaluator:
     """Density K G(kappa |x|^h | a; b) of a product: ``batch`` is the one evaluation path.
@@ -168,11 +189,10 @@ class DensityEvaluator:
     h = j_R - j_L, the difference of the sides' x-powers (2 with a normal
     factor, 1 otherwise); M(1) = 1 fixes K = exp(``log_const``).  The
     support is the line when ``spec.symmetric`` (a normal factor), x > 0
-    otherwise.  ``batch`` takes the closed form of ``kind`` unless it is
-    "general", in which case it evaluates the reduced G-function in one
-    ``meijer_g_batch`` call; x = 0 takes the exact limit, NaN stays NaN
-    and an argument past the float range gives the limit 0.  A scalar
-    call is a batch of one.
+    otherwise.  ``batch`` evaluates the ``closed`` form in logs, if any, and
+    the reduced G-function in one ``meijer_g_batch`` call at every other
+    point; x = 0 takes the exact limit, NaN stays NaN and an argument past
+    the float range gives the limit 0.  A scalar call is a batch of one.
     """
 
     spec: ProductSpec
@@ -181,18 +201,19 @@ class DensityEvaluator:
     arg_coeff: float
     power: int
     reduced: MeijerGParams = field(init=False)
-    kind: str = field(init=False)
+    closed: ClosedForm | None = field(init=False)
     tol: float = 1e-11
 
     def __post_init__(self):
-        self.reduced = reduce_params(self.g_params)
-        rp, rq = self.reduced.p, self.reduced.q
-        if rp == 0 and rq == 1:
-            self.kind = "exp"
-        elif rp == 0 and rq == 2:
-            self.kind = "bessel"
-        else:
-            self.kind = "general"
+        self.reduced = rows = reduce_params(self.g_params)
+        b, kappa, h, self.closed = rows.b, self.arg_coeff, self.power, None
+        if rows.p == 0 and len(b) == 1:  # K y^b e^{-y}
+            self.closed = ClosedForm(self.log_const + b[0] * math.log(kappa), h * b[0], 0.0, "e",
+                                     kappa, h)
+        elif rows.p == 0 and len(b) == 2:  # 2 K y^half K_nu(2 sqrt y)
+            half = 0.5 * (b[0] + b[1])
+            self.closed = ClosedForm(self.log_const + _LN2 + half * math.log(kappa), h * half,
+                                     b[0] - b[1], "k", 2.0 * math.sqrt(kappa), 0.5 * h)
 
     @property
     def const(self) -> float:
@@ -217,22 +238,6 @@ class DensityEvaluator:
         power, mult = self.small_x_exponent()
         return power < 0 or (power == 0 and mult >= 2)
 
-    # -- closed forms ---------------------------------------------------------
-
-    def _closed(self, y: np.ndarray) -> np.ndarray:
-        b = self.reduced.b
-        if self.kind == "exp":
-            with np.errstate(divide="ignore"):
-                return np.exp(self.log_const + b[0] * np.log(y) - y)
-        half = 0.5 * (b[0] + b[1])  # "bessel": 2 K y^half K_nu(2 sqrt y)
-        nu = b[0] - b[1]
-        out = np.zeros_like(y)
-        pos = np.flatnonzero(y > 0)
-        kv = bessel_k(nu, 2.0 * np.sqrt(y[pos]))
-        pos, kv = pos[kv > 0], kv[kv > 0]  # far out y^half may overflow where K_nu is 0
-        out[pos] = 2.0 * self.const * y[pos] ** half * kv
-        return out
-
     # -- evaluation -------------------------------------------------------------
 
     def batch(self, xs) -> np.ndarray:
@@ -241,19 +246,21 @@ class DensityEvaluator:
         out = np.where(np.isnan(xs), np.nan, 0.0)
         y = self.argument(xs)
         live = (ax > 0) & (y < math.inf)
-        y = y[live]
-        if self.kind != "general":
-            out[live] = self._closed(y)
-        elif y.size:
-            under = y == 0
-            if np.any(under):
-                lost = xs[live][under]
+        with np.errstate(divide="ignore", over="ignore"):  # Phi or p past the float range
+            logs = (self.closed.log_value(ax[live]) if self.closed
+                    else np.full(np.count_nonzero(live), np.nan))
+            vals = np.exp(logs)  # 0 where the density is below the smallest double
+        rest = np.flatnonzero(~((logs > -math.inf) & (vals < math.inf)))
+        if rest.size:
+            y = y[live][rest]
+            if np.any(under := y == 0):
+                lost = xs[live][rest][under]
                 raise NumericalError(
                     f"G argument underflows to 0 at x in [{lost.min():.3g}, {lost.max():.3g}]"
                     f" ({self.spec.describe()})")
-            out[live] = self.const * meijer_g_batch(self.reduced, y, self.tol)
-        zero = ax == 0
-        if np.any(zero):
+            vals[rest] = self.const * meijer_g_batch(self.reduced, y, self.tol)
+        out[live] = vals
+        if np.any(zero := ax == 0):
             out[zero] = self._at_zero()
         return out
 
@@ -277,11 +284,19 @@ class DensityEvaluator:
     # -- integration helpers ------------------------------------------------
 
     def tail_cut(self, target_exponent: float = 34.0) -> float:
-        """x beyond which the asymptotic exponential factor is below e^{-target}."""
+        """x beyond which exp(-sigma z^{1/sigma}) of G's asymptote is below e^{-target}, or, when
+        z^theta peaks far out (theta > target / 2 sigma), the asymptote is e^{-target} of its peak."""
         sigma = self.reduced.q - self.reduced.p
-        # pure beta: compact support, ending where the G argument reaches 1
-        y = (target_exponent / sigma) ** sigma if sigma > 0 else 1.0
-        return (y / self.arg_coeff) ** (1.0 / self.power)
+        if sigma == 0:  # pure beta: compact support, ending where the G argument reaches 1
+            return (1.0 / self.arg_coeff) ** (1.0 / self.power)
+        t = target_exponent / sigma
+        theta = ((1.0 - sigma) / 2.0 + sum(self.reduced.b) - sum(self.reduced.a)) / sigma
+        w = t  # w = z^{1/sigma}; the exponent is -sigma (w - theta ln w), least at w = theta
+        if t < 2.0 * theta:  # Newton on w - theta ln(w / theta) - theta = t, convex for w > theta
+            w = theta + math.sqrt(2.0 * theta * t) + t
+            for _ in range(12):
+                w -= (w - theta * math.log(w / theta) - theta - t) / (1.0 - theta / w)
+        return (w**sigma / self.arg_coeff) ** (1.0 / self.power)
 
 
 def _exp_const(log_value: float, spec: ProductSpec) -> float:
@@ -315,14 +330,13 @@ def density(spec: ProductSpec) -> DensityEvaluator:
 def normalization(spec: ProductSpec, tol: float = 1e-8) -> float:
     """Numerical integral of the density over its support."""
     ev = density(spec)
-    f = lambda xs: ev.batch(xs)
     x_tail = ev.tail_cut(38.0)
     # split where the G argument reaches ~0.5 so the singular head is isolated;
     # compact support (q = p) has a singular end at x_tail too
     x_head = min((0.5 / ev.arg_coeff) ** (1.0 / ev.power), 0.5 * x_tail)
-    head = quad.tanh_sinh(f, 0.0, x_head, tol=tol * 0.1)
+    head = quad.tanh_sinh(ev.batch, 0.0, x_head, tol=tol * 0.1)
     rule = quad.tanh_sinh if ev.reduced.q == ev.reduced.p else quad.adaptive
-    body = rule(f, x_head, x_tail, tol=tol * 0.1)
+    body = rule(ev.batch, x_head, x_tail, tol=tol * 0.1)
     total = head + body
     return 2.0 * total if spec.symmetric else total
 

@@ -693,7 +693,8 @@ def meijer_g_batch(params: MeijerGParams, zs, tol: float = 1e-10,
     cancel, take the contour, on an abscissa lattice whose Gamma-product
     grids are cached per (params, abscissa, tol) across calls, except
     arguments (inf included) where the leading asymptote shows that G
-    underflows: they give 0.  NaN gives NaN.  When q = p
+    underflows: they give 0.  NaN gives NaN, and a finite z whose G is
+    past the float range raises ``NumericalError``.  When q = p
     arguments up to 0.3 take the series and the rest Norlund's expansion,
     as do series points whose residues cancel; G vanishes from 1 on:
     closing the contour to the right encloses no pole.
@@ -708,18 +709,23 @@ def meijer_g_batch(params: MeijerGParams, zs, tol: float = 1e-10,
     out = np.where(np.isnan(flat), np.nan, 0.0)
     sigma = params.q - params.p
     series = flat <= (_SERIES_BELOW if sigma else _NORLUND_ABOVE)
-    if np.any(series):
-        out[series] = _meijer_g_series(params, flat[series])
-    # q = p: Norlund's expansion takes the rest below 1, and the series points whose residues
-    # cancel; q > p: the contour takes the rest and those series points
-    if not sigma and len(idx := np.flatnonzero((flat < 1.0) & (np.isnan(out) | ~series))):
-        out[idx] = _meijer_g_norlund(params, flat[idx], tol)
-    rest = np.flatnonzero((np.isnan(out) | (~series & (sigma > 0))) & ~np.isnan(flat))
-    if sigma and len(rest):  # no contour where G underflows, z = inf included
-        rest = rest[~_underflows(params, flat[rest])]
-    if len(rest):
-        out[rest] = _meijer_g_contour_batch(params, flat[rest], tol)
-    return (out * (-1.0) ** deriv * flat ** (-float(deriv))).reshape(zs.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # a G past the float range raises below
+        if np.any(series):
+            out[series] = _meijer_g_series(params, flat[series])
+        # q = p: Norlund's expansion takes the rest below 1, and the series points whose
+        # residues cancel; q > p: the contour takes the rest and those series points
+        if not sigma and len(idx := np.flatnonzero((flat < 1.0) & (np.isnan(out) | ~series))):
+            out[idx] = _meijer_g_norlund(params, flat[idx], tol)
+        rest = np.flatnonzero((np.isnan(out) | (~series & (sigma > 0))) & ~np.isnan(flat))
+        if sigma and len(rest):  # no contour where G underflows, z = inf included
+            rest = rest[~_underflows(params, flat[rest])]
+        if len(rest):
+            out[rest] = _meijer_g_contour_batch(params, flat[rest], tol)
+        out *= (-1.0) ** deriv * flat ** (-float(deriv))
+    if len(bad := flat[~np.isfinite(out) & (flat < math.inf)]):
+        raise NumericalError(f"G is not a finite double: a = {params.a}, b = {params.b}, "
+                             f"z in [{bad.min():.6g}, {bad.max():.6g}]")
+    return out.reshape(zs.shape)
 
 
 def meijer_g(params: MeijerGParams, x: float, tol: float = 1e-10,

@@ -257,13 +257,9 @@ def test_criterion_8_stein_equation_solution():
 
 def test_criterion_9_adjoint_ode_residuals():
     spec_n = ProductSpec(normal_count=1, sigma=1.0)
-    rep_n = verify.adjoint_residual_scan(spec_n, np.linspace(-3, 3, 13),
-                                         handle=verify.density_handle(spec_n),
-                                         tolerance=1e-8)
+    rep_n = verify.adjoint_residual_scan(spec_n, np.linspace(-3, 3, 13), tolerance=1e-8)
     spec_pg = ProductSpec(gamma_shapes=(1.4, 2.2), lam=1.0)
-    rep_pg = verify.adjoint_residual_scan(spec_pg, np.geomspace(0.05, 10, 20),
-                                          handle=verify.density_handle(spec_pg),
-                                          tolerance=1e-8)
+    rep_pg = verify.adjoint_residual_scan(spec_pg, np.geomspace(0.05, 10, 20), tolerance=1e-8)
     spec_xyz = ProductSpec(beta_pairs=((1.3, 0.6),), gamma_shapes=(1.4,),
                            lam=1.0, normal_count=1, sigma=1.0)
     rep_xyz = verify.adjoint_residual_scan(spec_xyz, np.linspace(0.2, 5.0, 20),

@@ -248,7 +248,8 @@ class TestDensities:
     ])
     def test_scalar_is_batch_of_one(self, spec, kind):
         ev = dist.density(spec)
-        assert ev.kind == kind
+        assert kind == ("general" if ev.closed is None else
+                        "exp" if ev.closed.phi == "e" else "bessel")
         for x in (0.0, 1e-9, 1e-7, 1e-3, 1.0, 10.0):
             assert ev(x) == ev.batch([x])[0]
 
@@ -285,6 +286,7 @@ class TestDensities:
         ProductSpec(beta_pairs=((1.3, 0.7),)),
         ProductSpec(beta_pairs=((1.3, 0.6), (0.8, 1.15)), gamma_shapes=(1.4,),
                     lam=2.0, normal_count=2, sigma=0.5),
+        ProductSpec(gamma_shapes=(200.0,), lam=1.0),  # tail cut past the peak at x = 199
     ])
     def test_normalisation(self, spec):
         assert dist.normalization(spec) == pytest.approx(1.0, abs=1e-6)
@@ -333,6 +335,31 @@ class TestTypedFailures:
             np.testing.assert_array_equal([ev(x) for x in xs], 0.0)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("spec, xs, refs, rel", [
+        # the G argument underflows: the exponential form gave nan (0 log 0), the Bessel form 0
+        (PN1, [1e-170], [0.3989422804014327], 1e-12),
+        (PN2, [1e-170], [124.63595395705706], 1e-12),
+        # K_29 overflows where y^14.5 underflows: nan
+        (ProductSpec(gamma_shapes=(1.0, 30.0), lam=1.0), [1e-30], [1 / 29], 1e-12),
+        # K = e^-857.9 underflows: 0 everywhere
+        (ProductSpec(gamma_shapes=(1.0, 200.0), lam=1.0), [10.0, 50.0, 200.0, 400.0],
+         [4.7776647234318391e-3, 3.9043322682749136e-3, 1.8347742046847368e-3,
+          6.7332119558151756e-4], 1e-9),
+        # K underflows and y^184 overflows: nan everywhere
+        (ProductSpec(gamma_shapes=(180.0, 190.0), lam=1.0), [3e4, 3.4e4, 4e4],
+         [6.0699166666376159e-5, 1.126552873680016e-4, 2.8744265125714627e-5], 1e-9),
+    ])
+    def test_closed_form_in_logs(self, spec, xs, refs, rel):
+        # mpmath, 40 digits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(dist.density(spec).batch(xs), refs, rtol=rel)
+
+    def test_closed_form_past_the_float_range_raises(self):
+        # K_199(2) and G(1 | ; 0, 199) ~ Gamma(199) = e^852 overflow a double
+        with pytest.raises(NumericalError, match="not a finite double"):
+            dist.density(ProductSpec(gamma_shapes=(1.0, 200.0), lam=1.0))(1.0)
+
     @pytest.mark.parametrize("spec", [XYZ, PG2, PN1, PN2])
     def test_nan_gives_nan(self, spec):
         ev = dist.density(spec)
@@ -342,7 +369,7 @@ class TestTypedFailures:
 
     def test_underflowed_argument_names_x_range(self):
         ev = dist.density(XYZ)
-        assert ev.kind == "general"
+        assert ev.closed is None
         assert ev(1e-150) == pytest.approx(ev(0.0), rel=1e-12)
         with pytest.raises(NumericalError, match=r"x in \[1e-170, 1e-170\]"):
             ev(1e-170)

@@ -340,6 +340,13 @@ class TestMeijerG:
             assert math.isnan(out[0])
             np.testing.assert_array_equal(out[1:], meijer_g_batch(params, [0.02, 0.5]))
 
+    def test_past_the_float_range_raises(self):
+        # G(1 | ; 0, 199) ~ Gamma(199) = e^852 gave inf with RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"not a finite double.*z in \[1, 1\]"):
+                meijer_g_batch(MeijerGParams.upper_zero([], [0.0, 199.0]), [1.0])
+
     def test_underflowing_arguments_give_zero(self):
         # a leading asymptote below e^-760 gives 0 without the contour, z = inf included;
         # just inside the range the contour still runs

@@ -176,17 +176,14 @@ class TestReducedCompare:
 class TestAdjointScan:
     def test_gaussian_analytic(self):
         spec = ProductSpec(normal_count=1, sigma=1.0)
-        rep = verify.adjoint_residual_scan(spec, np.linspace(-3, 3, 13),
-                                           handle=verify.density_handle(spec),
-                                           tolerance=1e-10)
+        rep = verify.adjoint_residual_scan(spec, np.linspace(-3, 3, 13), tolerance=1e-10)
         assert rep.passed and rep.estimate < 1e-10
+        assert "analytic" in rep.details
 
     def test_pg_analytic(self):
         spec = ProductSpec(gamma_shapes=(1.4, 2.2), lam=1.0)
-        rep = verify.adjoint_residual_scan(spec, np.geomspace(0.05, 10, 20),
-                                           handle=verify.density_handle(spec),
-                                           tolerance=1e-8)
-        assert rep.passed
+        rep = verify.adjoint_residual_scan(spec, np.geomspace(0.05, 10, 20), tolerance=1e-8)
+        assert rep.passed and "analytic" in rep.details
 
     def test_xyz_finite_difference(self):
         rep = verify.adjoint_residual_scan(XYZ, np.linspace(0.2, 5.0, 15))
@@ -195,18 +192,25 @@ class TestAdjointScan:
 
     def test_single_gamma_handle(self):
         spec = ProductSpec(gamma_shapes=(2.0,), lam=1.5)
-        h = verify.density_handle(spec)
-        assert h is not None
-        rep = verify.adjoint_residual_scan(spec, np.geomspace(0.1, 8, 15),
-                                           handle=h, tolerance=1e-10)
-        assert rep.passed
+        rep = verify.adjoint_residual_scan(spec, np.geomspace(0.1, 8, 15), tolerance=1e-10)
+        assert rep.passed and "analytic" in rep.details
+
+    @pytest.mark.parametrize("spec, method, bound", [
+        # rows that reduce to one b: the exponential closed form (log-fd before)
+        (ProductSpec(gamma_shapes=(1.37,), lam=0.8), "analytic", 1e-10),
+        (ProductSpec(beta_pairs=((1.3, 0.7),), gamma_shapes=(2.0,), lam=1.0), "analytic", 1e-10),
+        # compact support: the grid stays inside (0, 1) (FAILed at 0.278 and 0.674 on [0.05, 10])
+        (ProductSpec(beta_pairs=((1.3, 0.7),)), "log-fd", 1e-4),
+        (ProductSpec(beta_pairs=((1.5, 0.5),)), "log-fd", 1e-4),
+    ])
+    def test_standard_suite_route(self, spec, method, bound):
+        rep, = verify.standard_suite(spec, suites=("adjoint",))
+        assert rep.passed and method in rep.details and rep.estimate <= bound
 
     def test_origin_points_excluded_and_reported(self):
         spec = ProductSpec(normal_count=2, sigma=1.0)
         grid = np.concatenate(([0.0], np.linspace(0.3, 4.0, 10)))
-        rep = verify.adjoint_residual_scan(spec, grid,
-                                           handle=verify.density_handle(spec),
-                                           tolerance=1e-8)
+        rep = verify.adjoint_residual_scan(spec, grid, tolerance=1e-8)
         assert rep.passed
         assert "1 origin point(s) excluded" in rep.details
 
