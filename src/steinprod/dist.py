@@ -40,6 +40,7 @@ from .steinops import ProductSpec, stein_sides
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
+_LN_TINY = -1022 * _LN2  # log of the smallest normal double
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,8 @@ class DensityEvaluator:
                 raise NumericalError(
                     f"G argument underflows to 0 at x in [{lost.min():.3g}, {lost.max():.3g}]"
                     f" ({self.spec.describe()})")
-            vals[rest] = self.const * meijer_g_batch(self.reduced, y, self.tol)
+            vals[rest] = _times_const(self.log_const, meijer_g_batch(self.reduced, y, self.tol),
+                                      self.spec)
         out[live] = vals
         if np.any(zero := ax == 0):
             out[zero] = self._at_zero()
@@ -306,6 +308,15 @@ def _exp_const(log_value: float, spec: ProductSpec) -> float:
     except OverflowError:
         raise NumericalError(f"density constant exp({log_value:.6g}) overflows a double "
                              f"({spec.describe()})") from None
+
+
+def _times_const(log_const: float, g: np.ndarray, spec: ProductSpec) -> np.ndarray:
+    """K g for K = exp(log_const): in logs where K is below the normal doubles,
+    whose product with a finite g would be a silent 0; typed where K overflows."""
+    if log_const >= _LN_TINY:
+        return _exp_const(log_const, spec) * g
+    with np.errstate(divide="ignore"):  # g = 0 gives 0
+        return np.sign(g) * np.exp(log_const + np.log(np.abs(g)))
 
 
 def _gamma_sign(v: float) -> int:
@@ -446,8 +457,8 @@ class NumericCdf:
         tail = np.where(y == 0, 1.0, 0.0)  # mass beyond |x|: P(W > x) or P(|W| > |x|)
         tail[np.isnan(y)] = np.nan
         live = (y > 0) & (y < math.inf)
-        tail[live] = (_exp_const(self.log_const, self.ev.spec)
-                      * meijer_g_batch(self.params, y[live], self.ev.tol))
+        g = meijer_g_batch(self.params, y[live], self.ev.tol)
+        tail[live] = _times_const(self.log_const, g, self.ev.spec)
         share = 0.5 if self.ev.spec.symmetric else 1.0  # of that mass on the side of x
         out = np.where(xs < 0, share * tail, 1.0 - share * tail)
         return out if np.ndim(x) else float(out[0])

@@ -86,24 +86,39 @@ def poly_exp_rows(fs: Sequence[PolyExp], x) -> np.ndarray:
     """Rows fs[i](x), shape (len(fs),) + x.shape, for PolyExps sharing one q.
 
     One exp(q(x)) serves every row, and one Horner pass runs over the
-    prefactors zero-padded to a common degree.  For finite x a padding
-    zero stays zero until the row's own leading coefficient is added, so
-    each row has the bits of ``fs[i](x)``.
+    prefactors with the rows sorted by degree, highest first: a row joins
+    the pass at its own leading coefficient, and each step advances only
+    the rows already started, so each row has the bits of ``fs[i](x)``.
     """
     q = fs[0]._q
     if any(f._q is not q and not np.array_equal(f._q, q) for f in fs[1:]):
         raise ValueError("stacked PolyExp rows need one shared q")
     x = np.asarray(x, dtype=float)
-    coeffs = np.zeros((max(len(f._p0) for f in fs), len(fs)))
-    for row, f in enumerate(fs):
-        coeffs[: len(f._p0), row] = f._p0
-    coeffs = coeffs.reshape(coeffs.shape + (1,) * x.ndim)
+    order = sorted(range(len(fs)), key=lambda i: -len(fs[i]._p0))
+    sizes = [len(fs[i]._p0) for i in order]
+    coeffs = np.zeros((sizes[0], len(fs)) + (1,) * x.ndim)
+    for row, i in enumerate(order):
+        coeffs[: sizes[row], row].flat = fs[i]._p0
     out = np.empty((len(fs),) + x.shape)
-    out[...] = coeffs[-1]
-    for ck in coeffs[-2::-1]:
-        out *= x
-        out += ck
+    started = 0
+    for k in range(sizes[0] - 1, -1, -1):
+        out[:started] *= x
+        out[:started] += coeffs[k, :started]
+        joined = started + sizes.count(k + 1)
+        out[started:joined] = coeffs[k, started:joined]
+        started = joined
     out *= np.exp(_poly_eval(q, x))
+    # back to the callers' order in place, one spare row per cycle: a second
+    # array of every row cost more in fresh memory pages than the padding did
+    source = {i: row for row, i in enumerate(order)}
+    for i in range(len(fs)):
+        if source[i] == i:
+            continue
+        spare, j = out[i].copy(), i
+        while source[j] != i:
+            out[j] = out[source[j]]
+            source[j], j = j, source[j]
+        out[j], source[j] = spare, j
     return out
 
 

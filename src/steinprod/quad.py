@@ -52,6 +52,28 @@ def _gl_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, n: int = 16) -> np.n
     return np.concatenate(parts, axis=-1)
 
 
+def _accepted(f: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, rtol: float,
+              max_depth: int = 24):
+    """Level-wise halving of the panels [lo, hi], accept test as in ``adaptive``: yields
+    each level's accepted panels as (index of their interval, lo, value (..., panels))."""
+    owner = np.arange(lo.size)
+    whole = _gl_panels(f, lo, hi)
+    for depth in range(max_depth, -1, -1):
+        if not lo.size:
+            return
+        mid = 0.5 * (lo + hi)
+        halves = _gl_panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = np.split(halves, 2, axis=-1)
+        both = left + right
+        ok = np.abs(both - whole) <= np.maximum(tol, rtol * np.abs(whole))
+        done = np.all(ok.reshape(-1, lo.size), axis=0) | (depth <= 0)
+        yield owner[done], lo[done], both[..., done]
+        keep = ~done
+        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
+        whole = np.concatenate([left[..., keep], right[..., keep]], axis=-1)
+        owner = np.concatenate([owner[keep], owner[keep]])
+
+
 def adaptive(f: Callable, a, b, tol: float = 1e-10, rtol: float = 1e-12,
              max_depth: int = 24):
     """Adaptive Gauss-Legendre by interval halving, one level at a time.
@@ -66,26 +88,11 @@ def adaptive(f: Callable, a, b, tol: float = 1e-10, rtol: float = 1e-12,
     every component passes; the result then has a leading axis c.
     """
     lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    shape = lo.shape
-    lo, hi = lo.ravel(), hi.ravel()
-    owner = np.arange(lo.size)
-    whole = _gl_panels(f, lo, hi)
-    total = np.zeros(whole.shape)
-    for depth in range(max_depth, -1, -1):
-        if not lo.size:
-            break
-        mid = 0.5 * (lo + hi)
-        halves = _gl_panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
-        left, right = np.split(halves, 2, axis=-1)
-        both = left + right
-        ok = np.abs(both - whole) <= np.maximum(tol, rtol * np.abs(whole))
-        done = np.all(ok.reshape(-1, lo.size), axis=0) | (depth <= 0)
-        np.add.at(total, (..., owner[done]), both[..., done])
-        keep = ~done
-        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
-        whole = np.concatenate([left[..., keep], right[..., keep]], axis=-1)
-        owner = np.concatenate([owner[keep], owner[keep]])
-    total = total.reshape(total.shape[:-1] + shape)
+    levels = list(_accepted(f, lo.ravel(), hi.ravel(), tol, rtol, max_depth))
+    total = np.zeros(levels[0][2].shape[:-1] + (lo.size,))
+    for owner, _, value in levels:
+        np.add.at(total, (..., owner), value)
+    total = total.reshape(total.shape[:-1] + lo.shape)
     return float(total) if total.ndim == 0 else total
 
 

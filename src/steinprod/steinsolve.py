@@ -19,14 +19,13 @@ the density of Y); both are implemented and compared.  Derivatives of f
 are taken analytically: the J-derivative contributions collapse through
 the Wronskian, leaving only Bessel-prefactor derivatives.
 
-J_I and J_K are accumulated in u = sqrt(t) over a sorted table of
-anchors.  ``SteinSolution.values`` inserts every new point of a batch
-and integrates all new intervals between neighbouring anchors in one
-level-wise adaptive call whose integrand returns both components, so
-each node costs one I and one K evaluation; ``value(x)`` is a batch of
-one.  The prefactor Bessel values at the last points are kept, so
+J_I and J_K are read off one table per solution: the accepted leaves of
+the adaptive rule in u = sqrt(t) on fixed cells (``SteinSolution._grow``),
+with J at each leaf start.  J at a point is that plus one 16-node panel;
+the panels of a call share one integrand call, one I and one K per node.
+The prefactor Bessel values and J at the last points are kept, so
 ``value(x)`` and ``derivative(x, k)`` at one x share them.  The tail
-form integrates its K-kernel tail separately, never from the anchors.
+form integrates its K-kernel tail separately, never from the table.
 """
 
 from __future__ import annotations
@@ -39,6 +38,8 @@ from . import quad
 from .funcs import BesselPowerComb
 from .steinops import ProductSpec
 from .dist import density
+
+_Z_CAP = 600.0  # 2 lam sqrt(x) beyond which values take the far-tail asymptote
 
 
 def expect_pg(r1: float, r2: float, lam: float, h, tol: float = 1e-11) -> float:
@@ -69,15 +70,16 @@ class _GriddedFunction:
 
     Stage right-hand sides only need values of the previous solution;
     interpolation on a fine log grid keeps the nested quadratures cheap
-    (the resulting sup norms are estimates either way).
+    (the resulting sup norms are estimates either way).  The grid points,
+    ``breaks``, are the interpolant's kinks: the next stage's cells end there.
     """
 
     def __init__(self, sol: "SteinSolution", x_max: float, points: int = 1200):
-        self.grid = np.geomspace(1e-6, x_max, points)
-        self.vals = sol.values(self.grid)
+        self.breaks = np.geomspace(1e-6, x_max, points)
+        self.vals = sol.values(self.breaks)
 
     def __call__(self, x):
-        return np.interp(x, self.grid, self.vals)
+        return np.interp(x, self.breaks, self.vals)
 
 
 class _StageFunction:
@@ -90,6 +92,7 @@ class _StageFunction:
         self.k = k
         self.lam = lam
         self.prev = prev
+        self.breaks = () if prev is None else prev.breaks
 
     def deriv(self, x, order: int = 0):
         if order != 0:
@@ -105,7 +108,7 @@ class _StageFunction:
 
 @dataclass
 class SteinSolution:
-    """Solved Stein equation with cached cumulative quadrature state."""
+    """Solved Stein equation with its table of the cumulative integrals J_I, J_K."""
 
     r1: float
     r2: float
@@ -127,13 +130,13 @@ class SteinSolution:
         two_lam = 2.0 * self.lam
         self._kpre = BesselPowerComb([(1.0, -self.s, self.delta, "k")], two_lam, 0.5)
         self._ipre = BesselPowerComb([(1.0, -self.s, self.delta, "i")], two_lam, 0.5)
-        # anchors of the cumulative integrals: sorted u = sqrt(t) and
-        # (J_I, J_K) there, one column per anchor
-        self._u = np.zeros(1)
-        self._j = np.zeros((2, 1))
-        # Bessel values of the prefactors at the last points asked for
-        self._bessel_key = b""
-        self._bessel: dict = {}
+        # J table (see _grow): cell edges; leaf starts and the top; J at each of those
+        octaves = np.append(np.ldexp(1.0, np.arange(-12, 10)), _Z_CAP) / two_lam
+        kinks = np.sqrt(np.asarray(getattr(self.h, "breaks", ()), dtype=float))
+        self._cells = np.union1d(octaves, kinks[kinks < octaves[-1]])
+        self._edge, self._j0 = np.zeros(1), np.zeros((2, 1))
+        # the last points asked for, their prefactor Bessel values and J
+        self._key, self._bessel, self._j = b"", {}, np.zeros((2, 0))
 
     # -- centred test function ------------------------------------------------
 
@@ -154,34 +157,41 @@ class SteinSolution:
         base = self._weight(u)
         return np.stack([base * bessel_i(self.delta, arg), base * bessel_k(self.delta, arg)])
 
-    def _j_values(self, xs: np.ndarray) -> np.ndarray:
-        """(J_I, J_K) at every x, shape (2, n).
+    def _grow(self, u_max: float) -> None:
+        """Extend the table over whole cells up to the first cell edge >= u_max.
 
-        Points not yet anchored are inserted into the sorted anchor table;
-        every new interval between neighbouring anchors is integrated in
-        one batched adaptive call, and the increments are accumulated
-        from the nearest old anchor on their left.
+        Cells end where z = 2 lam u is 2^k (k >= -12) or the cap 600, the
+        far-tail switch of ``values``, and at the kinks h declares as
+        ``breaks``.  Octaves of z keep a cell's Bessel arguments in one
+        octave of the Bessel tables, so its leaves do not depend on the
+        cells that share its call; the running sum goes on sequentially.
         """
+        top, cells = self._edge[-1], self._cells
+        edges = np.r_[top, cells[(cells > top) & (cells <= cells[np.searchsorted(cells, u_max)])]]
+        _, lo, leaf = (np.concatenate(part, axis=-1) for part in zip(*quad._accepted(
+            self._integrand, edges[:-1], edges[1:], self.tol * 0.005, 1e-11)))
+        order = np.argsort(lo)
+        self._edge = np.concatenate([self._edge[:-1], lo[order], edges[-1:]])
+        carried = np.cumsum(np.concatenate([self._j0[:, -1:], leaf[:, order]], axis=1), axis=1)
+        self._j0 = np.concatenate([self._j0[:, :-1], carried], axis=1)
+
+    def _j_values(self, xs: np.ndarray) -> np.ndarray:
+        """(J_I, J_K) at every x, shape (2, n): J at the start of the point's leaf plus
+        one Gauss-Legendre panel from there, every panel in one call.  Beyond the
+        cap, reached only by ``derivative`` and ``value_tail_form``, a panel starts at the cap."""
         if np.any(xs < 0):
             raise ValueError("x must be nonnegative")
         u = np.sqrt(xs)
-        at = np.searchsorted(self._u, u)
-        if np.array_equal(self._u[np.minimum(at, self._u.size - 1)], u):
-            return self._j[:, at]
-        merged = np.union1d(self._u, u)
-        is_new = ~np.isin(merged, self._u, assume_unique=True)
-        pos = np.flatnonzero(is_new)
-        inc = np.zeros((2, merged.size))
-        inc[:, pos] = quad.adaptive(self._integrand, merged[pos - 1], merged[pos],
-                                    tol=self.tol * 0.05, rtol=1e-11)
-        csum = np.cumsum(inc, axis=1)
-        # index of the nearest old anchor at or left of each position
-        old = np.maximum.accumulate(np.where(is_new, 0, np.arange(merged.size)))
-        base = np.zeros_like(inc)
-        base[:, ~is_new] = self._j
-        self._u = merged
-        self._j = base[:, old] + (csum - csum[:, old])
-        return self._j[:, np.searchsorted(merged, u)]
+        u_max = min(float(np.fmax.reduce(u, initial=0.0)), self._cells[-1])
+        if u_max > self._edge[-1]:
+            self._grow(u_max)
+        leaf = np.searchsorted(self._edge, u, side="right") - 1
+        start = self._edge[leaf]
+        j = self._j0[:, leaf]
+        part = np.flatnonzero(u > start)
+        if part.size:
+            j[:, part] += quad._gl_panels(self._integrand, start[part], u[part])
+        return j
 
     def _j_tail_k(self, x: float) -> float:
         """int_x^infty of the K-kernel integrand (pen-form ingredient)."""
@@ -196,22 +206,21 @@ class SteinSolution:
 
     # -- solution values ---------------------------------------------------------
 
-    def _prefactors(self, xs: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """order-th derivatives of x^{-s} I_d and x^{-s} K_d at xs.
-
-        The Bessel values are kept for the last xs, so value(x) and every
-        derivative(x, k) at one x evaluate each distinct order once.
+    def _terms(self, xs: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        """(I-prefactor, K-prefactor, J_I, J_K) at xs, the prefactors x^{-s} I_d
+        and x^{-s} K_d differentiated order times; the Bessel values and J
+        are kept for the last xs, so they are computed once per x.
         """
         key = xs.tobytes()
-        if key != self._bessel_key:
-            self._bessel_key, self._bessel = key, {}
+        if key != self._key:
+            self._key, self._bessel, self._j = key, {}, self._j_values(xs)
+        ji, jk = self._j
         return (self._ipre.deriv(xs, order, bessel=self._bessel),
-                self._kpre.deriv(xs, order, bessel=self._bessel))
+                self._kpre.deriv(xs, order, bessel=self._bessel), ji, jk)
 
     def _combine(self, xs: np.ndarray, order: int) -> np.ndarray:
         """2 (I-prefactor J_K - K-prefactor J_I), differentiated order times."""
-        ji, jk = self._j_values(xs)
-        ipre, kpre = self._prefactors(xs, order)
+        ipre, kpre, ji, jk = self._terms(xs, order)
         return 2.0 * (ipre * jk - kpre * ji)
 
     def values(self, xs) -> np.ndarray:
@@ -219,7 +228,7 @@ class SteinSolution:
         xs = np.asarray(xs, dtype=float)
         # far tail: the solution approaches -h_tilde(x) / (lam^2 x);
         # evaluating the growing/decaying Bessel pair would overflow
-        far = 2.0 * self.lam * np.sqrt(xs) > 600.0
+        far = 2.0 * self.lam * np.sqrt(xs) > _Z_CAP
         out = np.empty(xs.shape)
         if np.any(far):
             out[far] = -self.h_tilde(xs[far]) / (self.lam**2 * xs[far])
@@ -230,10 +239,8 @@ class SteinSolution:
         return float(self.values(np.array([float(x)]))[0])
 
     def value_tail_form(self, x: float) -> float:
-        xs = np.array([float(x)])
-        ji = self._j_values(xs)[0, 0]
-        ipre, kpre = self._prefactors(xs, 0)
-        return float(-2.0 * kpre[0] * ji - 2.0 * ipre[0] * self._j_tail_k(x))
+        ipre, kpre, ji, _ = self._terms(np.array([float(x)]), 0)
+        return float(-2.0 * kpre[0] * ji[0] - 2.0 * ipre[0] * self._j_tail_k(x))
 
     def derivative(self, x: float, order: int) -> float:
         """f, f' or f''; J-kernel terms cancel, except h-tilde enters f''."""
@@ -308,7 +315,8 @@ def estimate_derivative_bounds(r1: float, r2: float, lam: float, h,
         rhs = _StageFunction(h, k, lam, prev)
         sol = SteinSolution(r1=r1 + k, r2=r2 + k, lam=lam, h=rhs, tol=1e-8)
         sups.append(float(np.max(np.abs(sol.values(grid)))))
-        prev = _GriddedFunction(sol, max(x_reach, float(grid[-1]) * 1.5))
+        if k < k_max:  # only a next stage reads the grid
+            prev = _GriddedFunction(sol, max(x_reach, float(grid[-1]) * 1.5))
     return sups
 
 

@@ -348,6 +348,9 @@ class TestTypedFailures:
         # K underflows and y^184 overflows: nan everywhere
         (ProductSpec(gamma_shapes=(180.0, 190.0), lam=1.0), [3e4, 3.4e4, 4e4],
          [6.0699166666376159e-5, 1.126552873680016e-4, 2.8744265125714627e-5], 1e-9),
+        # K = e^-863 underflows and K_199 overflows, so G takes the points: K G gave 0
+        (ProductSpec(gamma_shapes=(2.0, 201.0), lam=1.0), [1e-200, 1e-100],
+         [2.5125628140703517588e-205, 2.5125628140703517588e-105], 1e-12),
     ])
     def test_closed_form_in_logs(self, spec, xs, refs, rel):
         # mpmath, 40 digits

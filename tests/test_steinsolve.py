@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from steinprod import funcs, specfun, steinsolve
+from steinprod import cli, funcs, quad, specfun, steinsolve
 
 CASES = [(1.0, 1.0, 1.0), (2.0, 0.5, 1.0), (1.5, 1.5, 2.0)]
 
@@ -76,6 +76,26 @@ class TestSolveSteinPG:
         for x in (0.1, 1.0, 10.0):
             assert abs(sol.value(x) - sol.value_tail_form(x)) <= 1e-8
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_value_and_tail_form_agree_on_random_parameters(self, seed):
+        # ROADMAP item 8's gate: 60 draws at lam = 2; the anchor-interval
+        # quadrature broke 1e-8 on 5, 8 and 3 of them (up to 3.9e-8)
+        rng = np.random.default_rng(seed)
+        makers = list(cli.BUILTIN_TEST_FUNCTIONS.values())
+        for i in range(60):
+            r1, r2 = rng.uniform(0.5, 3.0, 2)
+            sol = steinsolve.solve_stein_pg(r1, r2, 2.0, makers[i % len(makers)]())
+            for x in (0.1, 1.0, 10.0):
+                assert abs(sol.value(x) - sol.value_tail_form(x)) <= 1e-8, (r1, r2, i, x)
+
+    def test_values_match_mpmath(self):
+        # mpmath at 30 digits: the J integrals in u with breakpoints at sqrt(k pi),
+        # E sin(Y) = int_0^inf e^-g g / (1 + g^2) dg
+        sol = steinsolve.solve_stein_pg(1.0, 1.0, 1.0, funcs.Sinusoid())
+        for x, ref in ((0.01, -0.34173459179059773), (20.0, 0.015040962920789757),
+                       (50.0, 0.006977492182869094)):
+            assert abs(sol.value(x) - ref) <= 1e-9
+
     def test_equal_shapes_small_x_bound(self):
         r = 1.5
         h = funcs.Sinusoid()
@@ -98,6 +118,42 @@ class TestBatchedSweep:
         # anchored points are looked up, not integrated again
         np.testing.assert_array_equal(sweep_sol.values(shuffled), batch)
         assert sweep_sol(xs[3]) == sweep[3]
+
+    @pytest.mark.parametrize("r1,r2,lam,h,x_top", [
+        (1.0, 1.0, 1.0, "sin", 50.0),
+        # 2 lam = 6.6: octaves of u alone would split the Bessel octaves
+        (0.6, 0.9, 3.3, "rational", 5.0),
+    ])
+    def test_value_bits_do_not_depend_on_earlier_calls(self, r1, r2, lam, h, x_top):
+        xs = np.geomspace(0.01, x_top, 13)
+
+        def after(history):
+            sol = steinsolve.solve_stein_pg(r1, r2, lam, cli.BUILTIN_TEST_FUNCTIONS[h]())
+            history(sol)
+            return [sol.value(x) for x in xs]
+
+        ref = after(lambda sol: None)
+        for history in (lambda sol: [sol.value(x) for x in xs],
+                        lambda sol: [sol.value(x) for x in xs[::-1]],
+                        lambda sol: sol.values(np.random.default_rng(2).permutation(xs)),
+                        lambda sol: sol.value(8.0 * x_top)):
+            assert after(history) == ref
+
+    def test_points_inside_the_table_need_no_adaptive_call(self, monkeypatch):
+        sol = steinsolve.solve_stein_pg(1.0, 1.0, 1.0, funcs.Sinusoid())
+        sol.value(50.0)
+        calls, accepted = [], quad._accepted
+        monkeypatch.setattr(quad, "_accepted", lambda *a: calls.append(a) or accepted(*a))
+        for x in np.geomspace(0.01, 49.0, 39):
+            sol.value(x)
+        assert not calls
+
+    def test_table_stays_small_for_oscillating_h(self):
+        # up to x = 65536: at rtol 1e-12 the accept test sat at the roundoff floor of
+        # the oscillating, e^{2u}-sized I-kernel sums and took 134k leaves (11 s)
+        sol = steinsolve.solve_stein_pg(1.0, 1.0, 1.0, funcs.Sinusoid())
+        sol.value(5e4)
+        assert sol._edge.size < 20_000
 
     def test_far_tail_and_call_shapes(self):
         sol = steinsolve.solve_stein_pg(1.0, 1.0, 1.0, funcs.exp_decay(1.0))
