@@ -17,7 +17,8 @@ entry, ``meijer_g_batch`` (``meijer_g`` is a batch of one), with three routes:
   abscissa, tol): step halvings and later calls evaluate only new nodes.
   One halving loop advances every abscissa of a batch together, with one
   log-gamma pass per level, and each argument stops at its own level, so
-  its value does not depend on the rest of the batch;
+  its value does not depend on the rest of the batch.  Its levels, rows by
+  cols ~ sqrt(M) weights, take rows + cols exponentials per argument, not M;
 * when q = p, Norlund's expansion in powers of 1 - z for 0.3 < z < 1,
   where the residue series converges slowly or not at all.
 
@@ -26,7 +27,8 @@ the Mellin-Barnes integrand by s (s+1) ... (s+d-1) = Gamma(s+d) / Gamma(s),
 so it is G with 0 added to the upper and d to the lower parameters, times
 (-1)^d z^{-d}.
 
-Bessel functions use the defining integral K_nu(x) = int exp(-x cosh t)
+Log-gamma is Lanczos' approximation as one rational function N(z)/D(z),
+by Horner in 1/z.  Bessel functions use the defining integral K_nu(x) = int exp(-x cosh t)
 cosh(nu t) dt (spectrally accurate trapezoid, uniform in nu) and the
 ascending series for I_nu, with large-argument asymptotic expansions
 beyond 30 (1 + |nu|); the switchover is cross-validated in the tests.
@@ -67,13 +69,36 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LN2 = math.log(2.0)
 
 
+@functools.cache  # built on first use, not at import
+def _lanczos_rational() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(N, D), ascending in z, with c_0 + sum_k c_k / (z - 1 + k) = N(z) / D(z) and
+    D = z (z+1) ... (z+13): formed exactly from the binary values of _LANCZOS_C, rounded once."""
+    def product(skip: int) -> list:  # integer coefficients of prod_{r != skip} (z + r), r < 14
+        return functools.reduce(lambda p, r: [r * lo + hi for lo, hi in zip(p + [0], [0] + p)],
+                                sorted(set(range(14)) - {skip}), [1])
+    ratios = [float(c).as_integer_ratio() for c in _LANCZOS_C]  # denominators: powers of 2
+    scale, terms = max(d for _, d in ratios), [product(-1)] + [product(k) + [0] for k in range(14)]
+    num = [sum(n * (scale // d) * v for (n, d), v in zip(ratios, col)) for col in zip(*terms)]
+    return tuple(v / scale for v in num), tuple(map(float, terms[0]))
+
+
+def _log(w: np.ndarray) -> np.ndarray:
+    """Principal log as log|w| + i arg w; hypot overflows only where |w| does."""
+    out = np.empty_like(w)
+    out.real, out.imag = np.log(np.hypot(w.real, w.imag)), np.arctan2(w.imag, w.real)
+    return out
+
+
 def _lanczos_loggamma(z: np.ndarray) -> np.ndarray:
-    """Lanczos evaluation, valid for Re z >= 0.5."""
-    series = np.full_like(z, _LANCZOS_C[0])
-    for k in range(1, len(_LANCZOS_C)):
-        series += _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z - 0.5 + _LANCZOS_G
-    return _LOG_SQRT_2PI + (z - 0.5) * np.log(t) - t + np.log(series)
+    """Lanczos evaluation, valid for Re z >= 0.5; N/D by Horner in w = 1/z, |w| <= 2."""
+    (n, *num), (d, *den) = _lanczos_rational()
+    w = 1.0 / z
+    for a, b in zip(num, den):
+        n, d = n * w, d * w  # out of place: an in-place complex product can round
+        n += a               # differently in a batch of one than in a longer batch
+        d += b
+    t = z + (_LANCZOS_G - 0.5)
+    return (z - 0.5) * _log(t) + (_log(n / d) - t + _LOG_SQRT_2PI)
 
 
 def log_gamma_complex(z):
@@ -84,13 +109,13 @@ def log_gamma_complex(z):
     which the principal branch satisfies exactly.
     """
     z = np.asarray(z, dtype=complex)
-    if np.any((z.real <= 0) & (z.imag == 0) & (np.round(z.real) == z.real)):
-        raise ValueError("log_gamma_complex: pole at nonpositive integer")
-    left = z.real < 0.5
+    left = z.real < 0.5  # every pole is left of 0.5
     if not np.any(left):
         return _lanczos_loggamma(z)
-    out = np.array(z)  # any shape: the left points are shifted as one masked array
     zl = z[left]
+    if np.any((zl.real <= 0) & (zl.imag == 0) & (np.round(zl.real) == zl.real)):
+        raise ValueError("log_gamma_complex: pole at nonpositive integer")
+    out = np.array(z)  # any shape: the left points are shifted as one masked array
     shift = np.ceil(0.5 - zl.real)
     out[~left] = _lanczos_loggamma(z[~left])
     out[left] = _lanczos_loggamma(zl + shift) - sum(
@@ -567,7 +592,8 @@ def _meijer_g_norlund(params: MeijerGParams, zs: np.ndarray, tol: float) -> np.n
 
 
 # Contour memory bounds, set by measured peak RSS: log-gamma points (node-factor pairs) per
-# call and (argument, node) pairs per phase-sum pass; and t_top candidates per search pass.
+# call and (argument, node) pairs per phase-sum pass, a complex weight each; and t_top
+# candidates per search pass.
 _LG_POINTS, _PHASE_PAIRS, _TAIL_GROUP = 8192, 16384, 8
 
 
@@ -577,9 +603,9 @@ class _ContourGrid:
 
     Values are kept on nested trapezoid levels: level 0 holds t = i h_0,
     i = 0 .. 24, h_0 = t_top / 24, and level j > 0 the odd multiples of
-    h_0 / 2^j, the nodes a step halving adds, as rows (t, Re, Im) of the
-    trapezoid-weighted product.  ``_find_tops`` sets ref and t_top (None when
-    the tail does not decay); the batch's halving loop adds the levels.
+    h_0 / 2^j, the nodes a step halving adds, as the conjugated weighted product
+    in rows of cols <= sqrt(nodes).  ``_find_tops`` sets ref and t_top (None
+    when the tail does not decay); the batch's halving loop adds the levels.
     """
 
     def __init__(self, params: MeijerGParams, c: float, tol: float):
@@ -648,25 +674,29 @@ def _meijer_g_contour_batch(params: MeijerGParams, zs, tol: float) -> np.ndarray
     ref, h0 = np.array([(g.ref, g.t_top / 24.0) for g in grids]).reshape(-1, 2)[cell].T
     # the first level with step <= h, and the scale of "raw" units relative to a unit true result
     start = np.maximum(0.0, np.ceil(np.log2(h0 / np.minimum(0.25, math.pi / (4.0 + np.abs(lnz))))))
-    unit_scale = np.exp(np.minimum(-ref + c * lnz, 700.0))
+    unit_scale, lnh = np.exp(np.minimum(-ref + c * lnz, 700.0)), lnz * h0
     vals, failed = np.zeros(len(zs)), np.zeros(len(zs), dtype=bool)
     run, n = np.argsort(cell, kind="stable"), 0  # by cell, so a chunk of arguments spans few grids
     try:
         while len(run):  # up to 12 halvings after each argument's start
-            new_level = [g for g in (grids[k] for k in np.unique(cell[run])) if len(g.levels) == n]
+            live = np.unique(cell[run])  # the running grids; run is sorted by cell
+            new_level = [grids[k] for k in live if len(grids[k].levels) == n]
             idx = np.arange(25.0) if n == 0 else np.arange(1.0, 24 * 2**n, 2)
+            cols = max(k for k in range(1, math.isqrt(len(idx)) + 1) if len(idx) % k == 0)
             ts = [idx * (g.t_top / 24 / 2**n) for g in new_level]
             for g, t, lp in zip(new_level, ts, _log_products(new_level, ts) if ts else ()):
                 gw = np.exp(lp - g.ref) * (g.t_top / 24.0 / 2**n / math.pi)
                 gw[t == 0.0] *= 0.5  # trapezoid end weight
-                g.levels += (np.array([t, gw.real, gw.imag]),)  # a new tuple: never seen partial
-            new, step = 0.5 * vals[run], max(1, _PHASE_PAIRS // (25 if n == 0 else 12 * 2**n))
-            for lo in range(0, len(run), step):  # Re sum of gw z^{-i t}
-                live, local = np.unique(cell[run[lo:lo + step]], return_inverse=True)
-                t, re, im = np.stack([grids[k].levels[n] for k in live])[local].transpose(1, 0, 2)
-                phase = lnz[run[lo:lo + step], None] * t
-                new[lo:lo + step] += (np.einsum("ij,ij->i", np.cos(phase), re)
-                                      + np.einsum("ij,ij->i", np.sin(phase), im))
+                g.levels += (np.conj(gw).reshape(-1, cols),)  # a new tuple: never seen partial
+            # idx[row * cols + col] = idx[col] + idx[row * cols] - idx[0], so z^{i t} = col x row
+            spin = 1j / 2**n * np.concatenate((idx[:cols], idx[::cols] - idx[0]))
+            new, step = 0.5 * vals[run], max(1, _PHASE_PAIRS // len(idx))
+            for lo in range(0, len(run), step):  # Re sum of conj(gw) z^{i t}
+                own = np.searchsorted(live, cell[run[lo:lo + step]])  # ascending: run is by cell
+                w = np.stack([grids[k].levels[n] for k in live[own[0]:own[-1] + 1]])[own - own[0]]
+                factors = np.exp(lnh[run[lo:lo + step], None] * spin)
+                new[lo:lo + step] += np.einsum("ia,ia->i", factors[:, cols:], np.einsum(
+                    "iab,ib->ia", w, factors[:, :cols])).real
             bound = 0.25 * tol * np.maximum(unit_scale[run], np.abs(new))
             done = (n > start[run]) & (np.abs(new - vals[run]) <= bound)
             vals[run] = new

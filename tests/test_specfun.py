@@ -50,6 +50,36 @@ class TestLogGamma:
         assert got.shape == z.shape
         np.testing.assert_allclose(got, sp.loggamma(z), rtol=5e-14, atol=5e-14)
 
+    def test_values_do_not_depend_on_batch(self):
+        # every point alone equals its entry in the batch, bit for bit, the
+        # left half-plane (shifted by the recurrence) and the real axis included
+        rng = np.random.default_rng(37)
+        for size in (1, 2, 7, 64, 1000, 9000):
+            z = rng.uniform(-20.0, 200.0, size) + 1j * rng.uniform(-1e4, 1e4, size)
+            z.imag[::3] *= np.exp(rng.uniform(-25.0, 0.0, len(z[::3])))
+            z.imag[1::5] = 0.0
+            batch = log_gamma_complex(z)
+            for i in range(size):
+                assert log_gamma_complex(z[i:i + 1])[0] == batch[i], z[i]
+
+    def test_rational_form_over_the_whole_range(self):
+        # Re z in [0.5, 1e3] and |Im z| up to 1e12, both log-uniform, against 30 digits
+        rng = np.random.default_rng(41)
+        z = np.exp(rng.uniform(math.log(0.5), math.log(1e3), 600)) + 1j * np.where(
+            rng.random(600) < 0.1, 0.0,
+            np.exp(rng.uniform(math.log(1e-6), math.log(1e12), 600)) * rng.choice([-1.0, 1.0], 600))
+        got = log_gamma_complex(z)
+        with mp.workdps(30):
+            ref = np.array([complex(mp.loggamma(mp.mpc(v.real, v.imag))) for v in z])
+        assert np.all(np.abs(got - ref) <= 5e-14 * np.maximum(1.0, np.abs(ref)))
+        # far out, where z^14 and |z|^2 leave the float range, and where Gamma nears the
+        # largest double
+        for v in (1e20 * (1 + 1j), 1e300, 171.5):
+            with mp.workdps(30):
+                want = complex(mp.loggamma(mp.mpc(v)))
+            assert np.isfinite(log_gamma_complex(v))
+            assert abs(log_gamma_complex(v) - want) <= 5e-14 * abs(want)
+
     @pytest.mark.parametrize("x", [0.1, 0.7, 3.3, 12.0, -0.4, -5.7])
     def test_digamma(self, x):
         assert polygamma(0, x) == pytest.approx(sp.digamma(x), rel=1e-12, abs=1e-12)

@@ -209,6 +209,19 @@ class TestResidual:
         for x in (0.05, 1.0, 20.0):
             assert abs(steinsolve.stein_residual(sol, x)) < 1e-10
 
+    @pytest.mark.parametrize("perturb", [lambda j: 1.5 * j + 0.3,
+                                         lambda j: j * np.array([[1.0], [1.0 + 1e-6]])])
+    def test_residual_cannot_see_j_but_the_tail_form_gap_can(self, perturb):
+        # the J-derivative terms cancel through the Wronskian, so a wrong J_I or
+        # J_K leaves the residual at rounding level; the tail form takes J_K apart
+        sol = steinsolve.solve_stein_pg(2.0, 0.5, 1.0, funcs.Sinusoid())
+        j_values = sol._j_values
+        sol._j_values = lambda xs: perturb(j_values(xs))
+        for x in (0.05, 0.1, 0.7, 1.0, 3.0, 10.0, 20.0):
+            assert abs(steinsolve.stein_residual(sol, x)) <= 1e-10
+        gaps = [abs(sol.value(x) - sol.value_tail_form(x)) for x in (0.1, 1.0, 10.0)]
+        assert max(gaps) > 1e-8
+
 
 class TestDerivativeBounds:
     def test_stage_parameters_shift(self):
