@@ -164,8 +164,7 @@ def moment(spec: ProductSpec, k: int) -> float:
 @dataclass(frozen=True)
 class ClosedForm:
     """p(x) = exp(log_c + alpha log|x|) Phi_nu(rate |x|^power) with Phi = e^{-z} (``phi``
-    "e", the reduced rows G^{1,0}_{0,1}) or K_nu ("k", G^{2,0}_{0,2}), the one term of a
-    ``funcs.BesselPowerComb`` of kind ``phi`` and coefficient exp(log_c)."""
+    "e", the reduced rows G^{1,0}_{0,1}) or K_nu ("k", G^{2,0}_{0,2})."""
 
     log_c: float
     alpha: float

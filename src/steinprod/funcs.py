@@ -158,19 +158,18 @@ class BoundedRational:
 
 
 class BesselPowerComb:
-    """sum_i c_i x^{alpha_i} Phi_{nu_i}(rate * x^power) with Phi in {K, I, e^{-z}}.
+    """sum_i c_i x^{alpha_i} Phi_{nu_i}(rate * x^power) with Phi in {K, I}.
 
     Closed under differentiation through the recurrences
-    K' = -(K_{nu-1}+K_{nu+1})/2, I' = (I_{nu-1}+I_{nu+1})/2 and
-    (e^{-z})' = -e^{-z} (one term per step; nu is unused), so exact
-    derivatives of the closed-form densities and of homogeneous solutions
-    are available to any order.
+    K' = -(K_{nu-1}+K_{nu+1})/2 and I' = (I_{nu-1}+I_{nu+1})/2, so exact
+    derivatives of the Stein solver's homogeneous solutions are available
+    to any order.
     """
 
     max_order = math.inf
 
     def __init__(self, terms, rate: float, power: float = 1.0):
-        # terms: iterable of (coeff, alpha, nu, kind) with kind "k", "i" or "e"
+        # terms: iterable of (coeff, alpha, nu, kind) with kind "k" or "i"
         self.rate = rate
         self.power = power
         self._levels = [self._merge(terms)]
@@ -188,10 +187,8 @@ class BesselPowerComb:
         for c, alpha, nu, kind in terms:
             if alpha != 0.0:
                 new.append((c * alpha, alpha - 1.0, nu, kind))
-            scale = c * self.rate * self.power
-            steps = [(-1.0, nu)] if kind == "e" else [(-0.5 if kind == "k" else 0.5, nu + d)
-                                                       for d in (-1.0, 1.0)]
-            new.extend((sign * scale, alpha + self.power - 1.0, v, kind) for sign, v in steps)
+            scale = (-0.5 if kind == "k" else 0.5) * c * self.rate * self.power
+            new.extend((scale, alpha + self.power - 1.0, nu + d, kind) for d in (-1.0, 1.0))
         return self._merge(new)
 
     def _terms(self, k: int):
@@ -202,7 +199,7 @@ class BesselPowerComb:
     def deriv(self, x, k: int = 0, bessel: dict | None = None):
         """k-th derivative at x.
 
-        ``bessel`` maps (nu, kind) to Phi_nu(rate * x^power) at this x (e^{-z} for "e");
+        ``bessel`` maps (nu, kind) to Phi_nu(rate * x^power) at this x;
         it is filled in place, so derivatives of several orders (or of
         several combinations with the same rate and power) at one x share
         their Bessel evaluations.
@@ -217,8 +214,7 @@ class BesselPowerComb:
             # K_{-nu} = K_nu and I_{-n} = I_n for integer n
             key = (abs(nu) if kind == "k" or nu == round(nu) else nu, kind)
             if key not in cache:
-                cache[key] = (np.exp(-arg) if kind == "e" else
-                              (bessel_k if kind == "k" else bessel_i)(key[0], arg))
+                cache[key] = (bessel_k if kind == "k" else bessel_i)(key[0], arg)
             out = out + c * xs**alpha * cache[key]
         return out if np.ndim(x) else float(out)
 

@@ -191,7 +191,7 @@ class PolyDiffOp:
 
         ``x`` may be a scalar or a numpy array; the handle decides.
         """
-        if self.max_derivative_demand() > getattr(f, "max_order", math.inf):
+        if self.order > getattr(f, "max_order", math.inf):
             raise ValueError("function handle cannot supply the required order")
         out = None
         for (k, j), c in sorted(self._terms.items()):
@@ -200,9 +200,6 @@ class PolyDiffOp:
         if out is None:
             return 0.0 * x
         return out
-
-    def max_derivative_demand(self) -> int:
-        return self.order
 
     def apply_to_monomial(self, m: int) -> dict:
         """Exact action on x^m, returned as {power: coefficient}.

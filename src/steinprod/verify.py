@@ -15,7 +15,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import dist, funcs
-from .steinops import ProductSpec, adjoint_ode, adjoint_sides, build_stein, reduce_order
+from .opalg import stirling2
+from .specfun import meijer_g_batch
+from .steinops import ProductSpec, adjoint_sides, build_stein, reduce_order
 
 REPORT_VERSION = 1
 
@@ -204,96 +206,50 @@ def reduced_full_mc_compare(spec: ProductSpec, f, samples: int,
 # adjoint ODE residuals
 # ---------------------------------------------------------------------------
 
-def _fornberg(z: float, xs: np.ndarray, m: int) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at z on nodes xs."""
-    n = len(xs)
-    c = np.zeros((n, m + 1))
-    c1 = 1.0
-    c4 = xs[0] - z
-    c[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = xs[i] - z
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
-
-
-def _log_derivatives(values_fn, x: float, imax: int, h: float,
-                     points: int = 13) -> np.ndarray:
-    """d^i/dt^i of p(e^t) at t = ln x for i = 0..imax, Richardson-refined."""
-    t0 = math.log(x)
-    half = points // 2
-    offsets = np.arange(-half, half + 1)
-
-    def table(step: float) -> np.ndarray:
-        ts = t0 + step * offsets
-        vals = values_fn(np.exp(ts))
-        return np.array([
-            _fornberg(t0, ts, i) @ vals for i in range(imax + 1)])
-
-    coarse = table(h)
-    fine = table(0.5 * h)
-    out = np.empty(imax + 1)
-    for i in range(imax + 1):
-        order = points - i - (points - i) % 2
-        w = 2.0**order
-        out[i] = (w * fine[i] - coarse[i]) / (w - 1.0)
-    return out
-
-
-_FD_STEP = 0.08  # log-coordinate step of the coarse finite-difference stencil
-
-
 def adjoint_residual_scan(spec: ProductSpec, grid,
                           tolerance: float | None = None) -> VerificationReport:
     """max |A* p| / max |p| over the grid for the density-annihilating ODE.
 
-    Where the density has a closed form (``DensityEvaluator.closed``, when
-    its reduced G rows are G^{1,0}_{0,1} or G^{2,0}_{0,2}) the operator is
-    applied exactly to its x-dependence, a ``funcs.BesselPowerComb``;
-    otherwise derivatives are taken by finite differences in log
-    coordinates, where the operator is a polynomial in theta = x d/dx and
-    stencils never cross the origin.
+    p = K G(z) at z = kappa |x|^h, and theta = x d/dx acts on it as h z d/dz,
+    so theta^i p / K = h^i sum_k S(i, k) z^k G^(k)(z) with Stirling numbers
+    of the second kind and every G^(k) exact from ``meijer_g_batch``; K
+    cancels in the ratio.  Each side x^j P(theta) of ``adjoint_sides`` is a
+    sum of terms c_i h^i S(i, k) x^j z^k G^(k).  Their cancellation ratio
+    R = max sum |terms| / max |p| scales the G engine's error ``ev.tol``:
+    where ev.tol * R exceeds the tolerance the scan cannot resolve a
+    residual that small, and the report says "unresolved" and fails.
     """
     grid = np.asarray(grid, dtype=float)
     excluded = int(np.sum(np.abs(grid) < 1e-12))
     grid = grid[np.abs(grid) >= 1e-12]  # the origin is singular for most densities
-    ode = adjoint_ode(spec)
     ev = dist.density(spec)
-    if ev.closed is not None:  # p over its constant, which may leave the float range
-        c = ev.closed
-        p = funcs.BesselPowerComb([(1.0, c.alpha, c.nu, c.phi)], c.rate, c.power)
-        pvals, residuals, method = p(grid), ode.apply(p, grid), "analytic"
-    else:
-        pvals, method = ev.batch(grid), f"log-fd(h={_FD_STEP})"
-        # each side of lhs p = rhs p is x^j P(theta): P's coefficients dot theta^i p
-        (j1, p1), (j2, p2) = [(side.xpow, np.array(side.theta_coeffs(), dtype=float))
-                              for side in adjoint_sides(spec)]
-        imax = max(len(p1), len(p2)) - 1
-        residuals = np.empty_like(grid)
-        for idx, x in enumerate(grid):
-            th = _log_derivatives(ev.batch, float(x), imax, _FD_STEP)
-            residuals[idx] = x**j1 * (p1 @ th[: len(p1)]) - x**j2 * (p2 @ th[: len(p2)])
+    sides = adjoint_sides(spec)
+    order = max(len(side.roots) for side in sides)
+    z = ev.argument(grid)
+    # rows z^k G^(k)(z) for k = 0..order; row 0 is p / K
+    zg = np.array([z**k * meijer_g_batch(ev.reduced, z, ev.tol, deriv=k)
+                   for k in range(order + 1)])
+    residuals, magnitudes = np.zeros_like(grid), np.zeros_like(grid)
+    for sign, side in zip((1.0, -1.0), sides):
+        weights = np.zeros((len(side.roots) + 1, order + 1))  # c_i h^i S(i, k)
+        for i, c in enumerate(side.theta_coeffs()):
+            for k in range(i + 1):
+                weights[i, k] = float(c) * ev.power**i * stirling2(i, k)
+        terms = weights[:, :, None] * zg * grid**side.xpow
+        residuals += sign * terms.sum(axis=(0, 1))
+        magnitudes += np.abs(terms).sum(axis=(0, 1))
     tol = tolerance if tolerance is not None else (1e-8 if ev.closed else 1e-4)
-    worst = float(np.max(np.abs(residuals)) / np.max(np.abs(pvals)))
+    p_max = np.max(np.abs(zg[0]))
+    worst = float(np.max(np.abs(residuals)) / p_max)
+    ratio = float(np.max(magnitudes) / p_max)
+    resolved = ev.tol * ratio <= tol
+    status = f"R = {ratio:.1e}" if resolved else f"unresolved (R = {ratio:.1e})"
     note = f", {excluded} origin point(s) excluded" if excluded else ""
     return VerificationReport(
         test_id=f"adjoint-ode[{spec.describe()}]",
         estimate=worst, standard_error=0.0, tolerance=tol,
-        samples=len(grid), seed=0, passed=worst <= tol,
-        details=f"order {ode.order}, {method}, grid [{grid[0]:g}, {grid[-1]:g}]{note}")
+        samples=len(grid), seed=0, passed=resolved and worst <= tol,
+        details=f"order {order}, {status}, grid [{grid[0]:g}, {grid[-1]:g}]{note}")
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +329,7 @@ def standard_suite(spec: ProductSpec, samples: int = 200_000, seed: int = 1,
         ev = dist.density(spec)
         if spec.N >= 1:
             grid = np.linspace(0.2, max(min(ev.tail_cut(25.0), 8.0), 1.0), 25)
-        else:  # log-fd stencils reach x e^{+-0.48}: stay inside a compact support
+        else:  # a compact support ends where the G argument reaches 1: stay inside it
             grid = np.geomspace(0.05, 0.6 * ev.tail_cut() if spec.n == 0 else 10.0, 25)
         reports.append(adjoint_residual_scan(spec, grid))
     if "mellin" in suites:

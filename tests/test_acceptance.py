@@ -267,7 +267,7 @@ def test_criterion_9_adjoint_ode_residuals():
     _report(9, "adjoint ODE annihilates densities",
             rep_n.passed and rep_pg.passed and rep_xyz.passed,
             f"normal {rep_n.estimate:.1e}, PG {rep_pg.estimate:.1e}, "
-            f"XYZ(fd) {rep_xyz.estimate:.1e}")
+            f"XYZ {rep_xyz.estimate:.1e}")
 
 
 def test_criterion_10_tail_asymptotics():

@@ -187,14 +187,6 @@ class TestBatchedSweep:
         # K_{-nu} = K_nu: orders 0..3 need nu = 1.5 +- 0..3 once per kind
         assert sorted(nu for nu, kind in shared if kind == "k") == [0.5, 1.5, 2.5, 3.5, 4.5]
 
-    def test_exponential_kind_matches_poly_exp(self):
-        # x^2 e^{-1.5 x}: (e^{-z})' = -e^{-z} adds one term per derivative
-        comb = funcs.BesselPowerComb([(1.0, 2.0, 0.0, "e")], 1.5, 1.0)
-        ref = funcs.PolyExp([0.0, 0.0, 1.0], [0.0, -1.5])
-        xs = np.array([0.03, 0.7, 3.3, 30.0])  # no root of a derivative
-        for k in range(6):
-            np.testing.assert_allclose(comb.deriv(xs, k), ref.deriv(xs, k), rtol=1e-13)
-
 
 class TestResidual:
     @pytest.mark.parametrize("r1,r2,lam", CASES)
