@@ -14,9 +14,9 @@ With the power h = j_R - j_L its solution is
 
 the transform of p(x) = K G^{q,0}_{p,q}(kappa |x|^h | a; b) over its support
 (w = 2 on the line when a normal factor is present, w = 1 on x > 0
-otherwise).  M(1) = 1 fixes K.  A normal factor gives h = 2, otherwise
-h = 1; a generalised-gamma product (power q, not yet evaluated) would give
-h = q, b = (r - 1)/q and kappa = lam^{qn}.
+otherwise).  M(1) = 1 fixes K.  A normal factor gives h = 2, a
+generalised-gamma product (power q) h = q, b = (r - 1)/q and
+kappa = lam^{qn}, and every other product h = 1.
 
 ``NumericCdf`` takes the distribution function from the survival function,
 one more G-function.
@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quad
-from .specfun import (MeijerGParams, NumericalError, asymptotic_g, bessel_k,
-                      meijer_g_batch, reduce_params)
+from .specfun import (MeijerGParams, NumericalError, _log_asymptotic_g, asymptotic_g,
+                      bessel_k, meijer_g_batch, reduce_params)
 from .steinops import ProductSpec, stein_sides
 
 _LN2 = math.log(2.0)
@@ -141,7 +141,7 @@ def mellin_gform_log(spec: ProductSpec, s: float) -> float:
     return ev.log_const + _log_g_mellin(ev.g_params, ev.arg_coeff, ev.power, spec.symmetric, s)
 
 
-def _log_g_mellin(params: MeijerGParams, kappa: float, h: int, symmetric: bool,
+def _log_g_mellin(params: MeijerGParams, kappa: float, h: float, symmetric: bool,
                   s: float) -> float:
     """log int x^{s-1} G(kappa |x|^h | a; b) dx over the support, the line when symmetric:
     (w/h) kappa^{-s/h} prod Gamma(b + s/h) / prod Gamma(a + s/h), w = 2 or 1."""
@@ -185,9 +185,10 @@ class DensityEvaluator:
     """Density K G(kappa |x|^h | a; b) of a product: ``batch`` is the one evaluation path.
 
     ``density`` reads every field off the Stein operator's theta-form sides:
-    the rows ``g_params``, kappa = ``arg_coeff`` and the integer ``power``
+    the rows ``g_params``, kappa = ``arg_coeff`` and the ``power``
     h = j_R - j_L, the difference of the sides' x-powers (2 with a normal
-    factor, 1 otherwise); M(1) = 1 fixes K = exp(``log_const``).  The
+    factor, q for generalised gammas, 1 otherwise); M(1) = 1 fixes
+    K = exp(``log_const``).  The
     support is the line when ``spec.symmetric`` (a normal factor), x > 0
     otherwise.  ``batch`` evaluates the ``closed`` form in logs, if any, and
     the reduced G-function in one ``meijer_g_batch`` call at every other
@@ -199,7 +200,7 @@ class DensityEvaluator:
     g_params: MeijerGParams
     log_const: float
     arg_coeff: float
-    power: int
+    power: float
     reduced: MeijerGParams = field(init=False)
     closed: ClosedForm | None = field(init=False)
     tol: float = 1e-11
@@ -221,9 +222,9 @@ class DensityEvaluator:
         return _exp_const(self.log_const, self.spec)
 
     def argument(self, x):
-        """The G argument kappa |x|^h (kappa x^h off a positive support); inf past the float range."""
+        """The G argument kappa |x|^h, on either support; inf past the float range."""
         with np.errstate(over="ignore"):
-            return self.arg_coeff * (np.abs(x) if self.spec.symmetric else x) ** self.power
+            return self.arg_coeff * np.abs(x) ** self.power
 
     # -- small-argument structure ------------------------------------------
 
@@ -324,9 +325,7 @@ def _gamma_sign(v: float) -> int:
 
 
 def density(spec: ProductSpec) -> DensityEvaluator:
-    """Density evaluator for any q = 1 product, read off ``stein_sides`` (module docstring)."""
-    if spec.q != 1:
-        raise ValueError("densities implemented for q = 1")
+    """Density evaluator for any product spec, read off ``stein_sides`` (module docstring)."""
     lhs, rhs = stein_sides(spec)
     h, shift = rhs.xpow - lhs.xpow, lhs.xpow + 1
     params = MeijerGParams.upper_zero([(v - shift) / h for v in rhs.roots],
@@ -341,6 +340,10 @@ def normalization(spec: ProductSpec, tol: float = 1e-8) -> float:
     """Numerical integral of the density over its support."""
     ev = density(spec)
     x_tail = ev.tail_cut(38.0)
+    # push the cut out until the mass beyond it, about x p(x), is negligible
+    while ev.reduced.q > ev.reduced.p and ev.log_const + math.log(x_tail) + float(
+            _log_asymptotic_g(ev.reduced, ev.argument(x_tail))) > math.log(1e-3 * tol):
+        x_tail *= 2.0
     # split where the G argument reaches ~0.5 so the singular head is isolated;
     # compact support (q = p) has a singular end at x_tail too
     x_head = min((0.5 / ev.arg_coeff) ** (1.0 / ev.power), 0.5 * x_tail)
@@ -362,8 +365,8 @@ def char_function(spec: ProductSpec, t: float, tol: float = 1e-9) -> float:
     elsewhere (panels no wider than a quarter period), the nodes of every
     Gauss panel in one density batch.
     """
-    if spec.q != 1 or spec.N < 1:
-        raise ValueError("characteristic function requires a normal factor and q = 1")
+    if spec.N < 1:
+        raise ValueError("characteristic function requires a normal factor")
     if t == 0.0:
         return 1.0
     t = abs(t)
@@ -392,7 +395,7 @@ def char_function_closed(spec: ProductSpec, t: float) -> float:
     Available for the pure product-normal cases N = 1 (Gaussian cf) and
     N = 2 (algebraic cf); used to cross-check the quadrature route.
     """
-    if spec.m or spec.n or spec.q != 1:
+    if spec.m or spec.n:
         raise ValueError("closed cf available for pure normal products only")
     s2t2 = (spec.sigma * t) ** 2
     if spec.N == 1:
@@ -421,7 +424,7 @@ def tail_constant(spec: ProductSpec) -> float:
 
 def tail_asymptotic(spec: ProductSpec, x: float) -> float:
     """Leading tail behaviour of the density for |x| large (N >= 1)."""
-    if spec.q != 1 or spec.N < 1:
+    if spec.N < 1:
         raise ValueError("tail asymptotics implemented for symmetric products")
     ev = density(spec)
     y = float(ev.argument(np.array([x]))[0])
@@ -452,7 +455,9 @@ class NumericCdf:
 
     def __call__(self, x) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        y = self.ev.argument(xs)  # < 0 left of a positive support, 0 at (or underflowing to) 0
+        if not self.ev.spec.symmetric:
+            xs = np.maximum(xs, 0.0)  # left of a positive support is its left end
+        y = self.ev.argument(xs)  # 0 at (or underflowing to) x = 0
         tail = np.where(y == 0, 1.0, 0.0)  # mass beyond |x|: P(W > x) or P(|W| > |x|)
         tail[np.isnan(y)] = np.nan
         live = (y > 0) & (y < math.inf)

@@ -244,8 +244,6 @@ def reduce_order(spec: ProductSpec) -> SteinOperatorBundle:
     coincidences; it still annihilates in expectation, pointwise equal to
     the full operator on the transformed function.
     """
-    if spec.q != 1:
-        raise ValueError("order reduction applies to q = 1 products")
     if spec.N == 0:
         if spec.m == 0:
             raise ValueError("order reduction needs beta factors")
@@ -271,10 +269,8 @@ def adjoint_sides(spec: ProductSpec) -> tuple[ThetaOp, ThetaOp]:
     Both are scaled so that lhs is monic with x-power 0.  For N >= 1 this
     is T_0^N B_{-a} B_{1-a} B_{-r} B_{1-r} p
     = (-1)^N s^{-2} lam^{2n} x^2 B_{2-a-b} B_{3-a-b} p, and for N = 0
-    (positive support) B_{1-a} B_{1-r} p = (-1)^n lam^n x B_{2-a-b} p.
+    (positive support) B_{1-a} B_{1-r} p = (-1)^n (q lam^q)^n x^q B_{2-a-b} p.
     """
-    if spec.q != 1:
-        raise ValueError("adjoint ODE applies to q = 1 products")
     lhs, rhs = (side.adjoint() for side in stein_sides(spec))
     return tuple(ThetaOp(_ratio(side.coeff, lhs.coeff), side.xpow - lhs.xpow, side.roots)
                  for side in (lhs, rhs))

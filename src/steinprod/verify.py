@@ -306,21 +306,12 @@ SUITES = ("stein", "adjoint", "mellin", "ks")
 
 
 def standard_suite(spec: ProductSpec, samples: int = 200_000, seed: int = 1,
-                   suites: tuple[str, ...] | None = None,
+                   suites: tuple[str, ...] = SUITES,
                    workers: int = 1) -> list[VerificationReport]:
-    """Run the named suites; ``None`` runs every suite that applies to the spec.
-
-    The adjoint, Mellin and KS suites need the density, which exists for
-    q = 1 only; naming one of them for a q != 1 spec raises ValueError.
-    """
-    if suites is None:
-        suites = SUITES if spec.q == 1 else ("stein",)
+    """Run the named suites, by default all of them; every spec has them all."""
     for name in suites:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-        if name != "stein" and spec.q != 1:
-            raise ValueError(f"suite {name!r} needs the density, which is "
-                             f"implemented for q = 1 only (q = {spec.q})")
     reports = []
     if "stein" in suites:
         fam = default_family(spec)

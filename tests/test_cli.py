@@ -3,12 +3,13 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from steinprod import dist
+from steinprod import dist, verify
 from steinprod.cli import SpecError, load_spec, main, parse_grid
 from steinprod.specfun import NumericalError
 
@@ -107,6 +108,19 @@ class TestCommands:
             "lhs": {"coeff": 1.0, "xpow": 0.0, "roots": [2.0]},
             "rhs": {"coeff": 1.5, "xpow": 1.5, "roots": []}}}
 
+    def test_operator_adjoint_non_integer_q_is_one(self, spec_file, capsys):
+        payload = {"version": 1, "gamma": {"shapes": [2.0], "lambda": 1.0}, "q": 1.5}
+        rc = main(["operator", "--spec", spec_file(payload), "--adjoint"])
+        assert rc == 1
+        assert "x-power 1.5 is not an integer" in capsys.readouterr().err
+
+    def test_operator_adjoint_integer_q(self, spec_file, capsys):
+        # p = 2 x exp(-x^2): x p' = p - 2 x^2 p
+        payload = {"version": 1, "gamma": {"shapes": [2.0], "lambda": 1.0}, "q": 2.0}
+        rc = main(["operator", "--spec", spec_file(payload), "--adjoint"])
+        assert rc == 0
+        assert "density ODE: 1 x D + 2 x^2 - 1" in capsys.readouterr().out
+
     def test_sample_csv(self, spec_file, tmp_path):
         out = tmp_path / "w.csv"
         rc = main(["sample", "--spec", spec_file(PN1), "--count", "100",
@@ -174,21 +188,29 @@ class TestExitCodes:
         data = json.loads(out.read_text())
         assert data["reports"][0]["passed"] is True
 
-    @pytest.mark.parametrize("suite", ["adjoint", "mellin", "ks"])
-    def test_verify_suite_needing_density_rejects_q(self, spec_file, capsys, suite):
-        payload = {"version": 1, "gamma": {"shapes": [1.0, 1.0], "lambda": 1.0}, "q": 2.0}
-        rc = main(["verify", "--spec", spec_file(payload), "--suite", suite])
-        assert rc == 1
-        assert f"suite '{suite}'" in capsys.readouterr().err
-
     def test_verify_all_runs_applicable_suites(self, spec_file, tmp_path):
         payload = {"version": 1, "gamma": {"shapes": [1.0, 1.0], "lambda": 1.0}, "q": 2.0}
         out = tmp_path / "report.json"
         rc = main(["verify", "--spec", spec_file(payload), "--suite", "all",
                    "--samples", "20000", "--out", str(out)])
         assert rc == 0
-        ids = [r["test_id"] for r in json.loads(out.read_text())["reports"]]
-        assert len(ids) == 1 and ids[0].startswith("mc-stein")
+        reports = json.loads(out.read_text())["reports"]
+        assert [r["test_id"].split("[")[0] for r in reports] == [
+            "mc-stein", "adjoint-ode", "mellin-equality", "sampler-ks"]
+        assert all(r["passed"] for r in reports)
+
+    def test_verify_unresolved_is_not_fail(self, spec_file, capsys, monkeypatch):
+        real = verify.adjoint_residual_scan
+
+        def unresolved(*args, **kwargs):
+            return replace(real(*args, **kwargs), passed=False,
+                           details="order 10, unresolved (R = 3.0e+10), grid [0.2, 8]")
+
+        monkeypatch.setattr(verify, "adjoint_residual_scan", unresolved)
+        rc = main(["verify", "--spec", spec_file(PN1), "--suite", "adjoint"])
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert out.startswith("[unresolved] adjoint-ode[") and "[FAIL]" not in out
 
     def test_unknown_test_function(self, capsys):
         rc = main(["stein-solve", "--r1", "1", "--r2", "1", "--lam", "1",

@@ -313,6 +313,23 @@ class TestSuite:
         assert len(reports) == 4
         assert all(r.passed for r in reports)
 
+    @pytest.mark.parametrize("spec", [
+        *(ProductSpec(gamma_shapes=(1.4, 2.45), lam=1.3, q=q) for q in (0.5, 2.0, 3.0)),
+        *(ProductSpec(gamma_shapes=(0.9, 1.7, 2.6), lam=0.8, q=q) for q in (0.5, 2.0, 3.0)),
+    ], ids=lambda s: s.describe())
+    def test_generalised_gamma_all_pass(self, spec):
+        reports = verify.standard_suite(spec, samples=200_000, seed=3)
+        assert [r.test_id.split("[")[0] for r in reports] == [
+            "mc-stein", "adjoint-ode", "mellin-equality", "sampler-ks"]
+        assert all(r.passed for r in reports), [(r.test_id, r.estimate, r.tolerance, r.details)
+                                                for r in reports]
+
+    @pytest.mark.parametrize("q", [0.5, 2.0, 3.0])
+    def test_generalised_gamma_ks_at_200k(self, q):
+        spec = ProductSpec(gamma_shapes=(0.9, 1.7, 2.6), lam=0.8, q=q)
+        rep = verify.sampler_density_ks(spec, 200_000, seed=11)
+        assert rep.passed, (rep.estimate, rep.tolerance)
+
     def test_suite_determinism(self):
         a = [r.to_dict() for r in verify.standard_suite(XYZ, 20_000, seed=9,
                                                         suites=("stein",))]
