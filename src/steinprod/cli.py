@@ -181,10 +181,7 @@ def cmd_stein_solve(args) -> int:
     h = maker()
     sol = steinsolve.solve_stein_pg(args.r1, args.r2, args.lam, h)
     grid = parse_grid(args.grid)
-    rows = []
-    for x in grid:
-        x = float(x)
-        rows.append((x, sol.value(x), steinsolve.stein_residual(sol, x)))
+    rows = zip(grid.tolist(), sol.values(grid).tolist(), steinsolve.stein_residuals(sol, grid).tolist())
     write_csv(args.out, ["x", "f", "residual"], rows)
     return 0
 

@@ -160,8 +160,9 @@ class BoundedRational:
 class BesselPowerComb:
     """sum_i c_i x^{alpha_i} Phi_{nu_i}(rate * x^power) with Phi in {K, I}.
 
-    Closed under differentiation through the recurrences
-    K' = -(K_{nu-1}+K_{nu+1})/2 and I' = (I_{nu-1}+I_{nu+1})/2, so exact
+    Closed under differentiation through the one-sided recurrences
+    I'_nu = I_{nu+1} + (nu/z) I_nu and K'_nu = -K_{nu+1} + (nu/z) K_nu
+    (DLMF 10.29.2): order k needs Phi_nu, ..., Phi_{nu+k} only, so exact
     derivatives of the Stein solver's homogeneous solutions are available
     to any order.
     """
@@ -183,12 +184,12 @@ class BesselPowerComb:
         return [(c, a, n, k) for (a, n, k), c in out.items() if c != 0.0]
 
     def _differentiate(self, terms):
+        # (x^a Phi_nu(z))' = (a + nu power) x^{a-1} Phi_nu +- rate power x^{a+power-1} Phi_{nu+1}
         new = []
         for c, alpha, nu, kind in terms:
-            if alpha != 0.0:
-                new.append((c * alpha, alpha - 1.0, nu, kind))
-            scale = (-0.5 if kind == "k" else 0.5) * c * self.rate * self.power
-            new.extend((scale, alpha + self.power - 1.0, nu + d, kind) for d in (-1.0, 1.0))
+            new.append((c * (alpha + nu * self.power), alpha - 1.0, nu, kind))
+            sign = -1.0 if kind == "k" else 1.0
+            new.append((sign * c * self.rate * self.power, alpha + self.power - 1.0, nu + 1.0, kind))
         return self._merge(new)
 
     def _terms(self, k: int):
@@ -211,11 +212,9 @@ class BesselPowerComb:
         cache = {} if bessel is None else bessel
         out = np.zeros_like(xs)
         for c, alpha, nu, kind in self._terms(k):
-            # K_{-nu} = K_nu and I_{-n} = I_n for integer n
-            key = (abs(nu) if kind == "k" or nu == round(nu) else nu, kind)
-            if key not in cache:
-                cache[key] = (bessel_k if kind == "k" else bessel_i)(key[0], arg)
-            out = out + c * xs**alpha * cache[key]
+            if (nu, kind) not in cache:
+                cache[nu, kind] = (bessel_k if kind == "k" else bessel_i)(nu, arg)
+            out = out + c * xs**alpha * cache[nu, kind]
         return out if np.ndim(x) else float(out)
 
     def __call__(self, x):

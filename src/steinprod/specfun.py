@@ -242,8 +242,8 @@ def _k_quadrature(nu: float, x: np.ndarray) -> np.ndarray:
         if in_logs:  # x cosh t = (x 2^-e) (2^e cosh t); a sum past the float range is inf
             with np.errstate(over="ignore"):
                 out[rows] = np.exp(w - np.ldexp(x[rows], -e)[:, None] * nodes).sum(axis=1)
-        else:
-            out[rows] = np.exp(-x[rows, None] * nodes) @ w
+        else:  # not BLAS: a gemv row's bits depend on its place in the batch
+            out[rows] = np.einsum("ij,j->i", np.exp(-x[rows, None] * nodes), w)
     return out
 
 

@@ -17,8 +17,9 @@ An equivalent form replaces J_K by minus its tail integral (the full
 integral vanishes because t^{s-1} K_d(2 lam sqrt(t)) is proportional to
 the density of Y); both are implemented and compared.  Derivatives of f
 are taken analytically: the J-derivative contributions collapse through
-the Wronskian, leaving only Bessel-prefactor derivatives.  So the Stein
-residual checks the prefactors' Bessel orders but not J: with J_I and J_K
+the Wronskian, leaving only Bessel-prefactor derivatives: orders d, d+1,
+d+2 of each kind and one table of the one-sided ladder (``_ladder``).  So
+the Stein residual checks the prefactors' Bessel orders but not J: with J_I and J_K
 both replaced by 1.5 J + 0.3 (on r = (2, 0.5), lam = 1, h = sin), f(0.05)
 moves from -0.30 to -96.8 while the residual stays below 2e-13.  What sees
 J is the gap between the two forms: 1.3, 0.61 and 2.5 at x = 0.1, 1 and 10
@@ -27,10 +28,10 @@ under that change, and 3.6e-7 when J_K alone is scaled by 1 + 1e-6.
 J_I and J_K are read off one table per solution: the accepted leaves of
 the adaptive rule in u = sqrt(t) on fixed cells (``SteinSolution._grow``),
 with J at each leaf start.  J at a point is that plus one 16-node panel;
-the panels of a call share one integrand call, one I and one K per node.
-The prefactor Bessel values and J at the last points are kept, so
-``value(x)`` and ``derivative(x, k)`` at one x share them.  The tail
-form integrates its K-kernel tail separately, never from the table.
+the panels of a call share one I and one K call, which also gives I_d and
+K_d at the points.  J and the Bessel rows of the last points are kept, so
+``value(x)``, ``derivative(x, k)`` and ``stein_residual`` at one x share
+them.  The tail form integrates its K-kernel tail separately.
 """
 
 from __future__ import annotations
@@ -133,15 +134,14 @@ class SteinSolution:
         self.s = 0.5 * (self.r1 + self.r2)
         self.delta = abs(self.r1 - self.r2)
         two_lam = 2.0 * self.lam
-        self._kpre = BesselPowerComb([(1.0, -self.s, self.delta, "k")], two_lam, 0.5)
-        self._ipre = BesselPowerComb([(1.0, -self.s, self.delta, "i")], two_lam, 0.5)
+        self._ladder = _ladder(self.s, self.delta, self.lam)
         # J table (see _grow): cell edges; leaf starts and the top; J at each of those
         octaves = np.append(np.ldexp(1.0, np.arange(-12, 10)), _Z_CAP) / two_lam
         kinks = np.sqrt(np.asarray(getattr(self.h, "breaks", ()), dtype=float))
         self._cells = np.union1d(octaves, kinks[kinks < octaves[-1]])
         self._edge, self._j0 = np.zeros(1), np.zeros((2, 1))
-        # the last points asked for, their prefactor Bessel values and J
-        self._key, self._bessel, self._j = b"", {}, np.zeros((2, 0))
+        # the last points asked for, J and the Bessel rows (I_{d+j}, K_{d+j}) there
+        self._key, self._j, self._rows = b"", np.zeros((2, 0)), [np.zeros((2, 0))]
 
     # -- centred test function ------------------------------------------------
 
@@ -154,13 +154,12 @@ class SteinSolution:
         """Common factor of the J integrands in u = sqrt(t)."""
         return 2.0 * u ** (2.0 * self.s - 1.0) * self.h_tilde(u * u)
 
-    def _integrand(self, u):
-        """(J_I, J_K) integrands: one bessel_i and one bessel_k per node."""
+    def _kernels(self, u, order: float = 0.0):
+        """(I_{d+order}, K_{d+order}) at 2 lam u: one bessel_i and one bessel_k call."""
         from .specfun import bessel_i, bessel_k
 
         arg = 2.0 * self.lam * u
-        base = self._weight(u)
-        return np.stack([base * bessel_i(self.delta, arg), base * bessel_k(self.delta, arg)])
+        return np.stack([bessel_i(self.delta + order, arg), bessel_k(self.delta + order, arg)])
 
     def _grow(self, u_max: float) -> None:
         """Extend the table over whole cells up to the first cell edge >= u_max.
@@ -174,7 +173,7 @@ class SteinSolution:
         top, cells = self._edge[-1], self._cells
         edges = np.r_[top, cells[(cells > top) & (cells <= cells[np.searchsorted(cells, u_max)])]]
         _, lo, leaf = (np.concatenate(part, axis=-1) for part in zip(*quad._accepted(
-            self._integrand, edges[:-1], edges[1:], self.tol * 0.005, 1e-11)))
+            lambda u: self._weight(u) * self._kernels(u), edges[:-1], edges[1:], self.tol * 0.005, 1e-11)))
         order = np.argsort(lo)
         self._edge = np.concatenate([self._edge[:-1], lo[order], edges[-1:]])
         carried = np.cumsum(np.concatenate([self._j0[:, -1:], leaf[:, order]], axis=1), axis=1)
@@ -182,8 +181,10 @@ class SteinSolution:
 
     def _j_values(self, xs: np.ndarray) -> np.ndarray:
         """(J_I, J_K) at every x, shape (2, n): J at the start of the point's leaf plus
-        one Gauss-Legendre panel from there, every panel in one call.  Beyond the
-        cap, reached only by ``derivative`` and ``value_tail_form``, a panel starts at the cap."""
+        one Gauss-Legendre panel from there.  Beyond the cap, reached only by
+        ``derivative`` and ``value_tail_form``, a panel starts at the cap.  Each point's
+        own argument joins its panel's Bessel calls (256 points a call): its I_d and K_d
+        start ``_rows`` over."""
         if np.any(xs < 0):
             raise ValueError("x must be nonnegative")
         u = np.sqrt(xs)
@@ -193,9 +194,19 @@ class SteinSolution:
         leaf = np.searchsorted(self._edge, u, side="right") - 1
         start = self._edge[leaf]
         j = self._j0[:, leaf]
-        part = np.flatnonzero(u > start)
-        if part.size:
-            j[:, part] += quad._gl_panels(self._integrand, start[part], u[part])
+        node, w = quad.gauss_legendre(16)
+        own = np.empty((2, u.size))
+        for lo in range(0, u.size, quad._CHUNK_PANELS):
+            sl = slice(lo, lo + quad._CHUNK_PANELS)
+            part = u[sl] > start[sl]  # no panel for a point at its leaf start
+            a, b = start[sl][part], u[sl][part]
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            nodes = (mid[:, None] + half[:, None] * node).ravel()
+            kern = self._kernels(np.concatenate([nodes, u[sl]]))
+            own[:, sl] = kern[:, nodes.size:]
+            vals = (self._weight(nodes) * kern[:, :nodes.size]).reshape(2, -1, 16)
+            j[:, sl][:, part] += half * np.sum(w * vals, axis=-1)
+        self._rows = [own]
         return j
 
     def _j_tail_k(self, x: float) -> float:
@@ -211,21 +222,20 @@ class SteinSolution:
 
     # -- solution values ---------------------------------------------------------
 
-    def _terms(self, xs: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-        """(I-prefactor, K-prefactor, J_I, J_K) at xs, the prefactors x^{-s} I_d
-        and x^{-s} K_d differentiated order times; the Bessel values and J
-        are kept for the last xs, so they are computed once per x.
-        """
+    def _table(self, xs: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """(prefactor derivatives, shape (2, order + 1, n), and J, shape (2, n)) at xs;
+        J and the Bessel rows are kept for the last xs, so each is computed once per x."""
         key = xs.tobytes()
         if key != self._key:
-            self._key, self._bessel, self._j = key, {}, self._j_values(xs)
-        ji, jk = self._j
-        return (self._ipre.deriv(xs, order, bessel=self._bessel),
-                self._kpre.deriv(xs, order, bessel=self._bessel), ji, jk)
+            self._j, self._key = self._j_values(xs), key
+        while len(self._rows) <= order:
+            self._rows.append(self._kernels(np.sqrt(xs), len(self._rows)))
+        return _prefactors(self._ladder, self.s, xs, self._rows[:order + 1]), self._j
 
     def _combine(self, xs: np.ndarray, order: int) -> np.ndarray:
-        """2 (I-prefactor J_K - K-prefactor J_I), differentiated order times."""
-        ipre, kpre, ji, jk = self._terms(xs, order)
+        """2 (I-prefactor J_K - K-prefactor J_I) differentiated 0..order times, shape
+        (order + 1, n); the h-tilde term of f'' is left to the callers."""
+        (ipre, kpre), (ji, jk) = self._table(xs, order)
         return 2.0 * (ipre * jk - kpre * ji)
 
     def values(self, xs) -> np.ndarray:
@@ -237,24 +247,22 @@ class SteinSolution:
         out = np.empty(xs.shape)
         if np.any(far):
             out[far] = -self.h_tilde(xs[far]) / (self.lam**2 * xs[far])
-        out[~far] = self._combine(xs[~far], 0)
+        out[~far] = self._combine(xs[~far], 0)[0]
         return out
 
     def value(self, x: float) -> float:
         return float(self.values(np.array([float(x)]))[0])
 
     def value_tail_form(self, x: float) -> float:
-        ipre, kpre, ji, _ = self._terms(np.array([float(x)]), 0)
-        return float(-2.0 * kpre[0] * ji[0] - 2.0 * ipre[0] * self._j_tail_k(x))
+        (ipre, kpre), (ji, _) = self._table(np.array([float(x)]), 0)
+        return float(-2.0 * kpre[0, 0] * ji[0] - 2.0 * ipre[0, 0] * self._j_tail_k(x))
 
     def derivative(self, x: float, order: int) -> float:
         """f, f' or f''; J-kernel terms cancel, except h-tilde enters f''."""
         if order > 2:
             raise ValueError("orders above two need the equation itself")
-        lead = float(self._combine(np.array([float(x)]), order)[0])
-        if order == 2:
-            return lead + self.h_tilde(x) / (x * x)
-        return lead
+        lead = float(self._combine(np.array([float(x)]), order)[order, 0])
+        return lead + self.h_tilde(x) / (x * x) if order == 2 else lead
 
     def __call__(self, x):
         out = self.values(np.atleast_1d(np.asarray(x, dtype=float)))
@@ -276,31 +284,57 @@ def solve_stein_pg(r1: float, r2: float, lam: float, h,
     return SteinSolution(r1=r1, r2=r2, lam=lam, h=h, tol=tol)
 
 
-def stein_residual(sol: SteinSolution, x: float) -> float:
-    """x^2 f'' + (1+r1+r2) x f' + (r1 r2 - lam^2 x) f - (h(x) - E h).
+def stein_residuals(sol: SteinSolution, xs) -> np.ndarray:
+    """x^2 f'' + (1+r1+r2) x f' + (r1 r2 - lam^2 x) f - (h(x) - E h) at every x.
 
     The J terms cancel through the Wronskian, so this checks the Bessel
     prefactors only and stays at rounding level for any J; an error in J
-    shows in ``value(x) - value_tail_form(x)`` instead.
+    shows in ``value(x) - value_tail_form(x)`` instead.  Each residual has
+    the bits of the point alone.
     """
-    f = sol.derivative(x, 0)
-    f1 = sol.derivative(x, 1)
-    f2 = sol.derivative(x, 2)
-    return (x * x * f2 + (1.0 + sol.r1 + sol.r2) * x * f1
-            + (sol.r1 * sol.r2 - sol.lam**2 * x) * f - sol.h_tilde(x))
+    xs = np.asarray(xs, dtype=float)
+    f, f1, f2 = sol._combine(xs, 2)
+    h_tilde = sol.h_tilde(xs)
+    return (xs * xs * (f2 + h_tilde / (xs * xs)) + (1.0 + sol.r1 + sol.r2) * xs * f1
+            + (sol.r1 * sol.r2 - sol.lam**2 * xs) * f - h_tilde)
+
+
+def stein_residual(sol: SteinSolution, x: float) -> float:
+    """``stein_residuals`` at one point."""
+    return float(stein_residuals(sol, np.array([float(x)]))[0])
+
+
+def _ladder(s: float, delta: float, lam: float) -> np.ndarray:
+    """c[m, k, j] for k, j <= 2: order k of x^{-s} P_d(2 lam sqrt x), P = I (m = 0)
+    or K (m = 1), is x^{-s-k} sum_j c[m, k, j] x^{j/2} P_{d+j}(2 lam sqrt x)."""
+    c = np.zeros((2, 3, 3))
+    for m, kind in enumerate("ik"):
+        comb = BesselPowerComb([(1.0, -s, delta, kind)], 2.0 * lam, 0.5)
+        for k in range(3):
+            for coef, _, nu, _ in comb._terms(k):
+                c[m, k, round(nu - delta)] = coef
+    return c
+
+
+def _prefactors(ladder: np.ndarray, s: float, xs: np.ndarray, rows: list) -> np.ndarray:
+    """Orders k < len(rows) of x^{-s} I_d and x^{-s} K_d at xs, shape (2, len(rows), n),
+    from rows[j] = (I_{d+j}, K_{d+j}) at 2 lam sqrt(xs)."""
+    order = len(rows)
+    u = np.sqrt(xs)
+    total = sum(ladder[:, :order, j, None] * (u**j * rows[j])[:, None] for j in range(order))
+    return xs ** (-s - np.arange(order))[:, None] * total
 
 
 def homogeneous_residual(r1: float, r2: float, lam: float, x: float) -> tuple[float, float]:
-    """Stein-operator value on the two fundamental homogeneous solutions."""
-    s = 0.5 * (r1 + r2)
-    delta = abs(r1 - r2)
-    out = []
-    for kind in ("k", "i"):
-        w = BesselPowerComb([(1.0, -s, delta, kind)], 2.0 * lam, 0.5)
-        val = (x * x * w.deriv(x, 2) + (1.0 + r1 + r2) * x * w.deriv(x, 1)
-               + (r1 * r2 - lam**2 * x) * w.deriv(x, 0))
-        out.append(float(val))
-    return tuple(out)
+    """Stein-operator value on the two fundamental homogeneous solutions (K first)."""
+    from .specfun import bessel_i, bessel_k
+
+    s, delta, xs = 0.5 * (r1 + r2), abs(r1 - r2), np.array([float(x)])
+    z = 2.0 * lam * np.sqrt(xs)
+    rows = [np.stack([bessel_i(delta + j, z), bessel_k(delta + j, z)]) for j in range(3)]
+    w, w1, w2 = _prefactors(_ladder(s, delta, lam), s, xs, rows).transpose(1, 0, 2)
+    val = x * x * w2 + (1.0 + r1 + r2) * x * w1 + (r1 * r2 - lam**2 * x) * w
+    return float(val[1, 0]), float(val[0, 0])
 
 
 def estimate_derivative_bounds(r1: float, r2: float, lam: float, h,

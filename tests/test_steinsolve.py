@@ -1,5 +1,6 @@
 """Two-gamma Stein equation: solution, residuals, boundedness, recursion."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -29,6 +30,25 @@ class TestHomogeneousSystem:
             scale = (1.0 + x * lam**2)
             assert abs(rk) < 1e-8 * max(1.0, abs(wk) * scale)
             assert abs(ri) < 1e-8 * max(1.0, abs(wi) * scale)
+
+    @pytest.mark.parametrize("r1,r2,lam", CASES + [(0.676, 0.824, 3.819), (2.9, 0.6, 0.7)])
+    def test_prefactor_derivatives_match_mpmath(self, r1, r2, lam):
+        s, d = 0.5 * (r1 + r2), abs(r1 - r2)
+        refs = {"i": lambda t: t ** -s * mp.besseli(d, 2 * lam * mp.sqrt(t)),
+                "k": lambda t: t ** -s * mp.besselk(d, 2 * lam * mp.sqrt(t))}
+        xs = (0.01, 0.1, 1.0, 7.0, 30.0)
+        for m, kind in enumerate("ik"):
+            comb = funcs.BesselPowerComb([(1.0, -s, d, kind)], 2 * lam, 0.5)
+            for k in range(3):
+                with mp.workdps(30):
+                    ref = np.array([float(mp.diff(refs[kind], mp.mpf(x), k)) for x in xs])
+                np.testing.assert_allclose(comb.deriv(np.array(xs), k), ref, rtol=1e-13, atol=0)
+                # the solver's coefficient table gives the same derivatives
+                z = 2 * lam * np.sqrt(xs)
+                rows = [np.stack([specfun.bessel_i(d + j, z), specfun.bessel_k(d + j, z)])
+                        for j in range(k + 1)]
+                table = steinsolve._prefactors(steinsolve._ladder(s, d, lam), s, np.array(xs), rows)
+                np.testing.assert_allclose(table[m, k], ref, rtol=1e-13, atol=0)
 
 
 class TestSolveSteinPG:
@@ -136,8 +156,20 @@ class TestBatchedSweep:
         for history in (lambda sol: [sol.value(x) for x in xs],
                         lambda sol: [sol.value(x) for x in xs[::-1]],
                         lambda sol: sol.values(np.random.default_rng(2).permutation(xs)),
-                        lambda sol: sol.value(8.0 * x_top)):
+                        lambda sol: sol.value(8.0 * x_top),
+                        lambda sol: [steinsolve.stein_residual(sol, x) for x in xs],
+                        lambda sol: [sol.derivative(x, 2) for x in xs]):
             assert after(history) == ref
+
+    @pytest.mark.parametrize("r1,r2,lam", CASES + [(0.6, 0.9, 3.3)])
+    def test_batched_residuals_match_single_points(self, r1, r2, lam):
+        xs = np.random.default_rng(4).permutation(np.geomspace(0.01, 50.0, 300))
+        sol = steinsolve.solve_stein_pg(r1, r2, lam, funcs.Sinusoid())
+        batch = steinsolve.stein_residuals(sol, xs)
+        assert np.max(np.abs(batch)) < 1e-6
+        single = [steinsolve.stein_residual(sol, x) for x in xs]
+        np.testing.assert_array_equal(batch, single)
+        np.testing.assert_array_equal(sol.values(xs), [sol.value(x) for x in xs])
 
     def test_points_inside_the_table_need_no_adaptive_call(self, monkeypatch):
         sol = steinsolve.solve_stein_pg(1.0, 1.0, 1.0, funcs.Sinusoid())
@@ -174,9 +206,10 @@ class TestBatchedSweep:
                                 calls.append((_n, nu)) or _fn(nu, z))
         res = steinsolve.stein_residual(sol, x)
         assert abs(res) < 1e-8
-        # orders 0 come from value(x); every other order once (K_{-nu} = K_nu)
-        assert len(calls) == len(set(calls)) == 7
-        assert ("bessel_i", 1.5) not in calls and ("bessel_k", 1.5) not in calls
+        # order d = 1.5 came with value(x)'s panel call; the one-sided ladder
+        # needs d + 1 and d + 2 of each kind, once each, and no lower order
+        assert sorted(calls) == [("bessel_i", 2.5), ("bessel_i", 3.5),
+                                 ("bessel_k", 2.5), ("bessel_k", 3.5)]
 
     def test_shared_bessel_values_match_fresh_evaluation(self):
         comb = funcs.BesselPowerComb([(1.0, -1.25, 1.5, "k"), (0.3, -1.25, 1.5, "i")], 2.0, 0.5)
@@ -184,8 +217,9 @@ class TestBatchedSweep:
         shared = {}
         for k in range(4):
             np.testing.assert_array_equal(comb.deriv(xs, k, bessel=shared), comb.deriv(xs, k))
-        # K_{-nu} = K_nu: orders 0..3 need nu = 1.5 +- 0..3 once per kind
-        assert sorted(nu for nu, kind in shared if kind == "k") == [0.5, 1.5, 2.5, 3.5, 4.5]
+        # the one-sided ladder: orders 0..3 need nu = 1.5 + 0..3 once per kind
+        assert sorted(nu for nu, kind in shared if kind == "k") == [1.5, 2.5, 3.5, 4.5]
+        assert sorted(nu for nu, kind in shared if kind == "i") == [1.5, 2.5, 3.5, 4.5]
 
 
 class TestResidual:
