@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -161,7 +160,7 @@ def cmd_mellin(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = load_spec(args.spec)
-    w = dist.sample(spec, args.count, args.seed, workers=_workers(args))
+    w = dist.sample(spec, args.count, args.seed)
     write_csv(args.out, ["value"], ((float(v),) for v in w))
     return 0
 
@@ -189,8 +188,7 @@ def cmd_stein_solve(args) -> int:
 def cmd_verify(args) -> int:
     spec = load_spec(args.spec)
     suites = verify.SUITES if args.suite == "all" else (args.suite,)
-    reports = verify.standard_suite(spec, samples=args.samples, seed=args.seed,
-                                    suites=suites, workers=_workers(args))
+    reports = verify.standard_suite(spec, samples=args.samples, seed=args.seed, suites=suites)
     payload = json.dumps({"version": verify.REPORT_VERSION,
                           "reports": [r.to_dict() for r in reports]}, indent=2)
     if args.out:
@@ -202,14 +200,6 @@ def cmd_verify(args) -> int:
         print(f"[{status}] {rep.test_id}: estimate={rep.estimate:.3e} "
               f"tol={rep.tolerance:.3e} 3se={3 * rep.standard_error:.3e}")
     return 0 if all(r.passed for r in reports) else 2
-
-
-def _workers(args) -> int:
-    requested = max(1, getattr(args, "workers", 1) or 1)
-    env = os.environ.get("STEINPROD_THREADS")
-    if env:
-        requested = min(requested, max(1, int(env)))
-    return requested
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
 
@@ -277,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[*verify.SUITES, "all"])
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

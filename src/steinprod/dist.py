@@ -30,6 +30,8 @@ point where the closed form leaves the float range.
 from __future__ import annotations
 
 import math
+import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -47,39 +49,97 @@ _LN_TINY = -1022 * _LN2  # log of the smallest normal double
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample(spec: ProductSpec, count: int, seed: int, workers: int = 1) -> np.ndarray:
-    """i.i.d. draws of the product; bit-reproducible for fixed (seed, workers).
+SAMPLE_BLOCK = 2**15  # draws per seeded block; a multiple of verify.MC_CHUNK
+
+
+def _blocks(count: int, seed: int) -> list:
+    """(seed sequence, size) of each block: child i of ``SeedSequence(seed)`` draws
+    block i, ``SAMPLE_BLOCK`` values and the rest in the last block."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    full, rest = divmod(count, SAMPLE_BLOCK)
+    sizes = [SAMPLE_BLOCK] * full + [rest] * (rest > 0)
+    return list(zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes))
+
+
+def _draw(spec: ProductSpec, seq: np.random.SeedSequence, size: int) -> np.ndarray:
+    """One block of draws: the factors in turn, betas, gammas, then normals.
 
     Generalised-gamma factors use V = (lam^{1-q} U)^{1/q} with
     U ~ Gamma(r/q, lam), which has the target density.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    seqs = np.random.SeedSequence(seed).spawn(workers)
-    counts = [count // workers + (1 if i < count % workers else 0)
-              for i in range(workers)]
-    parts = []
-    for seq, c in zip(seqs, counts):
-        if c == 0:
-            continue
-        rng = np.random.Generator(np.random.PCG64(seq))
-        w = np.ones(c)
-        for a, b in spec.beta_pairs:
-            w *= rng.beta(a, b, c)
-        for r in spec.gamma_shapes:
-            if spec.q == 1:
-                w *= rng.gamma(r, 1.0, c) / spec.lam
-            else:
-                u = rng.gamma(r / spec.q, 1.0, c) / spec.lam
-                w *= (spec.lam ** (1.0 - spec.q) * u) ** (1.0 / spec.q)
-        for _ in range(spec.normal_count):
-            w *= rng.standard_normal(c)
-        if spec.normal_count:
-            w *= spec.sigma
-        parts.append(w)
-    return np.concatenate(parts)
+    rng = np.random.Generator(np.random.PCG64(seq))
+    w = np.ones(size)
+    for a, b in spec.beta_pairs:
+        w *= rng.beta(a, b, size)
+    for r in spec.gamma_shapes:
+        if spec.q == 1:
+            w *= rng.gamma(r, 1.0, size) / spec.lam
+        else:
+            u = rng.gamma(r / spec.q, 1.0, size) / spec.lam
+            w *= (spec.lam ** (1.0 - spec.q) * u) ** (1.0 / spec.q)
+    for _ in range(spec.normal_count):
+        w *= rng.standard_normal(size)
+    if spec.normal_count:
+        w *= spec.sigma
+    return w
+
+
+def sample(spec: ProductSpec, count: int, seed: int) -> np.ndarray:
+    """i.i.d. draws of the product, a function of (spec, count, seed) alone.
+
+    The draws come in blocks of ``SAMPLE_BLOCK`` (``_blocks``), each from its
+    own ``SeedSequence(seed).spawn`` child, and are the blocks of
+    ``sample_blocks`` put end to end.
+    """
+    blocks = _blocks(count, seed)
+    out = np.empty(count)
+    for i, (seq, size) in enumerate(blocks):
+        out[i * SAMPLE_BLOCK:i * SAMPLE_BLOCK + size] = _draw(spec, seq, size)
+    return out
+
+
+def sample_blocks(spec: ProductSpec, count: int, seed: int) -> Iterator[np.ndarray]:
+    """The blocks of ``sample(spec, count, seed)`` in order, as they are drawn.
+
+    One helper thread draws the next block while the caller works on this
+    one; numpy's generators release the GIL while they fill an array, so
+    the two overlap, and at most two blocks are alive.  The helper stops and
+    is joined when the generator finishes or is closed: a caller that may
+    leave the walk early wraps it in ``contextlib.closing``.
+    """
+    blocks = _blocks(count, seed)
+    out = [None] * len(blocks)     # block i, or the exception that drawing it raised
+    drawn = threading.Semaphore(0)
+    room = threading.Semaphore(1)  # the helper draws one block ahead of the caller
+    stop = threading.Event()
+
+    def helper():
+        for i, job in enumerate(blocks):
+            room.acquire()
+            if stop.is_set():
+                return
+            try:
+                out[i] = _draw(spec, *job)
+            except BaseException as exc:  # raised again in the caller's thread, which waits for it
+                out[i] = exc
+            finally:
+                drawn.release()
+
+    thread = threading.Thread(target=helper, name="steinprod-sample", daemon=True)
+    thread.start()
+    try:
+        for i in range(len(blocks)):
+            drawn.acquire()
+            block, out[i] = out[i], None
+            room.release()
+            if isinstance(block, BaseException):
+                raise block
+            yield block
+    finally:
+        stop.set()
+        room.release()
+        thread.join()
 
 
 # ---------------------------------------------------------------------------

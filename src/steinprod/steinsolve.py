@@ -239,15 +239,27 @@ class SteinSolution:
         return 2.0 * (ipre * jk - kpre * ji)
 
     def values(self, xs) -> np.ndarray:
-        """Solution values at every point of xs in one J sweep."""
+        """Solution values at every point of xs in one J sweep.
+
+        At x = 0 the bounded solution takes its limit (h(0) - E h) / (r1 r2),
+        the equation's value there, since x f' and x^2 f'' vanish; the Bessel
+        form would need K_d(0).
+        """
         xs = np.asarray(xs, dtype=float)
         # far tail: the solution approaches -h_tilde(x) / (lam^2 x);
         # evaluating the growing/decaying Bessel pair would overflow
         far = 2.0 * self.lam * np.sqrt(xs) > _Z_CAP
         out = np.empty(xs.shape)
-        if np.any(far):
+        if far.any():
             out[far] = -self.h_tilde(xs[far]) / (self.lam**2 * xs[far])
-        out[~far] = self._combine(xs[~far], 0)[0]
+        live = ~far
+        zero = xs == 0
+        if zero.any():
+            out[zero] = self.h_tilde(xs[zero]) / (self.r1 * self.r2)
+            live &= ~zero
+            if not live.any():  # an empty call would drop the rows kept for the last points
+                return out
+        out[live] = self._combine(xs[live], 0)[0]
         return out
 
     def value(self, x: float) -> float:
@@ -290,9 +302,15 @@ def stein_residuals(sol: SteinSolution, xs) -> np.ndarray:
     The J terms cancel through the Wronskian, so this checks the Bessel
     prefactors only and stays at rounding level for any J; an error in J
     shows in ``value(x) - value_tail_form(x)`` instead.  Each residual has
-    the bits of the point alone.
+    the bits of the point alone.  At x = 0 the equation reads r1 r2 f(0) - (h(0) - E h).
     """
     xs = np.asarray(xs, dtype=float)
+    zero = xs == 0
+    if zero.any():
+        out = np.empty(xs.shape)
+        out[zero] = sol.r1 * sol.r2 * sol.values(xs[zero]) - sol.h_tilde(xs[zero])
+        out[~zero] = stein_residuals(sol, xs[~zero])
+        return out
     f, f1, f2 = sol._combine(xs, 2)
     h_tilde = sol.h_tilde(xs)
     return (xs * xs * (f2 + h_tilde / (xs * xs)) + (1.0 + sol.r1 + sol.r2) * xs * f1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import closing
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -116,9 +117,13 @@ class _StreamedMoments:
         return np.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
 
 
-def _chunks(w: np.ndarray):
-    for start in range(0, len(w), MC_CHUNK):
-        yield w[start:start + MC_CHUNK]
+def _chunks(blocks):
+    """Slices of ``MC_CHUNK`` draws of each block in turn.  ``dist.SAMPLE_BLOCK`` is a
+    multiple of ``MC_CHUNK``, so the chunks of ``dist.sample_blocks`` are those of
+    ``[dist.sample(...)]``."""
+    for w in blocks:
+        for start in range(0, len(w), MC_CHUNK):
+            yield w[start:start + MC_CHUNK]
 
 
 def _check_samples(samples: int) -> None:
@@ -128,10 +133,11 @@ def _check_samples(samples: int) -> None:
 
 
 def mc_stein_identity(spec: ProductSpec, family: TestFunctionFamily,
-                      samples: int, seed: int, workers: int = 1) -> VerificationReport:
+                      samples: int, seed: int) -> VerificationReport:
     """Estimate E[A f(W)] for every family member; report the worst one.
 
-    The draws are walked in chunks of ``MC_CHUNK``: each chunk applies both
+    The draws of ``dist.sample(spec, samples, seed)`` are walked in chunks of
+    ``MC_CHUNK`` as ``dist.sample_blocks`` draws them: each chunk applies both
     sides to every member at once, and only per-member sums are kept.
     """
     _check_samples(samples)
@@ -139,16 +145,16 @@ def mc_stein_identity(spec: ProductSpec, family: TestFunctionFamily,
     members = family.members()
     if bundle.reduced_order > max(getattr(f, "max_order", 0) for f in members):
         raise ValueError("operator order exceeds family smoothness")
-    w = dist.sample(spec, samples, seed, workers=workers)
     moments = _StreamedMoments(len(members))
     abs_sums = np.zeros((2, len(members)))  # sum |lhs|, sum |rhs| per member
-    for x in _chunks(w):
-        sides = bundle.apply_terms(members, x)
-        moments.add(sides[0] - sides[1])
-        for total, side in zip(abs_sums, sides):
-            total += np.abs(side).sum(axis=1)
+    with closing(dist.sample_blocks(spec, samples, seed)) as blocks:
+        for x in _chunks(blocks):
+            sides = bundle.apply_terms(members, x)
+            moments.add(sides[0] - sides[1])
+            for total, side in zip(abs_sums, sides):
+                total += np.abs(side).sum(axis=1)
     ests, ses = moments.mean(), moments.standard_error()
-    scales = abs_sums.sum(axis=0) / len(w)
+    scales = abs_sums.sum(axis=0) / samples
     worst = None
     lines = []
     for i, est, se, scale in zip(family.indices, ests.tolist(), ses.tolist(), scales.tolist()):
@@ -172,26 +178,26 @@ def reduced_full_mc_compare(spec: ProductSpec, f, samples: int,
 
     The two are pointwise equal up to floating error, so the comparison
     passes far inside three standard errors; the pointwise gap is also
-    reported in the details.  Draws are walked in chunks of ``MC_CHUNK``.
+    reported in the details.  Draws are walked as in ``mc_stein_identity``.
     """
     _check_samples(samples)
     full = build_stein(spec)
     red = reduce_order(spec)
-    w = dist.sample(spec, samples, seed)
     g = red.transformed_function(f)
     full_moments = _StreamedMoments()
     diff_sum = abs_full = peak_diff = peak_full = 0.0
-    for x in _chunks(w):
-        a_full = full.apply(f, x)
-        diff = a_full - red.apply(g, x)
-        full_moments.add(a_full)
-        diff_sum += float(diff.sum())
-        abs_full += float(np.abs(a_full).sum())
-        peak_diff = np.maximum(peak_diff, np.max(np.abs(diff)))  # NaN propagates
-        peak_full = np.maximum(peak_full, np.max(np.abs(a_full)))
-    est = diff_sum / len(w)
+    with closing(dist.sample_blocks(spec, samples, seed)) as blocks:
+        for x in _chunks(blocks):
+            a_full = full.apply(f, x)
+            diff = a_full - red.apply(g, x)
+            full_moments.add(a_full)
+            diff_sum += float(diff.sum())
+            abs_full += float(np.abs(a_full).sum())
+            peak_diff = np.maximum(peak_diff, np.max(np.abs(diff)))  # NaN propagates
+            peak_full = np.maximum(peak_full, np.max(np.abs(a_full)))
+    est = diff_sum / samples
     se_full = float(full_moments.standard_error())
-    scale = abs_full / len(w) + 1e-300
+    scale = abs_full / samples + 1e-300
     point_gap = float(peak_diff / max(peak_full, 1e-300))
     return VerificationReport(
         test_id=f"reduced-vs-full[{spec.describe()}]",
@@ -284,10 +290,9 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     return float(max(np.max(np.abs(f - i / n)), np.max(np.abs(f - (i - 1) / n))))
 
 
-def sampler_density_ks(spec: ProductSpec, samples: int, seed: int,
-                       workers: int = 1) -> VerificationReport:
+def sampler_density_ks(spec: ProductSpec, samples: int, seed: int) -> VerificationReport:
     """Kolmogorov-Smirnov distance between draws and the CDF of ``dist.NumericCdf``."""
-    w = dist.sample(spec, samples, seed, workers=workers)
+    w = dist.sample(spec, samples, seed)
     cdf = dist.NumericCdf(spec)
     d = ks_statistic(w, cdf)
     crit = 1.63 / math.sqrt(samples)  # asymptotic 1% critical value
@@ -306,8 +311,7 @@ SUITES = ("stein", "adjoint", "mellin", "ks")
 
 
 def standard_suite(spec: ProductSpec, samples: int = 200_000, seed: int = 1,
-                   suites: tuple[str, ...] = SUITES,
-                   workers: int = 1) -> list[VerificationReport]:
+                   suites: tuple[str, ...] = SUITES) -> list[VerificationReport]:
     """Run the named suites, by default all of them; every spec has them all."""
     for name in suites:
         if name not in SUITES:
@@ -315,7 +319,7 @@ def standard_suite(spec: ProductSpec, samples: int = 200_000, seed: int = 1,
     reports = []
     if "stein" in suites:
         fam = default_family(spec)
-        reports.append(mc_stein_identity(spec, fam, samples, seed, workers=workers))
+        reports.append(mc_stein_identity(spec, fam, samples, seed))
     if "adjoint" in suites:
         ev = dist.density(spec)
         if spec.N >= 1:
@@ -328,6 +332,5 @@ def standard_suite(spec: ProductSpec, samples: int = 200_000, seed: int = 1,
         s_points = np.linspace(max(lo + 0.05, 0.2), max(lo + 0.05, 0.2) + 5.0, 20)
         reports.append(mellin_equality_scan(spec, s_points))
     if "ks" in suites:
-        reports.append(sampler_density_ks(spec, min(samples, 100_000), seed,
-                                          workers=workers))
+        reports.append(sampler_density_ks(spec, min(samples, 100_000), seed))
     return reports

@@ -158,6 +158,13 @@ class TestCommands:
         for line in lines[1:]:
             assert abs(float(line.split(",")[2])) < 1e-6
 
+    def test_stein_solve_at_origin(self, capsys):
+        rc = main(["stein-solve", "--r1", "1", "--r2", "1", "--lam", "1",
+                   "--h", "exp", "--grid", "0:5:3"])
+        assert rc == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert len(rows) == 3 and all(math.isfinite(float(v)) for row in rows for v in row)
+
     def test_cf_column(self, spec_file, capsys):
         rc = main(["cf", "--spec", spec_file(PN1), "--grid", "0:1:3"])
         assert rc == 0

@@ -2,8 +2,11 @@
 
 import itertools
 import math
+import sys
+import threading
 import time
 import warnings
+from contextlib import closing
 from dataclasses import replace
 
 import mpmath as mp
@@ -61,11 +64,71 @@ class TestSampler:
         w2 = dist.sample(XYZ, 1000, seed=5)
         assert np.array_equal(w1, w2)
 
-    def test_worker_sharding_deterministic(self):
-        w1 = dist.sample(XYZ, 1001, seed=5, workers=4)
-        w2 = dist.sample(XYZ, 1001, seed=5, workers=4)
-        assert np.array_equal(w1, w2)
-        assert len(w1) == 1001
+    def test_draws_independent_of_walk(self):
+        n = 2 * dist.SAMPLE_BLOCK + 1001
+        w = dist.sample(XYZ, n, seed=5)
+        blocks = list(dist.sample_blocks(XYZ, n, seed=5))
+        assert [len(b) for b in blocks] == [dist.SAMPLE_BLOCK, dist.SAMPLE_BLOCK, 1001]
+        assert np.array_equal(np.concatenate(blocks), w)
+        # a block is a function of its index: a longer sample starts with the same blocks
+        assert np.array_equal(dist.sample(XYZ, 3 * dist.SAMPLE_BLOCK, seed=5)[:n - 1001],
+                              w[:n - 1001])
+
+    def test_concurrent_walks_under_fast_switching(self):
+        # four callers on two cores, thread switches every microsecond, walks left
+        # early or run out: each sees the blocks of dist.sample and no helper survives
+        n = 5 * dist.SAMPLE_BLOCK + 7
+        ref = dist.sample(XYZ, n, seed=8)
+        seen = []
+
+        def walk(last):
+            with closing(dist.sample_blocks(XYZ, n, seed=8)) as blocks:
+                got = []
+                for k, block in enumerate(blocks):
+                    got.append(block)
+                    if k == last:
+                        break
+            seen.append((last, np.concatenate(got)))
+
+        baseline = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=walk, args=(last,)) for last in (0, 2, 9, 9)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert threading.active_count() == baseline
+        assert sorted(len(w) for _, w in seen) == [dist.SAMPLE_BLOCK, 3 * dist.SAMPLE_BLOCK, n, n]
+        for _, w in seen:
+            assert np.array_equal(w, ref[:len(w)])
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        draw = dist._draw
+
+        def fail_second(spec, seq, size):
+            if seq.spawn_key == (1,):
+                raise MemoryError("block 1")
+            return draw(spec, seq, size)
+
+        monkeypatch.setattr(dist, "_draw", fail_second)
+        baseline = threading.active_count()
+        got = []
+        with pytest.raises(MemoryError, match="block 1"):
+            for block in dist.sample_blocks(XYZ, 4 * dist.SAMPLE_BLOCK, seed=3):
+                got.append(block)
+        assert len(got) == 1 and threading.active_count() == baseline
+
+    def test_two_beta_mean(self):
+        pairs = ((1.3, 0.6), (0.8, 1.15))
+        w = dist.sample(ProductSpec(beta_pairs=pairs), 400_000, seed=19)
+        mean = math.prod(a / (a + b) for a, b in pairs)
+        second = math.prod(a * (a + 1) / ((a + b) * (a + b + 1)) for a, b in pairs)
+        assert abs(np.mean(w) - mean) <= 4 * math.sqrt((second - mean**2) / len(w))
 
     def test_half_normal_product_is_generalised_gamma(self):
         # |Z_1 Z_2| for centred normals has the q=2 generalised-gamma

@@ -230,6 +230,22 @@ class TestResidual:
         res = [steinsolve.stein_residual(sol, float(x)) for x in xs]
         assert np.max(np.abs(res)) < 1e-6
 
+    @pytest.mark.parametrize("r1,r2,lam", CASES)
+    @pytest.mark.parametrize("name", sorted(bounded_test_functions()))
+    def test_origin_takes_the_bounded_limit(self, r1, r2, lam, name):
+        # at x = 0 the equation reads r1 r2 f(0) = h(0) - E h; the Bessel form needs K_d(0)
+        h = bounded_test_functions()[name]
+        sol = steinsolve.solve_stein_pg(r1, r2, lam, h)
+        h0 = float(h.deriv(0.0, 0)) - sol.e_h
+        f0, f_near = sol.values(np.array([0.0, 1e-8]))
+        assert f0 == pytest.approx(h0 / (r1 * r2), rel=1e-15, abs=1e-300)
+        assert abs(f_near - f0) <= 1e-4 * max(abs(f0), 1e-3)
+        res = steinsolve.stein_residuals(sol, np.array([0.0, 1.0, 0.0]))
+        assert np.all(np.isfinite(res))
+        assert abs(res[0]) <= 4 * np.finfo(float).eps * max(abs(h0), 1e-300)
+        assert res[2] == res[0]
+        assert res[1] == steinsolve.stein_residual(sol, 1.0)
+
     def test_residual_zero_for_constant(self):
         sol = steinsolve.solve_stein_pg(1.0, 2.0, 1.0, funcs.constant(1.0))
         for x in (0.05, 1.0, 20.0):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -147,7 +148,8 @@ class TestStreamedStatistics:
             verify.reduced_full_mc_compare(XYZ, funcs.gaussian_damped(2, 1.0), 1, seed=1)
 
     def test_memory_does_not_grow_with_members(self):
-        # five members x two sides x 1e6 draws would be 80 MB per array set
+        # five members x two sides x 1e6 draws would be 80 MB per array set, and the
+        # draws alone 8 MB: the walk keeps two blocks and a few chunk-sized arrays
         n = 1_000_000
         fam = verify.default_family(XYZ)
         tracemalloc.start()
@@ -160,6 +162,66 @@ class TestStreamedStatistics:
         finally:
             tracemalloc.stop()
         assert mc_peak <= sample_peak + 2 * 2**20, (mc_peak, sample_peak)
+        assert mc_peak <= 4 * 2**20, mc_peak
+
+
+def _one_block(spec, count, seed):
+    """Reference walk: all of ``dist.sample`` as one block."""
+    yield dist.sample(spec, count, seed)
+
+
+# the Stein-identity table rows (m betas, n gammas, N normals) and the generalised gammas
+ROWS = [ProductSpec(beta_pairs=((1.3, 0.6), (0.8, 1.15))[:m], gamma_shapes=(1.4, 2.45)[:n],
+                    lam=1.3 if n else None, normal_count=N, sigma=0.8 if N else None)
+        for m, n, N in [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1),
+                        (1, 1, 1)]]
+GG = [ProductSpec(gamma_shapes=(2.523, 1.94), lam=0.7, q=q) for q in (0.5, 2.0, 3.0)]
+# the reduction cases (i)-(iv) and the rows with a beta and a normal
+REDUCIBLE = [ProductSpec(beta_pairs=(pair,), gamma_shapes=(r,), lam=1.0, normal_count=1,
+                         sigma=1.0)
+             for pair, r in [((1.7, 1.0), 1.6), ((0.3, 0.7), 2.2), ((0.45, 0.55), 1.0),
+                             ((0.6, 0.4), 2.0)]] + [ROWS[4], ROWS[6]]
+
+
+class TestStreamedWalk:
+    """The walks over ``dist.sample_blocks`` against one walk over ``dist.sample``."""
+
+    COUNTS = [3 * verify.MC_CHUNK + 17, 2 * dist.SAMPLE_BLOCK + 3 * verify.MC_CHUNK + 5]
+
+    def test_block_is_whole_chunks(self):
+        assert dist.SAMPLE_BLOCK % verify.MC_CHUNK == 0
+
+    @pytest.mark.parametrize("n", COUNTS)
+    @pytest.mark.parametrize("spec", ROWS + GG, ids=lambda s: s.describe())
+    def test_identity_bits_match_one_block(self, spec, n, monkeypatch):
+        fam = verify.default_family(spec)
+        rep = verify.mc_stein_identity(spec, fam, n, seed=41)
+        monkeypatch.setattr(dist, "sample_blocks", _one_block)
+        assert rep.to_dict() == verify.mc_stein_identity(spec, fam, n, seed=41).to_dict()
+
+    @pytest.mark.parametrize("n", COUNTS)
+    @pytest.mark.parametrize("spec", REDUCIBLE, ids=lambda s: s.describe())
+    def test_reduced_bits_match_one_block(self, spec, n, monkeypatch):
+        f = funcs.gaussian_damped(2, 1.0)
+        rep = verify.reduced_full_mc_compare(spec, f, n, seed=43)
+        monkeypatch.setattr(dist, "sample_blocks", _one_block)
+        assert rep.to_dict() == verify.reduced_full_mc_compare(spec, f, n, seed=43).to_dict()
+
+    def test_no_thread_outlives_a_call(self):
+        baseline = threading.active_count()
+        n = 3 * dist.SAMPLE_BLOCK + 11
+        verify.mc_stein_identity(XYZ, verify.default_family(XYZ), n, seed=1)
+        assert threading.active_count() == baseline
+        verify.reduced_full_mc_compare(XYZ, funcs.gaussian_damped(2, 1.0), n, seed=1)
+        assert threading.active_count() == baseline
+
+        class NotPolyExp(verify.TestFunctionFamily):
+            def members(self):  # smooth enough, but apply_terms needs PolyExp handles
+                return [funcs.Sinusoid()]
+
+        with pytest.raises(TypeError, match="PolyExp"):
+            verify.mc_stein_identity(XYZ, NotPolyExp("monomial", (0,)), n, seed=1)
+        assert threading.active_count() == baseline
 
 
 class TestReducedCompare:
