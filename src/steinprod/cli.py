@@ -142,8 +142,8 @@ def cmd_cf(args) -> int:
 def cmd_tail(args) -> int:
     spec = load_spec(args.spec)
     grid = parse_grid(args.grid)
-    vals = [dist.tail_asymptotic(spec, float(x)) for x in grid]
-    write_csv(args.out, ["x", "tail"], zip(grid.tolist(), vals))
+    vals = dist.tail_asymptotic(spec, grid)
+    write_csv(args.out, ["x", "tail"], zip(grid.tolist(), vals.tolist()))
     return 0
 
 

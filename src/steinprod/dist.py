@@ -21,6 +21,10 @@ kappa = lam^{qn}, and every other product h = 1.
 ``NumericCdf`` takes the distribution function from the survival function,
 one more G-function.
 
+The characteristic function conditions on a normal factor: W = sigma Z U, so
+phi(t) = E exp(-a U^2), a = (sigma t)^2 / 2, one positive integral against
+the density of the other factors U, cut at the reach sqrt(38 / a).
+
 Evaluators reduce their parameters first.  Rows that reduce to G^{1,0}_{0,1}
 or G^{2,0}_{0,2} give one ``ClosedForm``, evaluated in logs;
 ``meijer_g_batch`` takes every other spec, pure betas included, and each
@@ -32,12 +36,12 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quad
-from .specfun import (MeijerGParams, NumericalError, _log_asymptotic_g, asymptotic_g,
-                      bessel_k, meijer_g_batch, reduce_params)
+from .specfun import (MeijerGParams, NumericalError, _log_asymptotic_g, bessel_k,
+                      meijer_g_batch, reduce_params)
 from .steinops import ProductSpec, stein_sides
 
 _LN2 = math.log(2.0)
@@ -263,7 +267,7 @@ class DensityEvaluator:
     power: float
     reduced: MeijerGParams = field(init=False)
     closed: ClosedForm | None = field(init=False)
-    tol: float = 1e-11
+    tol = 1e-11  # the G engine's tolerance: a class constant, not a field
 
     def __post_init__(self):
         self.reduced = rows = reduce_params(self.g_params)
@@ -396,22 +400,30 @@ def density(spec: ProductSpec) -> DensityEvaluator:
         log_const=-_log_g_mellin(params, kappa, h, spec.symmetric, 1.0))
 
 
-def normalization(spec: ProductSpec, tol: float = 1e-8) -> float:
-    """Numerical integral of the density over its support."""
-    ev = density(spec)
+def _density_integral(ev: DensityEvaluator, f, reach: float, tol: float) -> float:
+    """int f over the support of p = ``ev`` (the line when symmetric) for f = w p, with an
+    even weight 0 < w <= 1 that is below e^{-38} beyond ``reach``."""
     x_tail = ev.tail_cut(38.0)
     # push the cut out until the mass beyond it, about x p(x), is negligible
     while ev.reduced.q > ev.reduced.p and ev.log_const + math.log(x_tail) + float(
             _log_asymptotic_g(ev.reduced, ev.argument(x_tail))) > math.log(1e-3 * tol):
         x_tail *= 2.0
+    # cut at the reach too, or a first adaptive panel could miss all of the weight's mass
+    x_tail = min(x_tail, reach)
     # split where the G argument reaches ~0.5 so the singular head is isolated;
     # compact support (q = p) has a singular end at x_tail too
     x_head = min((0.5 / ev.arg_coeff) ** (1.0 / ev.power), 0.5 * x_tail)
-    head = quad.tanh_sinh(ev.batch, 0.0, x_head, tol=tol * 0.1)
+    head = quad.tanh_sinh(f, 0.0, x_head, tol=tol * 0.1)
     rule = quad.tanh_sinh if ev.reduced.q == ev.reduced.p else quad.adaptive
-    body = rule(ev.batch, x_head, x_tail, tol=tol * 0.1)
+    body = rule(f, x_head, x_tail, tol=tol * 0.1)
     total = head + body
-    return 2.0 * total if spec.symmetric else total
+    return 2.0 * total if ev.spec.symmetric else total
+
+
+def normalization(spec: ProductSpec, tol: float = 1e-8) -> float:
+    """Numerical integral of the density over its support."""
+    ev = density(spec)
+    return _density_integral(ev, ev.batch, math.inf, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -419,41 +431,28 @@ def normalization(spec: ProductSpec, tol: float = 1e-8) -> float:
 # ---------------------------------------------------------------------------
 
 def char_function(spec: ProductSpec, t: float, tol: float = 1e-9) -> float:
-    """phi(t) = 2 int_0^inf cos(t x) p(x) dx for symmetric products.
+    """phi(t) = E cos(t W) = E exp(-a U^2), a = (sigma t)^2 / 2, for W = sigma Z U.
 
-    Exact value 1 at t = 0; cosine-panel quadrature against the density
-    elsewhere (panels no wider than a quarter period), the nodes of every
-    Gauss panel in one density batch.
+    U, ``spec`` with one normal fewer at unit scale, is independent of
+    Z ~ N(0, 1).  The integral against U's density is ``normalization``'s,
+    cut at the reach sqrt(38 / a) where the weight is e^{-38}; t = 0,
+    t = inf and the lone normal (U = 1) give exp(-a).
     """
     if spec.N < 1:
         raise ValueError("characteristic function requires a normal factor")
-    if t == 0.0:
-        return 1.0
-    t = abs(t)
-    ev = density(spec)
-    x_tail = ev.tail_cut(36.0)
-    width = min(math.pi / (2.0 * t), x_tail / 12.0)
-    nodes, weights = quad.gauss_legendre(24)
-    total = 0.0
-    # integrable singularity possible at 0: tanh-sinh on the first panel
-    first = min(width, x_tail)
-    total += quad.tanh_sinh(lambda xs: np.cos(t * xs) * ev.batch(xs), 0.0, first,
-                            tol=tol * 1e-2)
-    edges = [first]
-    while edges[-1] < x_tail:
-        edges.append(min(edges[-1] + width, x_tail))
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    xs = mid[:, None] + half[:, None] * nodes
-    panels = np.sum(weights * np.cos(t * xs) * ev.batch(xs.ravel()).reshape(xs.shape), axis=1)
-    return 2.0 * float(sum(half * panels, total))  # panel by panel, in order
+    st = spec.sigma * abs(t)  # a = st^2 / 2, never formed: it leaves the doubles first
+    if not 0.0 < st < math.inf or spec.N == 1 and not (spec.m or spec.n):
+        return math.exp(-0.5 * st * st)  # 1 at t = 0, the limit 0 at t = inf, NaN at NaN
+    ev = density(replace(spec, normal_count=spec.N - 1, sigma=1.0 if spec.N > 1 else None))
+    return _density_integral(ev, lambda us: np.exp(-0.5 * (st * us) ** 2) * ev.batch(us),
+                             math.sqrt(76.0) / st, tol)
 
 
 def char_function_closed(spec: ProductSpec, t: float) -> float:
     """Closed reductions of the G-form characteristic function.
 
     Available for the pure product-normal cases N = 1 (Gaussian cf) and
-    N = 2 (algebraic cf); used to cross-check the quadrature route.
+    N = 2 (algebraic cf); used to cross-check the conditioning route.
     """
     if spec.m or spec.n:
         raise ValueError("closed cf available for pure normal products only")
@@ -482,13 +481,13 @@ def tail_constant(spec: ProductSpec) -> float:
             * ev.arg_coeff ** (0.5 * alpha) * ev.const)
 
 
-def tail_asymptotic(spec: ProductSpec, x: float) -> float:
-    """Leading tail behaviour of the density for |x| large (N >= 1)."""
+def tail_asymptotic(spec: ProductSpec, x):
+    """Leading tail behaviour of the density for |x| large (N >= 1); an array in one pass."""
     if spec.N < 1:
         raise ValueError("tail asymptotics implemented for symmetric products")
     ev = density(spec)
-    y = float(ev.argument(np.array([x]))[0])
-    return ev.const * asymptotic_g(ev.g_params, y)
+    out = ev.const * np.exp(_log_asymptotic_g(ev.g_params, ev.argument(np.atleast_1d(x))))
+    return out if np.ndim(x) else float(out[0])
 
 
 # ---------------------------------------------------------------------------

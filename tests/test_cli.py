@@ -171,6 +171,13 @@ class TestCommands:
         lines = capsys.readouterr().out.strip().split("\n")
         assert float(lines[1].split(",")[1]) == 1.0
 
+    def test_tail_rows(self, spec_file, capsys):
+        rc = main(["tail", "--spec", spec_file(XYZ), "--grid", "5:20:7"])
+        assert rc == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert len(rows) == 7 and all(math.isfinite(float(v)) for row in rows for v in row)
+        assert float(rows[2][1]) == dist.tail_asymptotic(load_spec(spec_file(XYZ)), 10.0)
+
     def test_density_riemann_sum_near_one(self, spec_file, capsys):
         rc = main(["density", "--spec", spec_file(PN1), "--grid=-4:4:101"])
         assert rc == 0
@@ -186,6 +193,11 @@ class TestExitCodes:
         rc = main(["density", "--spec", str(bad), "--grid", "0:1:3"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_tail_without_normal_is_one(self, spec_file, capsys):
+        payload = {"version": 1, "gamma": {"shapes": [1.4], "lambda": 1.0}}
+        assert main(["tail", "--spec", spec_file(payload), "--grid", "5:20:3"]) == 1
+        assert "symmetric" in capsys.readouterr().err
 
     def test_verify_suite(self, spec_file, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -470,25 +470,91 @@ class TestCharFunction:
             est, se = np.mean(mc), np.std(mc, ddof=1) / math.sqrt(len(w))
             assert abs(dist.char_function(XYZ, t) - est) < 3 * se
 
-    def test_cosine_panels_share_one_batch(self, monkeypatch):
-        calls, inside = [], []
-        batch, tanh_sinh = dist.DensityEvaluator.batch, dist.quad.tanh_sinh
+    @pytest.mark.parametrize("t", [0.5, 2.0, 10.0, 50.0])
+    def test_matches_scipy_reference(self, t):
+        """XYZ against E exp(-a (B G)^2), a = t^2 / 2, from scipy's beta and gamma densities."""
+        a = 0.5 * t * t
+
+        def given_beta(b):  # E exp(-a (b G)^2), one tanh-sinh integral per b
+            return integrate.tanhsinh(lambda g, b: st.gamma.pdf(g, 1.4) * np.exp(-a * (b * g) ** 2),
+                                      0.0, np.inf, args=(b,), atol=1e-16, rtol=1e-14).integral
+
+        # the beta's singular end b = 1 as c = 1 - b near 0: Beta(1.3, 0.6) at 1 - c is
+        # Beta(0.6, 1.3) at c, so no node loses the distance to the end
+        halves = [integrate.tanhsinh(f, 0.0, 0.5, atol=1e-16, rtol=1e-14) for f in (
+            lambda b: st.beta.pdf(b, 1.3, 0.6) * given_beta(b),
+            lambda c: st.beta.pdf(c, 0.6, 1.3) * given_beta(1.0 - c))]
+        assert all(h.status == 0 for h in halves)
+        ref = sum(h.integral for h in halves)
+        assert dist.char_function(XYZ, t) == pytest.approx(ref, abs=1e-12)
+
+    def test_weight_reach_cuts_the_body(self):
+        """The body of U's density runs to x = 225 here, while the weight exp(-8 u^2) has its
+        mass below u = 1: uncut, the first adaptive panel of the body misses that mass and
+        phi is 6e-7 off.  Reference: E_B E_Y (1 + 2 a B^2 Y^2)^{-1/2} (the last normal
+        integrated out) with scipy's beta density and the Bessel-K density of Y = G1 G2."""
+        (p, q), (r1, r2), lam, a = (1.502, 1.843), (2.274, 0.614), 2.0, 8.0
+        spec = ProductSpec(beta_pairs=((p, q),), gamma_shapes=(r1, r2), lam=lam, normal_count=2,
+                           sigma=2.0)
+
+        def given_beta(b):
+            def f(y, b):
+                density = (2.0 * lam ** (r1 + r2) * y ** (0.5 * (r1 + r2) - 1.0)
+                           * sp.kv(r1 - r2, 2.0 * lam * np.sqrt(y)) / (sp.gamma(r1) * sp.gamma(r2)))
+                return density / np.sqrt(1.0 + 2.0 * a * (b * y) ** 2)
+            return integrate.tanhsinh(f, 0.0, np.inf, args=(b,), atol=1e-16, rtol=1e-14).integral
+
+        ref = integrate.tanhsinh(lambda b: st.beta.pdf(b, p, q) * given_beta(b), 0.0, 1.0,
+                                 atol=1e-16, rtol=1e-14)
+        assert ref.status == 0
+        assert dist.char_function(spec, 2.0) == pytest.approx(ref.integral, abs=2e-9)
+
+    @pytest.mark.parametrize("spec", [
+        PN1, replace(XYZ, gamma_shapes=(), lam=None), replace(XYZ, beta_pairs=()), XYZ],
+        ids=["N", "beta.N", "gamma.N", "beta.gamma.N"])
+    def test_positive_and_at_most_one(self, spec):
+        """phi = E exp(-a U^2) lies in (0, 1]; the lone normal's exp(-t^2 / 2) underflows
+        to 0 past t = 38.6, so it is checked to t = 25."""
+        for t in (0.5, 2.0, 10.0, 25.0, 50.0):
+            if spec.m or spec.n or t <= 25.0:
+                assert 0.0 < dist.char_function(spec, t) <= 1.0
+
+    def test_non_finite_and_huge_t(self):
+        """a = (sigma t)^2 / 2 leaves the doubles past t = 1.9e154; phi does not."""
+        for t in (1e100, 1e200, 1e300):
+            assert dist.char_function(PN2, t) == pytest.approx(1.0 / t, rel=1e-12)
+        assert dist.char_function(XYZ, math.inf) == dist.char_function(PN2, -math.inf) == 0.0
+        assert math.isnan(dist.char_function(XYZ, math.nan))
+
+    def test_cost_does_not_grow_with_t(self, monkeypatch):
+        points = []
+        batch = dist.DensityEvaluator.batch
 
         def counted(self, xs):
-            calls.append(bool(inside))
+            points.append(np.size(xs))
             return batch(self, xs)
 
-        def first_panel(*args, **kwargs):
-            inside.append(True)
-            try:
-                return tanh_sinh(*args, **kwargs)
-            finally:
-                inside.pop()
-
         monkeypatch.setattr(dist.DensityEvaluator, "batch", counted)
-        monkeypatch.setattr(dist.quad, "tanh_sinh", first_panel)
-        dist.char_function(XYZ, 1.0)
-        assert calls.count(False) == 1  # the calls of the tanh-sinh first panel aside
+        dist.char_function(XYZ, 0.5)
+        at_half = sum(points)
+        points.clear()
+        dist.char_function(XYZ, 50.0)
+        assert 0 < sum(points) <= at_half
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_closed_form_matches(self, count, sigma):
+        spec = ProductSpec(normal_count=count, sigma=sigma)
+        for t in (0.3, 1.0, 2.5, 7.0):
+            assert dist.char_function_closed(spec, t) == pytest.approx(
+                dist.char_function(spec, t), abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [ProductSpec(normal_count=3, sigma=1.0), XYZ,
+                                      replace(XYZ, gamma_shapes=(), lam=None),
+                                      replace(XYZ, beta_pairs=())])
+    def test_closed_form_rejects(self, spec):
+        with pytest.raises(ValueError):
+            dist.char_function_closed(spec, 1.0)
 
     def test_requires_normal_factor(self):
         with pytest.raises(ValueError):
@@ -516,6 +582,12 @@ class TestTails:
         closed = (dist.tail_constant(spec) * abs(x) ** dist.tail_alpha(spec)
                   * math.exp(-sig * y ** (1.0 / sig)))
         assert closed == pytest.approx(dist.tail_asymptotic(spec, x), rel=1e-10)
+
+    def test_array_in_one_pass(self):
+        xs = np.array([5.0, 9.0, 30.0])
+        out = dist.tail_asymptotic(XYZ, xs)
+        assert out.shape == xs.shape and out.tolist() == [dist.tail_asymptotic(XYZ, x) for x in xs]
+        assert type(dist.tail_asymptotic(XYZ, 5.0)) is float
 
     def test_alpha_special_cases(self):
         assert dist.tail_alpha(PN1) == pytest.approx(0.0)
