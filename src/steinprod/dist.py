@@ -364,6 +364,15 @@ class DensityEvaluator:
                 w -= (w - theta * math.log(w / theta) - theta - t) / (1.0 - theta / w)
         return (w**sigma / self.arg_coeff) ** (1.0 / self.power)
 
+    def mass_cut(self, tol: float) -> float:
+        """x beyond which the mass of p is below about 1e-3 tol: ``tail_cut(38)``, doubled
+        until x p(x), read off G's leading asymptote, is below 1e-3 tol."""
+        x_tail = self.tail_cut(38.0)
+        while self.reduced.q > self.reduced.p and self.log_const + math.log(x_tail) + float(
+                _log_asymptotic_g(self.reduced, self.argument(x_tail))) > math.log(1e-3 * tol):
+            x_tail *= 2.0
+        return x_tail
+
 
 def _exp_const(log_value: float, spec: ProductSpec) -> float:
     """exp(log_value) for a density constant, typed when it overflows."""
@@ -403,13 +412,8 @@ def density(spec: ProductSpec) -> DensityEvaluator:
 def _density_integral(ev: DensityEvaluator, f, reach: float, tol: float) -> float:
     """int f over the support of p = ``ev`` (the line when symmetric) for f = w p, with an
     even weight 0 < w <= 1 that is below e^{-38} beyond ``reach``."""
-    x_tail = ev.tail_cut(38.0)
-    # push the cut out until the mass beyond it, about x p(x), is negligible
-    while ev.reduced.q > ev.reduced.p and ev.log_const + math.log(x_tail) + float(
-            _log_asymptotic_g(ev.reduced, ev.argument(x_tail))) > math.log(1e-3 * tol):
-        x_tail *= 2.0
     # cut at the reach too, or a first adaptive panel could miss all of the weight's mass
-    x_tail = min(x_tail, reach)
+    x_tail = min(ev.mass_cut(tol), reach)
     # split where the G argument reaches ~0.5 so the singular head is isolated;
     # compact support (q = p) has a singular end at x_tail too
     x_head = min((0.5 / ev.arg_coeff) ** (1.0 / ev.power), 0.5 * x_tail)

@@ -203,17 +203,22 @@ class BesselPowerComb:
         ``bessel`` maps (nu, kind) to Phi_nu(rate * x^power) at this x;
         it is filled in place, so derivatives of several orders (or of
         several combinations with the same rate and power) at one x share
-        their Bessel evaluations.
+        their Bessel evaluations.  The orders missing from it take one call
+        per kind.
         """
         from .specfun import bessel_i, bessel_k
 
         xs = np.asarray(x, dtype=float)
         arg = self.rate * xs**self.power
         cache = {} if bessel is None else bessel
+        terms = self._terms(k)
+        for kind, fn in (("i", bessel_i), ("k", bessel_k)):
+            new = sorted({nu for _, _, nu, kd in terms if kd == kind and (nu, kind) not in cache})
+            if new:
+                rows = fn(np.reshape(new, (-1,) + (1,) * arg.ndim), arg)
+                cache.update(((nu, kind), row) for nu, row in zip(new, rows))
         out = np.zeros_like(xs)
-        for c, alpha, nu, kind in self._terms(k):
-            if (nu, kind) not in cache:
-                cache[nu, kind] = (bessel_k if kind == "k" else bessel_i)(nu, arg)
+        for c, alpha, nu, kind in terms:
             out = out + c * xs**alpha * cache[nu, kind]
         return out if np.ndim(x) else float(out)
 

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .specfun import NumericalError
+
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -55,7 +57,8 @@ def _gl_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, n: int = 16) -> np.n
 def _accepted(f: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, rtol: float,
               max_depth: int = 24):
     """Level-wise halving of the panels [lo, hi], accept test as in ``adaptive``: yields
-    each level's accepted panels as (index of their interval, lo, value (..., panels))."""
+    each level's accepted panels as (index of their interval, lo, value (..., panels)).
+    A panel whose value or halves are not finite is never accepted, so it raises at once."""
     owner = np.arange(lo.size)
     whole = _gl_panels(f, lo, hi)
     for depth in range(max_depth, -1, -1):
@@ -65,6 +68,9 @@ def _accepted(f: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, rtol: flo
         halves = _gl_panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
         left, right = np.split(halves, 2, axis=-1)
         both = left + right
+        if not (finite := np.isfinite(whole) & np.isfinite(both)).all():
+            bad = ~np.all(finite.reshape(-1, lo.size), axis=0)
+            raise NumericalError(f"non-finite integrand on [{lo[bad].min():.6g}, {hi[bad].max():.6g}]")
         ok = np.abs(both - whole) <= np.maximum(tol, rtol * np.abs(whole))
         done = np.all(ok.reshape(-1, lo.size), axis=0) | (depth <= 0)
         yield owner[done], lo[done], both[..., done]
@@ -81,9 +87,11 @@ def adaptive(f: Callable, a, b, tol: float = 1e-10, rtol: float = 1e-12,
     A panel is split until the halving correction |left + right - whole|
     is below max(tol, rtol * |whole|), or max_depth halvings are reached;
     the relative term keeps large-magnitude integrands from recursing
-    into roundoff noise.  ``a`` and ``b`` may be arrays of interval ends:
-    the pending panels of every interval share one integrand call per
-    level (chunked at _CHUNK_PANELS panels).  An integrand returning shape
+    into roundoff noise.  A panel with a non-finite value raises
+    ``NumericalError`` naming its interval instead of being halved.
+    ``a`` and ``b`` may be arrays of interval ends: the pending panels of
+    every interval share one integrand call per level (chunked at
+    _CHUNK_PANELS panels).  An integrand returning shape
     (c, n) is integrated per component, and a panel is accepted only when
     every component passes; the result then has a leading axis c.
     """

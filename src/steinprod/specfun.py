@@ -34,6 +34,8 @@ ascending series for I_nu, with large-argument asymptotic expansions
 beyond 30 (1 + |nu|); the switchover is cross-validated in the tests.
 The trapezoid nodes and the series length are set per octave of x and
 cached, so a point's value and cost do not depend on the rest of its batch.
+The order may be an array like x: one call groups the points by (order,
+octave), and each element has the bits of its scalar-order call.
 """
 
 from __future__ import annotations
@@ -168,32 +170,65 @@ def _loggamma_signed(x: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 _BESSEL_ASYMPTOTIC_AT = 30.0
+_BLOCK = 256  # points per table block: a memory bound
 
 
 def _bessel_switch(nu: float) -> float:
     return _BESSEL_ASYMPTOTIC_AT * (1.0 + abs(nu))
 
 
-def _by_route(nu: float, x: np.ndarray, near: np.ndarray, near_route, far_route) -> np.ndarray:
-    """near_route(nu, .) on x[near] and far_route(nu, .) on the rest; a call
-    that one route takes whole is not split."""
-    if near.all():
-        return near_route(nu, x)
+def _orders(nu, x) -> tuple:
+    """(orders, flat x, result shape): a scalar order stays 0-d, an array order is
+    broadcast against x and flattened with it."""
+    arr, nu = np.asarray(x, dtype=float), np.asarray(nu, dtype=float)
+    if nu.ndim == 0:
+        return nu, arr.ravel(), arr.shape
+    if nu.shape != arr.shape:
+        nu, arr = np.broadcast_arrays(nu, arr)
+    return nu.ravel(), arr.ravel(), arr.shape
+
+
+def _run_starts(nu: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Where a new run of equal (order, key) starts, after the first."""
+    change = key[1:] != key[:-1]
+    if nu.ndim:
+        change |= nu[1:] != nu[:-1]  # NaN orders stay apart
+    return np.flatnonzero(change) + 1
+
+
+def _blocks(nu: np.ndarray, key: np.ndarray):
+    """(order, key, index) for runs of points of one (order, key), in blocks of at most
+    256 (a negative key's run in one).  Points that would make more than 9 runs are
+    sorted first, so that each (order, key) is one run."""
+    if not key.size:
+        return
+    rows, starts = None, _run_starts(nu, key)
+    if starts.size > 8:
+        rows = np.argsort(key, kind="stable") if nu.ndim == 0 else np.lexsort((key, nu))
+        nu, key = (nu if nu.ndim == 0 else nu[rows]), key[rows]
+        starts = _run_starts(nu, key)
+    starts = [0, *starts.tolist(), key.size]
+    for lo, hi in zip(starts, starts[1:]):
+        order, k = float(nu if nu.ndim == 0 else nu[lo]), int(key[lo])
+        step = _BLOCK if k >= 0 else hi - lo
+        for at in range(lo, hi, step):
+            end = min(at + step, hi)
+            yield order, k, slice(at, end) if rows is None else rows[at:end]
+
+
+def _bessel(nu: np.ndarray, x: np.ndarray, near_block, far_route) -> np.ndarray:
+    """near_block(order, e, .) on each block of points 2^e <= x < 2^{e+1} of one order below
+    30 (1 + |order|), far_route(order, .) on the others of each order.
+
+    ``nu`` is 0-d or like x.  The orders reach the routes as Python floats and the
+    routes work point by point, so an element has the bits of its scalar-order call.
+    """
+    near = x < _BESSEL_ASYMPTOTIC_AT * (1.0 + np.abs(nu))  # NaN and inf go far
+    key = np.where(near, np.frexp(x)[1] + 2047, -1)  # octave e + 2048 (e >= -1074) below it
     out = np.empty_like(x)
-    if near.any():
-        out[near] = near_route(nu, x[near])
-    out[~near] = far_route(nu, x[~near])
+    for order, k, rows in _blocks(nu, key):
+        out[rows] = near_block(order, k - 2048, x[rows]) if k >= 0 else far_route(order, x[rows])
     return out
-
-
-def _octave_blocks(x: np.ndarray) -> list:
-    """(e, index) for blocks of at most 256 points (a memory bound) in one octave
-    2^e <= x < 2^{e+1}."""
-    octave = np.frexp(x)[1] - 1
-    if 0 < len(x) <= 256 and octave.min() == octave.max():
-        return [(int(octave[0]), slice(None))]
-    return [(int(e), rows[lo:lo + 256]) for e in np.unique(octave)
-            for rows in [np.flatnonzero(octave == e)] for lo in range(0, len(rows), 256)]
 
 
 def _bessel_asym_sums(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,37 +269,35 @@ def _k_nodes(anu: float, e: int) -> tuple[np.ndarray, np.ndarray, bool]:
     return nodes, w, in_logs
 
 
-def _k_quadrature(nu: float, x: np.ndarray) -> np.ndarray:
-    """K_nu by trapezoidal quadrature of the defining integral on each point's octave nodes."""
-    out = np.empty_like(x)
-    for e, rows in _octave_blocks(x):
-        nodes, w, in_logs = _k_nodes(nu, e)
-        if in_logs:  # x cosh t = (x 2^-e) (2^e cosh t); a sum past the float range is inf
-            with np.errstate(over="ignore"):
-                out[rows] = np.exp(w - np.ldexp(x[rows], -e)[:, None] * nodes).sum(axis=1)
-        else:  # not BLAS: a gemv row's bits depend on its place in the batch
-            out[rows] = np.einsum("ij,j->i", np.exp(-x[rows, None] * nodes), w)
-    return out
+def _k_quadrature(nu: float, e: int, x: np.ndarray) -> np.ndarray:
+    """K_nu on one octave's points by trapezoidal quadrature of the defining integral."""
+    nodes, w, in_logs = _k_nodes(nu, e)
+    if in_logs:  # x cosh t = (x 2^-e) (2^e cosh t); a sum past the float range is inf
+        with np.errstate(over="ignore"):
+            return np.exp(w - np.ldexp(x, -e)[:, None] * nodes).sum(axis=1)
+    table = -x[:, None] * nodes  # exp in place: one block-sized temporary, not two
+    # not BLAS: a gemv row's bits depend on its place in the batch
+    return np.einsum("ij,j->i", np.exp(table, out=table), w)
 
 
 def _k_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
     return np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) * _bessel_asym_sums(nu, x)[0]
 
 
-def bessel_k(nu: float, x) -> "float | np.ndarray":
+def bessel_k(nu, x) -> "float | np.ndarray":
     """Modified Bessel function of the second kind, K_nu(x), x > 0.
 
-    K_{-nu} = K_nu.  The defining-integral trapezoid below 30 (1 + |nu|),
-    its nodes cached per (|nu|, octave of x); the exponential asymptotic
-    expansion above.  NaN gives NaN and inf gives 0.
+    ``nu`` is a scalar or an array broadcast against x, as in ``scipy.special.kv``;
+    one call checks, splits and routes every (order, argument) pair, and each element
+    has the bits of its scalar-order call.  K_{-nu} = K_nu.  The defining-integral
+    trapezoid below 30 (1 + |nu|), its nodes cached per (|nu|, octave of x); the
+    exponential asymptotic expansion above.  NaN gives NaN and inf gives 0.
     """
-    nu = abs(float(nu))
-    arr = np.asarray(x, dtype=float)
-    flat = arr.ravel()
+    nu, flat, shape = _orders(nu, x)
     if (flat <= 0).any():
         raise ValueError("bessel_k requires x > 0")
-    out = _by_route(nu, flat, flat < _bessel_switch(nu), _k_quadrature, _k_asymptotic)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    out = _bessel(np.abs(nu), flat, _k_quadrature, _k_asymptotic)
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 @functools.lru_cache(maxsize=256)  # one table per (nu, octave), built once
@@ -284,14 +317,12 @@ def _i_ratios(nu: float, e: int) -> np.ndarray:
     return ratio
 
 
-def _i_series(nu: float, x: np.ndarray) -> np.ndarray:
-    """I_nu(x), x >= 0, by the ascending series: one row of terms per point, whose
-    length, and so whose sum, is set by the point's octave alone."""
+def _i_series(nu: float, e: int, x: np.ndarray) -> np.ndarray:
+    """I_nu on one octave's points, x >= 0, by the ascending series: one row of terms
+    per point, whose length, and so whose sum, is set by the octave alone."""
     half = 0.5 * x
-    h2 = half * half
-    total = np.empty_like(x)
-    for e, rows in _octave_blocks(x):
-        total[rows] = np.cumprod(h2[rows, None] * _i_ratios(nu, e), axis=1).sum(axis=1)
+    terms = (half * half)[:, None] * _i_ratios(nu, e)
+    total = np.cumprod(terms, axis=1, out=terms).sum(axis=1)  # in place, as K's exp
     lg, sign = _loggamma_signed(nu + 1.0)
     return sign * math.exp(-lg) * half**nu * (1.0 + total)
 
@@ -302,25 +333,25 @@ def _i_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
     return (np.exp(x) * alternating - math.sin(math.pi * nu) * np.exp(-x) * plain) / root
 
 
-def bessel_i(nu: float, x) -> "float | np.ndarray":
+def bessel_i(nu, x) -> "float | np.ndarray":
     """Modified Bessel function of the first kind, I_nu(x), x >= 0.
 
-    Negative integer orders fold to positive; negative non-integer orders
-    use the ascending series directly (signs via the reflected gamma).  The
-    series below 30 (1 + |nu|), its length cached per (nu, octave of x);
-    the asymptotic expansion above.  NaN gives NaN and inf gives inf.
+    ``nu`` is a scalar or an array broadcast against x, as in ``scipy.special.iv``;
+    one call checks, splits and routes every (order, argument) pair, and each element
+    has the bits of its scalar-order call.  Negative integer orders fold to positive;
+    negative non-integer orders use the ascending series directly (signs via the
+    reflected gamma).  The series below 30 (1 + |nu|), its length cached per
+    (nu, octave of x); the asymptotic expansion above.  NaN gives NaN and inf gives inf.
     """
-    nu = float(nu)
-    if nu < 0 and nu == round(nu):
-        nu = -nu
-    arr = np.asarray(x, dtype=float)
-    flat = arr.ravel()
+    nu, flat, shape = _orders(nu, x)
     if (flat < 0).any():
         raise ValueError("bessel_i implemented for x >= 0")
-    if nu < 0 and (flat == 0).any():
-        raise ValueError("bessel_i diverges at x = 0 for negative order")
-    out = _by_route(nu, flat, flat < _bessel_switch(nu), _i_series, _i_asymptotic)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    if (negative := nu < 0).any():
+        nu = np.where(negative & (nu == np.round(nu)), -nu, nu)
+        if ((nu < 0) & (flat == 0)).any():
+            raise ValueError("bessel_i diverges at x = 0 for negative order")
+    out = _bessel(nu, flat, _i_series, _i_asymptotic)
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

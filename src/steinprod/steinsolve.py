@@ -28,10 +28,12 @@ under that change, and 3.6e-7 when J_K alone is scaled by 1 + 1e-6.
 J_I and J_K are read off one table per solution: the accepted leaves of
 the adaptive rule in u = sqrt(t) on fixed cells (``SteinSolution._grow``),
 with J at each leaf start.  J at a point is that plus one 16-node panel;
-the panels of a call share one I and one K call, which also gives I_d and
-K_d at the points.  J and the Bessel rows of the last points are kept, so
-``value(x)``, ``derivative(x, k)`` and ``stein_residual`` at one x share
-them.  The tail form integrates its K-kernel tail separately.
+the panels of a call share one I and one K call with an array of orders,
+which also gives the orders d, d+1 and d+2 at the points.  J and these
+Bessel rows of the last points are kept, so ``value(x)``,
+``derivative(x, k)`` and ``stein_residual`` at one x share them, and the
+residual after a value makes no Bessel call.  The tail form integrates
+its K-kernel tail separately.
 """
 
 from __future__ import annotations
@@ -46,16 +48,18 @@ from .steinops import ProductSpec
 from .dist import density
 
 _Z_CAP = 600.0  # 2 lam sqrt(x) beyond which values take the far-tail asymptote
+_LADDER = (0.0, 1.0, 2.0)  # the orders d + j that f, f' and f'' need
 
 
 def expect_pg(r1: float, r2: float, lam: float, h, tol: float = 1e-11) -> float:
     """E h(Y) for Y ~ two-gamma product, by quadrature in u = sqrt(t).
 
-    The density kernel decays like exp(-2 lam u); integration stops once
-    that factor is below e^-125, which bounds the dropped mass for any
-    bounded test function well under the tolerance.  The tail is split
-    into n panels one e-fold of the kernel wide, each integrated to tol / n,
-    so that the leaf errors of an oscillating h cannot add up beyond tol.
+    Integration stops at u = sqrt(x) for the density's ``mass_cut(tol)``: there
+    x p(x), read off the K-Bessel asymptote p ~ x^{s - 3/4} exp(-2 lam sqrt(x)),
+    is below 1e-3 tol, and so is the mass P(Y > x) beyond it; for a test function
+    bounded by 1 the dropped part of E h is smaller still.  The tail past the
+    peak is split into n panels one e-fold of exp(-2 lam u) wide, each integrated
+    to tol / n, so that the leaf errors of an oscillating h cannot add up beyond tol.
     """
     ev = density(ProductSpec(gamma_shapes=(r1, r2), lam=lam))
 
@@ -63,7 +67,7 @@ def expect_pg(r1: float, r2: float, lam: float, h, tol: float = 1e-11) -> float:
         return 2.0 * u * ev.batch(u * u) * h.deriv(u * u, 0)
 
     u_peak = max(1.0, math.sqrt(r1 * r2) / lam)
-    u_top = u_peak + (125.0 + 10.0 * abs(r1 + r2)) / (2.0 * lam)
+    u_top = max(math.sqrt(ev.mass_cut(tol)), u_peak + 0.5 / lam)  # at least one panel
     n = math.ceil(2.0 * lam * (u_top - u_peak))
     edges = np.linspace(u_peak, u_top, n + 1)
     head = quad.tanh_sinh(integrand, 0.0, u_peak, tol=tol)
@@ -141,7 +145,7 @@ class SteinSolution:
         self._cells = np.union1d(octaves, kinks[kinks < octaves[-1]])
         self._edge, self._j0 = np.zeros(1), np.zeros((2, 1))
         # the last points asked for, J and the Bessel rows (I_{d+j}, K_{d+j}) there
-        self._key, self._j, self._rows = b"", np.zeros((2, 0)), [np.zeros((2, 0))]
+        self._key, self._j, self._rows = b"", np.zeros((2, 0)), np.zeros((3, 2, 0))
 
     # -- centred test function ------------------------------------------------
 
@@ -154,12 +158,13 @@ class SteinSolution:
         """Common factor of the J integrands in u = sqrt(t)."""
         return 2.0 * u ** (2.0 * self.s - 1.0) * self.h_tilde(u * u)
 
-    def _kernels(self, u, order: float = 0.0):
-        """(I_{d+order}, K_{d+order}) at 2 lam u: one bessel_i and one bessel_k call."""
+    def _kernels(self, u, order=0.0):
+        """(I_{d+order}, K_{d+order}) at 2 lam u, ``order`` a scalar or an array like u:
+        one bessel_i and one bessel_k call."""
         from .specfun import bessel_i, bessel_k
 
-        arg = 2.0 * self.lam * u
-        return np.stack([bessel_i(self.delta + order, arg), bessel_k(self.delta + order, arg)])
+        arg, nu = 2.0 * self.lam * u, self.delta + order
+        return np.stack([bessel_i(nu, arg), bessel_k(nu, arg)])
 
     def _grow(self, u_max: float) -> None:
         """Extend the table over whole cells up to the first cell edge >= u_max.
@@ -182,9 +187,9 @@ class SteinSolution:
     def _j_values(self, xs: np.ndarray) -> np.ndarray:
         """(J_I, J_K) at every x, shape (2, n): J at the start of the point's leaf plus
         one Gauss-Legendre panel from there.  Beyond the cap, reached only by
-        ``derivative`` and ``value_tail_form``, a panel starts at the cap.  Each point's
-        own argument joins its panel's Bessel calls (256 points a call): its I_d and K_d
-        start ``_rows`` over."""
+        ``derivative`` and ``value_tail_form``, a panel starts at the cap.  Orders d, d+1
+        and d+2 at each point's own argument join its panel's Bessel calls (256 points a
+        call) and become ``_rows``."""
         if np.any(xs < 0):
             raise ValueError("x must be nonnegative")
         u = np.sqrt(xs)
@@ -195,18 +200,20 @@ class SteinSolution:
         start = self._edge[leaf]
         j = self._j0[:, leaf]
         node, w = quad.gauss_legendre(16)
-        own = np.empty((2, u.size))
+        own = np.empty((3, 2, u.size))
         for lo in range(0, u.size, quad._CHUNK_PANELS):
             sl = slice(lo, lo + quad._CHUNK_PANELS)
             part = u[sl] > start[sl]  # no panel for a point at its leaf start
             a, b = start[sl][part], u[sl][part]
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             nodes = (mid[:, None] + half[:, None] * node).ravel()
-            kern = self._kernels(np.concatenate([nodes, u[sl]]))
-            own[:, sl] = kern[:, nodes.size:]
+            m = u[sl].size  # order d at the nodes and the points, then d + 1 and d + 2
+            kern = self._kernels(np.concatenate((nodes, u[sl], u[sl], u[sl])),
+                                 np.repeat(_LADDER, (nodes.size + m, m, m)))
+            own[:, :, sl] = kern[:, nodes.size:].reshape(2, 3, m).swapaxes(0, 1)
             vals = (self._weight(nodes) * kern[:, :nodes.size]).reshape(2, -1, 16)
             j[:, sl][:, part] += half * np.sum(w * vals, axis=-1)
-        self._rows = [own]
+        self._rows = own
         return j
 
     def _j_tail_k(self, x: float) -> float:
@@ -228,8 +235,6 @@ class SteinSolution:
         key = xs.tobytes()
         if key != self._key:
             self._j, self._key = self._j_values(xs), key
-        while len(self._rows) <= order:
-            self._rows.append(self._kernels(np.sqrt(xs), len(self._rows)))
         return _prefactors(self._ladder, self.s, xs, self._rows[:order + 1]), self._j
 
     def _combine(self, xs: np.ndarray, order: int) -> np.ndarray:
@@ -334,7 +339,7 @@ def _ladder(s: float, delta: float, lam: float) -> np.ndarray:
     return c
 
 
-def _prefactors(ladder: np.ndarray, s: float, xs: np.ndarray, rows: list) -> np.ndarray:
+def _prefactors(ladder: np.ndarray, s: float, xs: np.ndarray, rows) -> np.ndarray:
     """Orders k < len(rows) of x^{-s} I_d and x^{-s} K_d at xs, shape (2, len(rows), n),
     from rows[j] = (I_{d+j}, K_{d+j}) at 2 lam sqrt(xs)."""
     order = len(rows)
@@ -348,8 +353,8 @@ def homogeneous_residual(r1: float, r2: float, lam: float, x: float) -> tuple[fl
     from .specfun import bessel_i, bessel_k
 
     s, delta, xs = 0.5 * (r1 + r2), abs(r1 - r2), np.array([float(x)])
-    z = 2.0 * lam * np.sqrt(xs)
-    rows = [np.stack([bessel_i(delta + j, z), bessel_k(delta + j, z)]) for j in range(3)]
+    nu, z = delta + np.array(_LADDER)[:, None], 2.0 * lam * np.sqrt(xs)
+    rows = np.stack([bessel_i(nu, z), bessel_k(nu, z)], axis=1)  # rows[j] = (I_{d+j}, K_{d+j})
     w, w1, w2 = _prefactors(_ladder(s, delta, lam), s, xs, rows).transpose(1, 0, 2)
     val = x * x * w2 + (1.0 + r1 + r2) * x * w1 + (r1 * r2 - lam**2 * x) * w
     return float(val[1, 0]), float(val[0, 0])

@@ -1,11 +1,13 @@
 """Level-wise adaptive Gauss-Legendre against the recursive halving rule."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from steinprod import quad
+from steinprod.specfun import NumericalError
 
 
 def recursive_adaptive(f, a, b, tol=1e-10, rtol=1e-12, max_depth=24):
@@ -97,3 +99,22 @@ def test_scalar_and_degenerate_intervals():
     assert isinstance(quad.adaptive(np.cos, 0.0, 1.0), float)
     assert quad.adaptive(np.cos, 1.0, 1.0) == 0.0
     assert quad.adaptive(lambda u: 2.0, 0.0, 3.0) == pytest.approx(6.0, rel=1e-15)
+
+
+def test_non_finite_panels_raise_instead_of_halving():
+    # NaN on half of [0, 1]: such a panel never passes the accept test, and halving
+    # it to the default depth would ask for about 2^24 panels
+    calls = []
+
+    def f(u):
+        calls.append(u.size)
+        return np.where(u < 0.5, np.nan, u)
+
+    start = time.perf_counter()
+    with pytest.raises(NumericalError, match=r"non-finite integrand on \[0, 1\]"):
+        quad.adaptive(f, 0.0, 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert sum(calls) == 3 * 16  # the panel and its two halves
+    # only the bad interval of a batch is named
+    with pytest.raises(NumericalError, match=r"\[2, 3\]"):
+        quad.adaptive(lambda u: np.where(u > 2.0, np.inf, u), [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])

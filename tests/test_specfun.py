@@ -187,6 +187,41 @@ class TestBessel:
             assert out.shape == xs.shape
             np.testing.assert_array_equal(out.ravel(), f(1.0, xs.ravel()))
 
+    @pytest.mark.parametrize("d", [0.0, 0.5, 1.5, 2.7])
+    def test_array_orders_match_scalar_calls(self, d):
+        # orders d..d+2 in one call, arguments on both sides of octave edges and of each
+        # order's switch 30 (1 + nu), NaN and inf: in runs of one order, shuffled, broadcast
+        orders = d + np.arange(3.0)
+        edges, switches = 2.0 ** np.arange(-6, 8), [specfun._bessel_switch(nu) for nu in orders]
+        row = np.concatenate([np.outer([1 - 1e-12, 1.0, 1 + 1e-12], np.r_[edges, switches]).ravel(),
+                              [math.nan, math.inf, 1e-3, 0.7, 5.5]])
+        nus, xs = np.repeat(orders, row.size), np.tile(row, 3)
+        shuffled = np.random.default_rng(7).permutation(xs.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (bessel_i, bessel_k):
+                alone = np.array([f(nu, x) for nu, x in zip(nus, xs)])
+                np.testing.assert_array_equal(f(nus, xs), alone)
+                np.testing.assert_array_equal(f(nus[shuffled], xs[shuffled]), alone[shuffled])
+                np.testing.assert_array_equal(f(orders[:, None], row), alone.reshape(3, -1))
+                assert f(orders, 2.0).shape == (3,) and isinstance(f(orders[0], 2.0), float)
+
+    def test_array_orders_match_mpmath(self):
+        nus = np.array([0.0, 1.0, 2.0, 0.5, 1.5, 2.5, 2.7, 3.7, 4.7])
+        xs = np.array([1e-3, 0.3, 2.0, 7.7, 31.0, 60.0, 90.0, 150.0, 190.0])
+        with mp.workdps(30):
+            ref_i = [float(mp.besseli(nu, x)) for nu, x in zip(nus, xs)]
+            ref_k = [float(mp.besselk(nu, x)) for nu, x in zip(nus, xs)]
+        np.testing.assert_allclose(bessel_i(nus, xs), ref_i, rtol=1e-12)
+        np.testing.assert_allclose(bessel_k(nus, xs), ref_k, rtol=1e-12)
+
+    def test_array_order_domain(self):
+        with pytest.raises(ValueError, match="negative order"):
+            bessel_i([1.0, -0.5], 0.0)
+        assert bessel_i([-2.0, 2.0], 0.0).tolist() == [0.0, 0.0]  # -2 folds to 2
+        with pytest.raises(ValueError):
+            bessel_k([0.5, 1.5], [1.0, -1.0])
+
 
 EXP = MeijerGParams.upper_zero([], [0.0])
 

@@ -1,10 +1,16 @@
 """Two-gamma Stein equation: solution, residuals, boundedness, recursion."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.integrate as integrate
+import scipy.special as sp
+import scipy.stats as st
 
-from steinprod import cli, funcs, quad, specfun, steinsolve
+from steinprod import cli, dist, funcs, quad, specfun, steinsolve
+from steinprod.steinops import ProductSpec
 
 CASES = [(1.0, 1.0, 1.0), (2.0, 0.5, 1.0), (1.5, 1.5, 2.0)]
 
@@ -125,6 +131,54 @@ class TestSolveSteinPG:
         assert abs(sol.value(1e-3)) <= bound + 1e-6
 
 
+# E h(Y) for h = const, exp, sin, rational, gauss on criterion 8's shape pairs, as the
+# fixed tail of 125 + 10 (r1 + r2) e-folds past the peak computed it
+EXPECT_PG_FIXED_TAIL = {
+    (1.0, 1.0, 0.5): [1.0, 0.3352213612078483, 0.2815027209529543, 0.5577635479414002,
+                      0.4223237926714801],
+    (1.0, 1.0, 1.0): [1.0, 0.5963473623231941, 0.34337796155642697, 0.3319086736222222,
+                      0.7260131687162548],
+    (1.0, 1.0, 3.3): [1.0000000000000002, 0.9215825235336774, 0.08778195216314377,
+                      0.07120863117975669, 0.986036860345439],
+    (2.0, 0.5, 0.5): [0.9999999999999994, 0.38641034019126147, 0.2515372964477276,
+                      0.5175862071038796, 0.46804993428432945],
+    (2.0, 0.5, 1.0): [0.9999999999999994, 0.6210639219293437, 0.3065742132802233,
+                      0.31188840533115114, 0.7362851577554322],
+    (2.0, 0.5, 3.3): [0.9999999999999998, 0.9229279804806063, 0.08688063418119422,
+                      0.06952052563497181, 0.984770179683514],
+    (1.5, 1.5, 0.5): [1.0000000000000004, 0.12819084164067437, 0.15680856253257963,
+                      0.7546100257709725, 0.16720733802035043],
+    (1.5, 1.5, 1.0): [1.0000000000000002, 0.3579320986822611, 0.38389623850771326,
+                      0.5246555514948861, 0.46960479825743245],
+    (1.5, 1.5, 3.3): [1.0000000000000004, 0.8372219337842519, 0.18845847693262646,
+                      0.14293411767692735, 0.9557469497705244],
+}
+
+
+class TestExpectation:
+    @pytest.mark.parametrize("r1,r2,lam", list(EXPECT_PG_FIXED_TAIL))
+    def test_mass_cut_keeps_the_fixed_tail_values(self, r1, r2, lam):
+        for h, ref in zip(bounded_test_functions().values(), EXPECT_PG_FIXED_TAIL[r1, r2, lam]):
+            assert abs(steinsolve.expect_pg(r1, r2, lam, h) - ref) <= 1e-14
+
+    @pytest.mark.parametrize("r1,r2,lam", list(EXPECT_PG_FIXED_TAIL) + [(1.4, 2.45, 0.5)])
+    def test_mass_beyond_the_cut_is_negligible(self, r1, r2, lam):
+        tol = 1e-11  # expect_pg's default
+        spec = ProductSpec(gamma_shapes=(r1, r2), lam=lam)
+        cut = dist.density(spec).mass_cut(tol)
+        assert 1.0 - dist.NumericCdf(spec)(cut) < 1e-3 * tol
+        # the same mass without the cancellation in 1 - F: P(G1 G2 > lam^2 cut) for
+        # unit-rate gammas, conditioning on G2
+        t = lam * lam * cut
+
+        def beyond(g):
+            return sp.gammaincc(r1, t / g) * st.gamma.pdf(g, r2)
+
+        mass = sum(integrate.quad(beyond, a, b, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+                   for a, b in ((0.0, math.sqrt(t)), (math.sqrt(t), 4.0 * math.sqrt(t) + 100.0)))
+        assert mass < 1e-3 * tol
+
+
 class TestBatchedSweep:
     @pytest.mark.parametrize("r1,r2,lam", CASES)
     def test_values_match_ascending_value_calls(self, r1, r2, lam):
@@ -197,19 +251,21 @@ class TestBatchedSweep:
 
     def test_residual_evaluates_each_bessel_order_once(self, monkeypatch):
         sol = steinsolve.solve_stein_pg(2.0, 0.5, 1.0, funcs.exp_decay(1.0))
+        sol.value(2.0)  # grows the J table past x
         x = 1.7
-        sol.value(x)
         calls = []
         for name in ("bessel_i", "bessel_k"):
             fn = getattr(specfun, name)
             monkeypatch.setattr(specfun, name, lambda nu, z, _fn=fn, _n=name:
-                                calls.append((_n, nu)) or _fn(nu, z))
+                                calls.append((_n, np.size(z), sorted(np.unique(nu)))) or _fn(nu, z))
+        sol.value(x)
+        # one call per kind: order d = 1.5 at the 16 panel nodes and at x, and the
+        # one-sided ladder's d + 1 and d + 2 at x
+        assert calls == [("bessel_i", 19, [1.5, 2.5, 3.5]), ("bessel_k", 19, [1.5, 2.5, 3.5])]
+        calls.clear()
         res = steinsolve.stein_residual(sol, x)
         assert abs(res) < 1e-8
-        # order d = 1.5 came with value(x)'s panel call; the one-sided ladder
-        # needs d + 1 and d + 2 of each kind, once each, and no lower order
-        assert sorted(calls) == [("bessel_i", 2.5), ("bessel_i", 3.5),
-                                 ("bessel_k", 2.5), ("bessel_k", 3.5)]
+        assert calls == []  # the residual reads the rows value(x) kept
 
     def test_shared_bessel_values_match_fresh_evaluation(self):
         comb = funcs.BesselPowerComb([(1.0, -1.25, 1.5, "k"), (0.3, -1.25, 1.5, "i")], 2.0, 0.5)
@@ -220,6 +276,19 @@ class TestBatchedSweep:
         # the one-sided ladder: orders 0..3 need nu = 1.5 + 0..3 once per kind
         assert sorted(nu for nu, kind in shared if kind == "k") == [1.5, 2.5, 3.5, 4.5]
         assert sorted(nu for nu, kind in shared if kind == "i") == [1.5, 2.5, 3.5, 4.5]
+
+    def test_bessel_rows_take_one_call_per_kind(self, monkeypatch):
+        calls = []
+        for name in ("bessel_i", "bessel_k"):
+            fn = getattr(specfun, name)
+            monkeypatch.setattr(specfun, name, lambda nu, z, _fn=fn, _n=name:
+                                calls.append((_n, np.unique(nu).tolist())) or _fn(nu, z))
+        comb = funcs.BesselPowerComb([(1.0, -1.25, 1.5, "k"), (0.3, -1.25, 1.5, "i")], 2.0, 0.5)
+        comb.deriv(np.array([0.03, 0.7, 4.0]), 3)
+        assert calls == [("bessel_i", [1.5, 2.5, 3.5, 4.5]), ("bessel_k", [1.5, 2.5, 3.5, 4.5])]
+        calls.clear()
+        steinsolve.homogeneous_residual(2.0, 0.5, 1.0, 1.7)
+        assert calls == [("bessel_i", [1.5, 2.5, 3.5]), ("bessel_k", [1.5, 2.5, 3.5])]
 
 
 class TestResidual:
@@ -274,8 +343,8 @@ class TestDerivativeBounds:
         assert all(np.isfinite(s) and s < 50 for s in sups)
         np.testing.assert_allclose(sups[:2], [0.3432140814961051, 0.17574639371444498],
                                    rtol=1e-6)
-        # The e_h of the f'' stage reads the gridded f' stage out to x ~ 9e3,
-        # where the solution formula is dominated by cancellation; f'' moves
+        # The e_h of the f'' stage reads the gridded f' stage out to its density's
+        # mass cut, where the solution formula is dominated by cancellation; f'' moves
         # by ~5e-6 with the quadrature tolerances (and reaches 0.06886494 at
         # stage tolerances 1e-9 and 1e-10), so it is pinned more loosely.
         assert sups[2] == pytest.approx(0.0688653251847452, rel=1e-5)
@@ -283,8 +352,10 @@ class TestDerivativeBounds:
     @pytest.mark.parametrize("k,h,lam,expected", [
         (0, funcs.gaussian_bump(1.0), 2.0, [0.09738339244977368]),
         (1, funcs.BoundedRational(1.0), 1.0, [0.1814218190018273, 0.09756401252089203]),
+        # f'': its stage's E h reads the gridded f' stage, cancellation noise beyond x ~ 300,
+        # out to the density's mass cut (x = 722), no longer to x ~ 1e4
         (2, funcs.exp_decay(1.0), 1.0,
-         [0.22042365698209, 0.09350382967713158, 0.053314697090448254]),
+         [0.22042365698209, 0.09350382967713158, 0.053314542455714709]),
     ])
     def test_pinned_estimates(self, k, h, lam, expected):
         sups = steinsolve.estimate_derivative_bounds(
