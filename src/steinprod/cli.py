@@ -8,7 +8,10 @@ Product specifications are JSON files with a mandatory version field:
      "normal": {"count": 1, "sigma": 1.0},
      "q": 1.0}
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success; 1 validation error (a bad spec, argument or grid, a
+non-finite grid end included); 2 numerical failure (a value past the double
+range, an overflowing Mellin transform included, or a routine that did not
+converge).  Either failure prints one line on stderr, a traceback only with --debug.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ def parse_grid(text: str) -> np.ndarray:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise SpecError(f"grid must be start:end:count, got {text!r}") from exc
+    if not np.isfinite([lo, hi]).all():
+        raise SpecError(f"grid ends must be finite, got {text!r}")
     if count < 2 or not lo < hi:
         raise SpecError("grid needs count >= 2 and start < end")
     return np.linspace(lo, hi, count)
@@ -122,39 +127,23 @@ def cmd_operator(args) -> int:
     return 0
 
 
-def cmd_density(args) -> int:
-    spec = load_spec(args.spec)
-    grid = parse_grid(args.grid)
-    ev = dist.density(spec)
-    vals = ev.batch(grid)
-    write_csv(args.out, ["x", "density"], zip(grid.tolist(), vals.tolist()))
-    return 0
+# name: (help, default grid, CSV header, values(spec, grid) as floats)
+GRID_COMMANDS = {
+    "density": ("density on a grid", "-5:5:101", ["x", "density"],
+                lambda spec, grid: dist.density(spec).batch(grid).tolist()),
+    "cf": ("characteristic function on a grid", "0:4:41", ["t", "cf"],
+           lambda spec, grid: [dist.char_function(spec, t) for t in grid.tolist()]),
+    "tail": ("tail asymptote on a grid", "5:20:31", ["x", "tail"],
+             lambda spec, grid: dist.tail_asymptotic(spec, grid).tolist()),
+    "mellin": ("Mellin transform on a grid", "1:6:21", ["s", "mellin"],
+               lambda spec, grid: list(map(dist.mellin(spec), grid.tolist()))),
+}
 
 
-def cmd_cf(args) -> int:
-    spec = load_spec(args.spec)
-    grid = parse_grid(args.grid)
-    vals = [dist.char_function(spec, float(t)) for t in grid]
-    write_csv(args.out, ["t", "cf"], zip(grid.tolist(), vals))
-    return 0
-
-
-def cmd_tail(args) -> int:
-    spec = load_spec(args.spec)
-    grid = parse_grid(args.grid)
-    vals = dist.tail_asymptotic(spec, grid)
-    write_csv(args.out, ["x", "tail"], zip(grid.tolist(), vals.tolist()))
-    return 0
-
-
-def cmd_mellin(args) -> int:
-    spec = load_spec(args.spec)
-    grid = parse_grid(args.grid)
-    mel = dist.mellin(spec)
-    rows = []
-    for s in grid:
-        rows.append((float(s), mel(float(s))))
-    write_csv(args.out, ["s", "mellin"], rows)
+def cmd_grid(args) -> int:
+    spec, grid = load_spec(args.spec), parse_grid(args.grid)
+    _, _, header, values = GRID_COMMANDS[args.command]
+    write_csv(args.out, header, zip(grid.tolist(), values(spec, grid)))
     return 0
 
 
@@ -209,11 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--debug", action="store_true", help="print tracebacks")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, grid_default="-5:5:101"):
-        p.add_argument("--spec", required=True, help="product spec JSON file")
-        p.add_argument("--grid", default=grid_default, help="start:end:count")
-        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-
     p = sub.add_parser("operator", help="print the Stein operator")
     p.add_argument("--spec", required=True)
     p.add_argument("--reduce", action="store_true")
@@ -221,21 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_operator)
 
-    p = sub.add_parser("density", help="density on a grid")
-    add_common(p)
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("cf", help="characteristic function on a grid")
-    add_common(p, grid_default="0:4:41")
-    p.set_defaults(func=cmd_cf)
-
-    p = sub.add_parser("tail", help="tail asymptote on a grid")
-    add_common(p, grid_default="5:20:31")
-    p.set_defaults(func=cmd_tail)
-
-    p = sub.add_parser("mellin", help="Mellin transform on a grid")
-    add_common(p, grid_default="1:6:21")
-    p.set_defaults(func=cmd_mellin)
+    for name, (help_text, grid, _, _) in GRID_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--spec", required=True, help="product spec JSON file")
+        p.add_argument("--grid", default=grid, help="start:end:count")
+        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
+        p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("sample", help="draw product samples")
     p.add_argument("--spec", required=True)
@@ -277,12 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if args.debug:
-            raise
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # SpecError included
         print(f"error: {exc}", file=sys.stderr)
         if args.debug:
             raise

@@ -176,7 +176,13 @@ class MellinTransform:
         return total
 
     def __call__(self, s: float) -> float:
-        return math.exp(self.log_value(s))
+        """M(s), typed when it is past the double range."""
+        log_value = self.log_value(s)
+        try:
+            return math.exp(log_value)
+        except OverflowError:
+            raise NumericalError(f"E|W|^(s-1) at s = {s:.6g} is exp({log_value:.6g}), past the "
+                                 f"double range ({self.spec.describe()})") from None
 
 
 def mellin(spec: ProductSpec) -> MellinTransform:

@@ -16,6 +16,9 @@ import numpy as np
 from .specfun import NumericalError
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+GL_ORDER = 16  # Gauss-Legendre nodes per panel
+_MAX_DEPTH = 24  # halvings of an adaptive panel
+_TS_MAX_LEVEL = 10  # tanh-sinh step halvings
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -24,8 +27,8 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
-def gl_panel(f: Callable, a: float, b: float, n: int = 16) -> float:
-    x, w = gauss_legendre(n)
+def gl_panel(f: Callable, a: float, b: float) -> float:
+    x, w = gauss_legendre(GL_ORDER)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return half * float(np.sum(w * f(mid + half * x)))
 
@@ -35,13 +38,13 @@ def gl_panel(f: Callable, a: float, b: float, n: int = 16) -> float:
 _CHUNK_PANELS = 256
 
 
-def _gl_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, n: int = 16) -> np.ndarray:
+def _gl_panels(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Gauss-Legendre values of many panels, shape (..., panels).
 
     The integrand sees one flat node array per chunk; a result of shape
     (c, nodes) gives c components per panel.
     """
-    x, w = gauss_legendre(n)
+    x, w = gauss_legendre(GL_ORDER)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     parts = []
     for start in range(0, lo.size, _CHUNK_PANELS):
@@ -49,19 +52,18 @@ def _gl_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, n: int = 16) -> np.n
         nodes = (mid[sl, None] + half[sl, None] * x).ravel()
         vals = np.asarray(f(nodes), dtype=float)
         vals = np.broadcast_to(vals, vals.shape[:-1] + nodes.shape)
-        vals = vals.reshape(vals.shape[:-1] + (-1, n))
+        vals = vals.reshape(vals.shape[:-1] + (-1, GL_ORDER))
         parts.append(half[sl] * np.sum(w * vals, axis=-1))
     return np.concatenate(parts, axis=-1)
 
 
-def _accepted(f: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, rtol: float,
-              max_depth: int = 24):
+def _accepted(f: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, rtol: float):
     """Level-wise halving of the panels [lo, hi], accept test as in ``adaptive``: yields
     each level's accepted panels as (index of their interval, lo, value (..., panels)).
     A panel whose value or halves are not finite is never accepted, so it raises at once."""
     owner = np.arange(lo.size)
     whole = _gl_panels(f, lo, hi)
-    for depth in range(max_depth, -1, -1):
+    for depth in range(_MAX_DEPTH, -1, -1):
         if not lo.size:
             return
         mid = 0.5 * (lo + hi)
@@ -80,12 +82,11 @@ def _accepted(f: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, rtol: flo
         owner = np.concatenate([owner[keep], owner[keep]])
 
 
-def adaptive(f: Callable, a, b, tol: float = 1e-10, rtol: float = 1e-12,
-             max_depth: int = 24):
+def adaptive(f: Callable, a, b, tol: float = 1e-10, rtol: float = 1e-12):
     """Adaptive Gauss-Legendre by interval halving, one level at a time.
 
     A panel is split until the halving correction |left + right - whole|
-    is below max(tol, rtol * |whole|), or max_depth halvings are reached;
+    is below max(tol, rtol * |whole|), or _MAX_DEPTH halvings are reached;
     the relative term keeps large-magnitude integrands from recursing
     into roundoff noise.  A panel with a non-finite value raises
     ``NumericalError`` naming its interval instead of being halved.
@@ -96,7 +97,7 @@ def adaptive(f: Callable, a, b, tol: float = 1e-10, rtol: float = 1e-12,
     every component passes; the result then has a leading axis c.
     """
     lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    levels = list(_accepted(f, lo.ravel(), hi.ravel(), tol, rtol, max_depth))
+    levels = list(_accepted(f, lo.ravel(), hi.ravel(), tol, rtol))
     total = np.zeros(levels[0][2].shape[:-1] + (lo.size,))
     for owner, _, value in levels:
         np.add.at(total, (..., owner), value)
@@ -104,8 +105,7 @@ def adaptive(f: Callable, a, b, tol: float = 1e-10, rtol: float = 1e-12,
     return float(total) if total.ndim == 0 else total
 
 
-def tanh_sinh(f: Callable, a: float, b: float, tol: float = 1e-12,
-              max_level: int = 10) -> float:
+def tanh_sinh(f: Callable, a: float, b: float, tol: float = 1e-12) -> float:
     """Tanh-sinh rule on (a, b); tolerates integrable endpoint singularities."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -131,7 +131,7 @@ def tanh_sinh(f: Callable, a: float, b: float, tol: float = 1e-12,
     x, w = nodes(h, ks)
     total = eval_points(x, w)
     result = half * h * total
-    for level in range(1, max_level + 1):
+    for level in range(1, _TS_MAX_LEVEL + 1):
         h *= 0.5
         kmax = int(6.0 / h)
         new_ks = np.arange(-kmax, kmax + 1)

@@ -169,12 +169,12 @@ def _loggamma_signed(x: float) -> tuple[float, float]:
 # modified Bessel functions
 # ---------------------------------------------------------------------------
 
-_BESSEL_ASYMPTOTIC_AT = 30.0
 _BLOCK = 256  # points per table block: a memory bound
 
 
-def _bessel_switch(nu: float) -> float:
-    return _BESSEL_ASYMPTOTIC_AT * (1.0 + abs(nu))
+def _bessel_switch(nu):
+    """Where the large-argument expansions take over: 30 (1 + |nu|), nu a float or an array."""
+    return 30.0 * (1.0 + abs(nu))
 
 
 def _orders(nu, x) -> tuple:
@@ -223,7 +223,7 @@ def _bessel(nu: np.ndarray, x: np.ndarray, near_block, far_route) -> np.ndarray:
     ``nu`` is 0-d or like x.  The orders reach the routes as Python floats and the
     routes work point by point, so an element has the bits of its scalar-order call.
     """
-    near = x < _BESSEL_ASYMPTOTIC_AT * (1.0 + np.abs(nu))  # NaN and inf go far
+    near = x < _bessel_switch(nu)  # NaN and inf go far
     key = np.where(near, np.frexp(x)[1] + 2047, -1)  # octave e + 2048 (e >= -1074) below it
     out = np.empty_like(x)
     for order, k, rows in _blocks(nu, key):
@@ -394,13 +394,16 @@ def shift_params(params: MeijerGParams, c: float) -> MeijerGParams:
                                     [x + c for x in params.b])
 
 
-def reduce_params(params: MeijerGParams, tol: float = 1e-12) -> MeijerGParams:
+_CANCEL_TOL = 1e-12  # an upper and a lower parameter this close cancel
+
+
+def reduce_params(params: MeijerGParams) -> MeijerGParams:
     """Cancel upper parameters equal to lower ones, one pair per match."""
     a = list(params.a)
     b = list(params.b)
     out_a = []
     for av in a:
-        hit = next((i for i, bv in enumerate(b) if abs(av - bv) <= tol), None)
+        hit = next((i for i, bv in enumerate(b) if abs(av - bv) <= _CANCEL_TOL), None)
         if hit is None:
             out_a.append(av)
         else:
@@ -438,13 +441,16 @@ def _underflows(params: MeijerGParams, zs: np.ndarray) -> np.ndarray:
     return far & (_log_asymptotic_g(params, zs) < -760.0)
 
 
-def _cluster_b(b: Sequence[float], tol: float = 1e-9):
+_INTEGER_SPACING = 1e-9  # a difference this close to an integer counts as one
+
+
+def _cluster_b(b: Sequence[float]):
     """Group b-parameters whose pairwise differences are integers."""
     clusters: list[list[float]] = []
     for val in sorted(b, reverse=True):
         for cl in clusters:
             d = cl[0] - val
-            if abs(d - round(d)) < tol:
+            if abs(d - round(d)) < _INTEGER_SPACING:
                 cl.append(val)
                 break
         else:
@@ -483,7 +489,10 @@ def _gamma_laurent(n: int, delta: float, terms: int):
 _SERIES_MAX_CANCELLATION = 1e6
 
 
-def _residue_table(params: MeijerGParams, ln_top: float, kmax: int = 4000):
+_RESIDUE_KMAX = 4000  # residues per cluster at most
+
+
+def _residue_table(params: MeijerGParams, ln_top: float):
     """(powers, logmags, table): residue coefficients of z^power (ln z)^j.
 
     At each candidate pole s0 = -min(cluster) - k the integrand
@@ -500,14 +509,14 @@ def _residue_table(params: MeijerGParams, ln_top: float, kmax: int = 4000):
         base = cl[-1]  # the smallest member: its pole s = -base is the rightmost
         # Gamma(v + s) at s = -base - k + e is Gamma(delta - (k - r) + e) with
         # v - base = r + delta, delta summed exactly; integer spacings within
-        # 1e-9 count as exact
+        # _INTEGER_SPACING count as exact
         offsets = []
         for v, power in [(v, 1) for v in b] + [(v, -1) for v in a]:
             r = round(v - base)
             delta = math.fsum((v, -base, -r))
-            offsets.append((r, 0.0 if abs(delta) < 1e-9 else delta, power))
+            offsets.append((r, 0.0 if abs(delta) < _INTEGER_SPACING else delta, power))
         small_run = 0
-        for k in range(kmax):
+        for k in range(_RESIDUE_KMAX):
             order = sum(power for r, delta, power in offsets if not delta and k >= r)
             sign, logmag, logser = 1.0, 0.0, [0.0] * order
             for r, delta, power in offsets:
@@ -554,7 +563,7 @@ def _meijer_g_series(params: MeijerGParams, zs) -> np.ndarray:
     by more than _SERIES_MAX_CANCELLATION is returned as nan.
     """
     lnz = np.log(np.asarray(zs, dtype=float))
-    top = _SERIES_BELOW if params.q > params.p else _NORLUND_ABOVE
+    top = _series_top(params)
     ln_top = max(float(np.max(lnz)), math.log(top))
     cut, rows = slot = _residue_slot(params)
     if ln_top > cut:
@@ -745,6 +754,11 @@ def _meijer_g_contour_batch(params: MeijerGParams, zs, tol: float) -> np.ndarray
 _SERIES_BELOW = 0.04
 
 
+def _series_top(params: MeijerGParams) -> float:
+    """The largest argument the residue series takes: 0.04 when q > p, 0.3 when q = p."""
+    return _SERIES_BELOW if params.q > params.p else _NORLUND_ABOVE
+
+
 def meijer_g_batch(params: MeijerGParams, zs, tol: float = 1e-10,
                    deriv: int = 0) -> np.ndarray:
     """G^{q,0}_{p,q}(z | a; b), or its deriv-th z-derivative, at positive zs.
@@ -769,7 +783,7 @@ def meijer_g_batch(params: MeijerGParams, zs, tol: float = 1e-10,
     flat = zs.ravel()
     out = np.where(np.isnan(flat), np.nan, 0.0)
     sigma = params.q - params.p
-    series = flat <= (_SERIES_BELOW if sigma else _NORLUND_ABOVE)
+    series = flat <= _series_top(params)
     with np.errstate(over="ignore", invalid="ignore"):  # a G past the float range raises below
         if np.any(series):
             out[series] = _meijer_g_series(params, flat[series])

@@ -199,7 +199,7 @@ class SteinSolution:
         leaf = np.searchsorted(self._edge, u, side="right") - 1
         start = self._edge[leaf]
         j = self._j0[:, leaf]
-        node, w = quad.gauss_legendre(16)
+        node, w = quad.gauss_legendre(quad.GL_ORDER)
         own = np.empty((3, 2, u.size))
         for lo in range(0, u.size, quad._CHUNK_PANELS):
             sl = slice(lo, lo + quad._CHUNK_PANELS)
@@ -211,7 +211,7 @@ class SteinSolution:
             kern = self._kernels(np.concatenate((nodes, u[sl], u[sl], u[sl])),
                                  np.repeat(_LADDER, (nodes.size + m, m, m)))
             own[:, :, sl] = kern[:, nodes.size:].reshape(2, 3, m).swapaxes(0, 1)
-            vals = (self._weight(nodes) * kern[:, :nodes.size]).reshape(2, -1, 16)
+            vals = (self._weight(nodes) * kern[:, :nodes.size]).reshape(2, -1, quad.GL_ORDER)
             j[:, sl][:, part] += half * np.sum(w * vals, axis=-1)
         self._rows = own
         return j
@@ -251,6 +251,8 @@ class SteinSolution:
         form would need K_d(0).
         """
         xs = np.asarray(xs, dtype=float)
+        if np.any(xs < 0):
+            raise ValueError("x must be nonnegative")
         # far tail: the solution approaches -h_tilde(x) / (lam^2 x);
         # evaluating the growing/decaying Bessel pair would overflow
         far = 2.0 * self.lam * np.sqrt(xs) > _Z_CAP

@@ -3,14 +3,16 @@
 import io
 import json
 import math
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from steinprod import dist, verify
-from steinprod.cli import SpecError, load_spec, main, parse_grid
+from steinprod.cli import GRID_COMMANDS, SpecError, load_spec, main, parse_grid
 from steinprod.specfun import NumericalError
 
 
@@ -25,6 +27,7 @@ def spec_file(tmp_path):
 
 
 PN1 = {"version": 1, "normal": {"count": 1, "sigma": 1.0}}
+TINY_RATE = {"version": 1, "gamma": {"shapes": [1.0], "lambda": 1e-200}}
 XYZ = {"version": 1, "beta": [[1.3, 0.6]],
        "gamma": {"shapes": [1.4], "lambda": 1.0},
        "normal": {"count": 1, "sigma": 1.0}}
@@ -178,6 +181,24 @@ class TestCommands:
         assert len(rows) == 7 and all(math.isfinite(float(v)) for row in rows for v in row)
         assert float(rows[2][1]) == dist.tail_asymptotic(load_spec(spec_file(XYZ)), 10.0)
 
+    @pytest.mark.parametrize("command", GRID_COMMANDS)
+    def test_grid_command_rows_are_library_values(self, spec_file, capsys, command):
+        # each row has the bits of its library call, on the default grid the README lists
+        _, default, header, _ = GRID_COMMANDS[command]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert f"`{command}` `{default}`" in " ".join(readme.split())
+        assert main([command, "--spec", spec_file(XYZ)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ",".join(header)
+        grid, values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).T
+        assert grid.tolist() == parse_grid(default).tolist()
+        spec = load_spec(spec_file(XYZ))
+        expected = {"density": lambda: dist.density(spec).batch(grid),
+                    "cf": lambda: [dist.char_function(spec, t) for t in grid],
+                    "tail": lambda: dist.tail_asymptotic(spec, grid),
+                    "mellin": lambda: [dist.mellin(spec)(s) for s in grid]}[command]()
+        assert values.tolist() == np.asarray(expected, dtype=float).tolist()
+
     def test_density_riemann_sum_near_one(self, spec_file, capsys):
         rc = main(["density", "--spec", spec_file(PN1), "--grid=-4:4:101"])
         assert rc == 0
@@ -230,6 +251,28 @@ class TestExitCodes:
         assert rc == 2
         out = capsys.readouterr().out
         assert out.startswith("[unresolved] adjoint-ode[") and "[FAIL]" not in out
+
+    @pytest.mark.parametrize("command", [
+        ["density", "--grid=-inf:1:3"], ["density", "--grid=0:inf:3"],
+        ["stein-solve", "--r1", "1", "--r2", "1", "--lam", "1", "--grid=-1:1:3"]])
+    def test_bad_grid_is_one(self, spec_file, capsys, command):
+        # a one-line error before any value is computed: no nan rows, no RuntimeWarning
+        spec = ["--spec", spec_file(XYZ)] if command[0] == "density" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, *spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["mellin", "--grid", "1:4:2"], ["verify", "--suite", "stein"]])
+    def test_mellin_overflow_is_two(self, spec_file, capsys, command):
+        # E|W|^{s-1} = Gamma(s) 1e200^{s-1} is past the double range at s = 3 (verify's
+        # second moment) and at s = 4
+        assert main([command[0], "--spec", spec_file(TINY_RATE), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: E|W|^(s-1) at s = ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_unknown_test_function(self, capsys):
         rc = main(["stein-solve", "--r1", "1", "--r2", "1", "--lam", "1",
