@@ -34,7 +34,6 @@ point where the closed form leaves the float range.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 import numpy as np
@@ -106,44 +105,24 @@ def sample(spec: ProductSpec, count: int, seed: int) -> np.ndarray:
 def sample_blocks(spec: ProductSpec, count: int, seed: int) -> Iterator[np.ndarray]:
     """The blocks of ``sample(spec, count, seed)`` in order, as they are drawn.
 
-    One helper thread draws the next block while the caller works on this
-    one; numpy's generators release the GIL while they fill an array, so
-    the two overlap, and at most two blocks are alive.  The helper stops and
-    is joined when the generator finishes or is closed: a caller that may
-    leave the walk early wraps it in ``contextlib.closing``.
+    A one-worker executor draws block i + 1 while the caller works on block i
+    (numpy's generators release the GIL), so at most two blocks are alive, and
+    a drawing error is raised in the caller.  The worker is joined when the
+    generator finishes or is closed: a caller that may leave the walk early
+    wraps it in ``contextlib.closing``.
     """
+    from concurrent.futures import ThreadPoolExecutor  # on first use: `import steinprod` loads none
+
     blocks = _blocks(count, seed)
-    out = [None] * len(blocks)     # block i, or the exception that drawing it raised
-    drawn = threading.Semaphore(0)
-    room = threading.Semaphore(1)  # the helper draws one block ahead of the caller
-    stop = threading.Event()
-
-    def helper():
-        for i, job in enumerate(blocks):
-            room.acquire()
-            if stop.is_set():
-                return
-            try:
-                out[i] = _draw(spec, *job)
-            except BaseException as exc:  # raised again in the caller's thread, which waits for it
-                out[i] = exc
-            finally:
-                drawn.release()
-
-    thread = threading.Thread(target=helper, name="steinprod-sample", daemon=True)
-    thread.start()
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="steinprod-sample")
     try:
-        for i in range(len(blocks)):
-            drawn.acquire()
-            block, out[i] = out[i], None
-            room.release()
-            if isinstance(block, BaseException):
-                raise block
+        ahead = pool.submit(_draw, spec, *blocks[0])
+        for job in blocks[1:]:
+            block, ahead = ahead.result(), pool.submit(_draw, spec, *job)
             yield block
+        yield ahead.result()
     finally:
-        stop.set()
-        room.release()
-        thread.join()
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -474,29 +453,18 @@ def char_function_closed(spec: ProductSpec, t: float) -> float:
     raise ValueError("closed cf implemented for N in {1, 2}")
 
 
-def tail_alpha(spec: ProductSpec) -> float:
-    """Power-law prefactor exponent of the symmetric density tail."""
-    n, N = spec.n, spec.N
-    s = sum(spec.gamma_shapes) - sum(b for _, b in spec.beta_pairs)
-    return 2.0 / (2 * n + N) * (0.5 * (1.0 - 3 * n - N) + s)
-
-
-def tail_constant(spec: ProductSpec) -> float:
-    """Multiplier of |x|^alpha exp(-(2n+N) y^{1/(2n+N)}) in the tail formula."""
-    ev = density(spec)
-    n, N = spec.n, spec.N
-    alpha = tail_alpha(spec)
-    sig = 2 * n + N
-    return ((2.0 * math.pi) ** (0.5 * (sig - 1)) / math.sqrt(sig)
-            * ev.arg_coeff ** (0.5 * alpha) * ev.const)
-
-
 def tail_asymptotic(spec: ProductSpec, x):
-    """Leading tail behaviour of the density for |x| large (N >= 1); an array in one pass."""
+    """Leading tail behaviour of the density for |x| large (N >= 1); an array in one pass.
+    x = 0, where the asymptote has no value, is a ValueError."""
     if spec.N < 1:
         raise ValueError("tail asymptotics implemented for symmetric products")
     ev = density(spec)
-    out = ev.const * np.exp(_log_asymptotic_g(ev.g_params, ev.argument(np.atleast_1d(x))))
+    xs = np.atleast_1d(x)
+    y = ev.argument(xs)
+    if np.any(y == 0):
+        raise ValueError(f"the tail asymptote has no value at x = 0, nor where the G argument "
+                         f"underflows to 0 (x = {xs[y == 0][0]:.3g})")
+    out = ev.const * np.exp(_log_asymptotic_g(ev.g_params, y))
     return out if np.ndim(x) else float(out[0])
 
 
@@ -535,42 +503,3 @@ class NumericCdf:
         share = 0.5 if self.ev.spec.symmetric else 1.0  # of that mass on the side of x
         out = np.where(xs < 0, share * tail, 1.0 - share * tail)
         return out if np.ndim(x) else float(out[0])
-
-
-# ---------------------------------------------------------------------------
-# moment recursions
-# ---------------------------------------------------------------------------
-
-def duplication_gap(s: float) -> float:
-    """Relative defect of Gamma(s/2) Gamma(s/2 + 1/2) = 2^{1-s} sqrt(pi) Gamma(s)."""
-    lhs = math.lgamma(0.5 * s) + math.lgamma(0.5 * s + 0.5)
-    rhs = (1.0 - s) * _LN2 + 0.5 * _LNPI + math.lgamma(s)
-    return abs(lhs - rhs) / max(1.0, abs(rhs))
-
-
-def moment_recursion_check(spec: ProductSpec, k_max: int):
-    """Exact-moment verification of the Stein identity on power test functions.
-
-    theta acts on f = x^s (sign(x)|x|^s with a normal factor) as s, so
-    E[lhs f] = E[rhs f] for the ``stein_sides`` coeff x^xpow prod (theta + r)
-    reads c_L prod (s + r_L) M(s + xpow_L + 1) = c_R prod (s + r_R) M(s + xpow_R + 1),
-    M(u) = E|W|^{u-1}.  The estimate is the worst log gap, with signs, over
-    k_max + 1 points s inside the Mellin strip.
-    """
-    from .verify import VerificationReport
-
-    mel = mellin(spec)
-    sides = stein_sides(spec)
-    # M(s + xpow + 1) of both sides lies half a unit or more inside the strip
-    s0 = mel.strip[0] - 0.5 - min(side.xpow for side in sides)
-    worst = 0.0
-    for s in (s0 + k for k in range(k_max + 1)):
-        (vl, ml), (vr, mr) = ((float(side.coeff) * math.prod(s + r for r in side.roots),
-                               mel.log_value(s + side.xpow + 1)) for side in sides)
-        worst = max(worst, abs(math.log(vl / vr) + ml - mr) if vl / vr > 0 else math.inf)
-    tolerance = 1e-12
-    return VerificationReport(
-        test_id=f"moment-recursion[{spec.describe()}]",
-        estimate=worst, standard_error=0.0, tolerance=tolerance,
-        samples=0, seed=0, passed=worst <= tolerance,
-        details=f"Mellin form of the Stein identity at s = {s0:g} + 0..{k_max}")

@@ -90,19 +90,6 @@ class PolyDiffOp:
     def zero() -> "PolyDiffOp":
         return PolyDiffOp({})
 
-    @staticmethod
-    def identity() -> "PolyDiffOp":
-        return PolyDiffOp({(0, 0): 1})
-
-    @staticmethod
-    def x_power(j: int, coeff: Coeff = 1) -> "PolyDiffOp":
-        """Multiplication operator f |-> coeff * x^j f."""
-        return PolyDiffOp({(0, j): coeff})
-
-    @staticmethod
-    def derivative(k: int = 1) -> "PolyDiffOp":
-        return PolyDiffOp({(k, 0): 1})
-
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -113,10 +100,6 @@ class PolyDiffOp:
     def order(self) -> int:
         """Highest derivative index present (0 for the zero operator)."""
         return max((k for k, _ in self._terms), default=0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     @property
     def is_polynomial(self) -> bool:
@@ -174,16 +157,6 @@ class PolyDiffOp:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def isclose(self, other: "PolyDiffOp", rtol: float = 1e-12) -> bool:
-        """Termwise comparison with relative tolerance (for float parameters)."""
-        keys = set(self._terms) | set(other._terms)
-        for key in keys:
-            a = float(self._terms.get(key, 0))
-            b = float(other._terms.get(key, 0))
-            if abs(a - b) > rtol * max(1.0, abs(a), abs(b)):
-                return False
-        return True
-
     # -- action -------------------------------------------------------------
 
     def apply(self, f, x):
@@ -199,24 +172,6 @@ class PolyDiffOp:
             out = piece if out is None else out + piece
         if out is None:
             return 0.0 * x
-        return out
-
-    def apply_to_monomial(self, m: int) -> dict:
-        """Exact action on x^m, returned as {power: coefficient}.
-
-        x^j D^k x^m = m^(k falling) x^{m-k+j}.
-        """
-        out: dict = {}
-        for (k, j), c in self._terms.items():
-            f = falling(m, k)
-            if f == 0:
-                continue
-            p = m - k + j
-            new = out.get(p, 0) + c * f
-            if new == 0:
-                out.pop(p, None)
-            else:
-                out[p] = new
         return out
 
     # -- presentation ---------------------------------------------------------
@@ -253,11 +208,6 @@ class PolyDiffOp:
         items = [{"k": k, "j": j, "coeff": float(c)}
                  for (k, j), c in sorted(self._terms.items())]
         return json.dumps({"terms": items, "order": self.order})
-
-    @staticmethod
-    def from_json(text: str) -> "PolyDiffOp":
-        data = json.loads(text)
-        return PolyDiffOp({(t["k"], t["j"]): t["coeff"] for t in data["terms"]})
 
 
 def make_t(r) -> PolyDiffOp:
@@ -337,34 +287,3 @@ def disentangle_b(rs: Sequence) -> PolyDiffOp:
     if not rs:
         raise ValueError("empty chain")
     return ThetaOp(1, 0, tuple(rs)).expand()
-
-
-def shift_past_an(rs: Sequence, n: int) -> tuple[PolyDiffOp, PolyDiffOp]:
-    """Return the pair (A_N o B_rs, B_{rs+1} o A_N); the two are equal."""
-    rs = list(rs)
-    if not rs:
-        raise ValueError("empty chain")
-    left = make_an(n).compose(compose_chain(rs))
-    right = compose_chain([r + 1 for r in rs]).compose(make_an(n))
-    return left, right
-
-
-def adjoint_expanded(op: PolyDiffOp, gamma) -> PolyDiffOp:
-    """General expanded adjoint sum (-1)^k x^{-gamma} D^k (x^{gamma+j} . ).
-
-    Test oracle for ``ThetaOp.adjoint``; works on any expanded operator.
-    """
-    terms: dict[TermKey, Coeff] = {}
-    for (k, j), c in op.terms.items():
-        for i in range(k + 1):
-            f = falling(gamma + j, i)
-            if f == 0:
-                continue
-            key = (k - i, j - i)
-            add = c * math.comb(k, i) * f * (-1) ** k
-            new = terms.get(key, 0) + add
-            if new == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = new
-    return PolyDiffOp(terms)

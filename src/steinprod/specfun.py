@@ -388,12 +388,6 @@ class MeijerGParams:
         return MeijerGParams(m=len(b), n=0, p=len(a), q=len(b), a=a, b=b)
 
 
-def shift_params(params: MeijerGParams, c: float) -> MeijerGParams:
-    """Parameter translation: z^c G(z | a; b) = G(z | a + c; b + c)."""
-    return MeijerGParams.upper_zero([x + c for x in params.a],
-                                    [x + c for x in params.b])
-
-
 _CANCEL_TOL = 1e-12  # an upper and a lower parameter this close cancel
 
 
@@ -423,11 +417,6 @@ def _log_asymptotic_g(params: MeijerGParams, zs) -> np.ndarray:
         out = (0.5 * (sigma - 1) * math.log(2.0 * math.pi) - 0.5 * math.log(sigma)
                + theta * np.log(zs) - sigma * zs ** (1.0 / sigma))
     return np.where(zs == math.inf, -math.inf, out)
-
-
-def asymptotic_g(params: MeijerGParams, x: float) -> float:
-    """Leading large-argument behaviour of G^{q,0}_{p,q}, formed in logs."""
-    return float(np.exp(_log_asymptotic_g(params, x)))
 
 
 def _underflows(params: MeijerGParams, zs: np.ndarray) -> np.ndarray:

@@ -112,9 +112,6 @@ class _StageFunction:
             val = val + self.k * self.lam**2 * self.prev(x)
         return val
 
-    def __call__(self, x):
-        return self.deriv(x, 0)
-
 
 @dataclass
 class SteinSolution:
@@ -229,6 +226,13 @@ class SteinSolution:
 
     # -- solution values ---------------------------------------------------------
 
+    def _far(self, xs: np.ndarray) -> np.ndarray:
+        """Where 2 lam sqrt(x) passes the cap: ``values`` takes the asymptote -h_tilde(x) /
+        (lam^2 x) there, where the growing/decaying Bessel pair would overflow."""
+        if np.any(xs < 0):
+            raise ValueError("x must be nonnegative")
+        return 2.0 * self.lam * np.sqrt(xs) > _Z_CAP
+
     def _table(self, xs: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
         """(prefactor derivatives, shape (2, order + 1, n), and J, shape (2, n)) at xs;
         J and the Bessel rows are kept for the last xs, so each is computed once per x."""
@@ -251,11 +255,7 @@ class SteinSolution:
         form would need K_d(0).
         """
         xs = np.asarray(xs, dtype=float)
-        if np.any(xs < 0):
-            raise ValueError("x must be nonnegative")
-        # far tail: the solution approaches -h_tilde(x) / (lam^2 x);
-        # evaluating the growing/decaying Bessel pair would overflow
-        far = 2.0 * self.lam * np.sqrt(xs) > _Z_CAP
+        far = self._far(xs)
         out = np.empty(xs.shape)
         if far.any():
             out[far] = -self.h_tilde(xs[far]) / (self.lam**2 * xs[far])
@@ -310,13 +310,20 @@ def stein_residuals(sol: SteinSolution, xs) -> np.ndarray:
     prefactors only and stays at rounding level for any J; an error in J
     shows in ``value(x) - value_tail_form(x)`` instead.  Each residual has
     the bits of the point alone.  At x = 0 the equation reads r1 r2 f(0) - (h(0) - E h).
+    Past the cap ``values`` gives f = -h_tilde / (lam^2 x); the lam^2 x f and h_tilde terms
+    cancel, leaving x^2 f'' + (1+r1+r2) x f' + r1 r2 f
+    = -(x h'' + (r1 + r2 - 1) h' + (1 - r1)(1 - r2) h_tilde / x) / lam^2.
     """
     xs = np.asarray(xs, dtype=float)
-    zero = xs == 0
-    if zero.any():
+    zero, far = xs == 0, sol._far(xs)
+    if zero.any() or far.any():
         out = np.empty(xs.shape)
         out[zero] = sol.r1 * sol.r2 * sol.values(xs[zero]) - sol.h_tilde(xs[zero])
-        out[~zero] = stein_residuals(sol, xs[~zero])
+        x = xs[far]
+        out[far] = -(x * sol.h.deriv(x, 2) + (sol.r1 + sol.r2 - 1.0) * sol.h.deriv(x, 1)
+                     + (1.0 - sol.r1) * (1.0 - sol.r2) * sol.h_tilde(x) / x) / sol.lam**2
+        if (rest := ~(zero | far)).any():
+            out[rest] = stein_residuals(sol, xs[rest])
         return out
     f, f1, f2 = sol._combine(xs, 2)
     h_tilde = sol.h_tilde(xs)
@@ -350,18 +357,6 @@ def _prefactors(ladder: np.ndarray, s: float, xs: np.ndarray, rows) -> np.ndarra
     return xs ** (-s - np.arange(order))[:, None] * total
 
 
-def homogeneous_residual(r1: float, r2: float, lam: float, x: float) -> tuple[float, float]:
-    """Stein-operator value on the two fundamental homogeneous solutions (K first)."""
-    from .specfun import bessel_i, bessel_k
-
-    s, delta, xs = 0.5 * (r1 + r2), abs(r1 - r2), np.array([float(x)])
-    nu, z = delta + np.array(_LADDER)[:, None], 2.0 * lam * np.sqrt(xs)
-    rows = np.stack([bessel_i(nu, z), bessel_k(nu, z)], axis=1)  # rows[j] = (I_{d+j}, K_{d+j})
-    w, w1, w2 = _prefactors(_ladder(s, delta, lam), s, xs, rows).transpose(1, 0, 2)
-    val = x * x * w2 + (1.0 + r1 + r2) * x * w1 + (r1 * r2 - lam**2 * x) * w
-    return float(val[1, 0]), float(val[0, 0])
-
-
 def estimate_derivative_bounds(r1: float, r2: float, lam: float, h,
                                k_max: int,
                                grid: np.ndarray | None = None) -> list[float]:
@@ -387,11 +382,3 @@ def estimate_derivative_bounds(r1: float, r2: float, lam: float, h,
         if k < k_max:  # only a next stage reads the grid
             prev = _GriddedFunction(sol, max(x_reach, float(grid[-1]) * 1.5))
     return sups
-
-
-def stage_mean_zero_gap(r1: float, r2: float, lam: float, h) -> float:
-    """|E[h'(Y') + lam^2 f(Y')]| for Y' with both shapes shifted by one."""
-    sol = SteinSolution(r1=r1, r2=r2, lam=lam, h=h)
-    x_reach = (1.0 + (130.0 + 10.0 * (r1 + r2 + 2)) / (2.0 * lam)) ** 2
-    rhs = _StageFunction(h, 1, lam, _GriddedFunction(sol, x_reach, points=2500))
-    return abs(expect_pg(r1 + 1.0, r2 + 1.0, lam, rhs))

@@ -1,9 +1,11 @@
 """Cross-verification harness: Monte Carlo Stein identities, adjoint-ODE
-residual scans, Mellin equalities and sampler/density agreement.
+residual scans, Mellin equalities, sampler/density agreement and the exact
+Mellin form of the Stein identity.
 
 Every check emits a machine-readable report.  Monte Carlo tests pass when
 the estimate sits within max(absolute floor, three standard errors) of
 zero; deterministic tests compare against their stated tolerance.
+``standard_suite`` runs them by name (``SUITES``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import dist, funcs
 from .opalg import stirling2
 from .specfun import meijer_g_batch
-from .steinops import ProductSpec, adjoint_sides, build_stein, reduce_order
+from .steinops import ProductSpec, adjoint_sides, build_stein, reduce_order, stein_sides
 
 REPORT_VERSION = 1
 
@@ -259,7 +261,7 @@ def adjoint_residual_scan(spec: ProductSpec, grid,
 
 
 # ---------------------------------------------------------------------------
-# Mellin equality
+# Mellin equality and the Mellin form of the Stein identity
 # ---------------------------------------------------------------------------
 
 def mellin_equality_scan(spec: ProductSpec, s_points) -> VerificationReport:
@@ -276,6 +278,32 @@ def mellin_equality_scan(spec: ProductSpec, s_points) -> VerificationReport:
         estimate=worst, standard_error=0.0, tolerance=1e-10,
         samples=len(s_points), seed=0, passed=worst <= 1e-10,
         details=f"{len(s_points)} strip points")
+
+
+def moment_recursion_check(spec: ProductSpec, k_max: int) -> VerificationReport:
+    """Exact-moment verification of the Stein identity on power test functions.
+
+    theta acts on f = x^s (sign(x)|x|^s with a normal factor) as s, so
+    E[lhs f] = E[rhs f] for the ``stein_sides`` coeff x^xpow prod (theta + r)
+    reads c_L prod (s + r_L) M(s + xpow_L + 1) = c_R prod (s + r_R) M(s + xpow_R + 1),
+    M(u) = E|W|^{u-1}.  The estimate is the worst log gap, with signs, over
+    k_max + 1 points s inside the Mellin strip.
+    """
+    mel = dist.mellin(spec)
+    sides = stein_sides(spec)
+    # M(s + xpow + 1) of both sides lies half a unit or more inside the strip
+    s0 = mel.strip[0] - 0.5 - min(side.xpow for side in sides)
+    worst = 0.0
+    for s in (s0 + k for k in range(k_max + 1)):
+        (vl, ml), (vr, mr) = ((float(side.coeff) * math.prod(s + r for r in side.roots),
+                               mel.log_value(s + side.xpow + 1)) for side in sides)
+        worst = max(worst, abs(math.log(vl / vr) + ml - mr) if vl / vr > 0 else math.inf)
+    tolerance = 1e-12
+    return VerificationReport(
+        test_id=f"moment-recursion[{spec.describe()}]",
+        estimate=worst, standard_error=0.0, tolerance=tolerance,
+        samples=0, seed=0, passed=worst <= tolerance,
+        details=f"Mellin form of the Stein identity at s = {s0:g} + 0..{k_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +335,7 @@ def sampler_density_ks(spec: ProductSpec, samples: int, seed: int) -> Verificati
 # suites
 # ---------------------------------------------------------------------------
 
-SUITES = ("stein", "adjoint", "mellin", "ks")
+SUITES = ("stein", "adjoint", "mellin", "ks", "moment")
 
 
 def standard_suite(spec: ProductSpec, samples: int = 200_000, seed: int = 1,
@@ -333,4 +361,6 @@ def standard_suite(spec: ProductSpec, samples: int = 200_000, seed: int = 1,
         reports.append(mellin_equality_scan(spec, s_points))
     if "ks" in suites:
         reports.append(sampler_density_ks(spec, min(samples, 100_000), seed))
+    if "moment" in suites:
+        reports.append(moment_recursion_check(spec, 6))
     return reports

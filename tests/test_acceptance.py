@@ -12,10 +12,11 @@ import numpy as np
 import scipy.special as sp
 
 from steinprod import dist, funcs, steinsolve, verify
-from steinprod.opalg import PolyDiffOp, compose_chain, disentangle_b, shift_past_an
-from steinprod.specfun import (MeijerGParams, meijer_g, meijer_g_batch, reduce_params,
-                               shift_params)
+from steinprod.opalg import PolyDiffOp, compose_chain, disentangle_b
+from steinprod.specfun import MeijerGParams, meijer_g, meijer_g_batch, reduce_params
 from steinprod.steinops import ProductSpec, build_stein, reduce_order
+
+from oracles import duplication_gap, shift_params, shift_past_an
 
 BETAS = ((1.3, 0.6), (0.8, 1.15))
 GAMMAS = (1.4, 2.45)
@@ -160,7 +161,7 @@ def test_criterion_5_mellin_equality():
                     lhs = mel.log_value(float(s))
                     rhs = dist.mellin_gform_log(spec, float(s))
                     worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    dup = max(dist.duplication_gap(float(s)) for s in range(2, 9))
+    dup = max(duplication_gap(float(s)) for s in range(2, 9))
     _report(5, "Mellin equality: factorised vs G-integral transforms",
             worst <= 1e-10 and dup <= 1e-13,
             f"worst rel gap {worst:.1e}, duplication {dup:.1e}")
@@ -189,7 +190,7 @@ def test_criterion_6_monte_carlo_stein_identities():
         info.append(f"{row}:{'ok' if rep.passed else 'FAIL'}")
     # monomial cases: analytic moment recursions at machine precision
     for spec in (make_spec(0, 2, 0, lam=1.5), make_spec(0, 0, 2, sigma=1.3)):
-        rep = dist.moment_recursion_check(spec, 6)
+        rep = verify.moment_recursion_check(spec, 6)
         all_ok &= rep.passed and rep.estimate <= 1e-12
     elapsed = time.time() - start
     _report(6, "Monte Carlo Stein identities for every product row",

@@ -236,8 +236,38 @@ class TestExitCodes:
         assert rc == 0
         reports = json.loads(out.read_text())["reports"]
         assert [r["test_id"].split("[")[0] for r in reports] == [
-            "mc-stein", "adjoint-ode", "mellin-equality", "sampler-ks"]
+            "mc-stein", "adjoint-ode", "mellin-equality", "sampler-ks", "moment-recursion"]
         assert all(r["passed"] for r in reports)
+
+    def test_verify_moment_moved_root_is_two(self, spec_file, capsys, monkeypatch):
+        assert main(["verify", "--spec", spec_file(XYZ), "--suite", "moment"]) == 0
+        real = verify.stein_sides
+
+        def moved(s):
+            lhs, rhs = real(s)
+            return replace(lhs, roots=(lhs.roots[0] + 1e-6,) + lhs.roots[1:]), rhs
+
+        monkeypatch.setattr(verify, "stein_sides", moved)
+        capsys.readouterr()
+        assert main(["verify", "--spec", spec_file(XYZ), "--suite", "moment"]) == 2
+        assert capsys.readouterr().out.startswith("[FAIL] moment-recursion[")
+
+    def test_tail_at_zero_is_one(self, spec_file, capsys):
+        # the asymptote has no value at x = 0: one error line, no 0,nan row, no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["tail", "--spec", spec_file(PN1), "--grid=-5:5:3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "x = 0" in captured.err
+
+    def test_stein_solve_far_tail_rows_are_finite(self, capsys):
+        # past the far-tail switch the residual is the asymptote's, not the Bessel route's NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stein-solve", "--r1", "1.4", "--r2", "2.45", "--lam", "1", "--h", "exp",
+                         "--grid", "0:1e6:3"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert len(rows) == 3 and all(math.isfinite(float(v)) for row in rows for v in row)
 
     def test_verify_unresolved_is_not_fail(self, spec_file, capsys, monkeypatch):
         real = verify.adjoint_residual_scan

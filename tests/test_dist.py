@@ -16,9 +16,11 @@ import scipy.integrate as integrate
 import scipy.special as sp
 import scipy.stats as st
 
-from steinprod import dist
+from steinprod import dist, verify
 from steinprod.specfun import NumericalError, meijer_g_batch
 from steinprod.steinops import ProductSpec
+
+from oracles import duplication_gap, tail_alpha, tail_constant
 
 PN1 = ProductSpec(normal_count=1, sigma=1.0)
 PN2 = ProductSpec(normal_count=2, sigma=1.0)
@@ -176,7 +178,7 @@ class TestMellin:
 
     def test_duplication_identity(self):
         for s in (2.0, 3.7, 10.0):
-            assert dist.duplication_gap(s) < 1e-13
+            assert duplication_gap(s) < 1e-13
 
     def test_multiplicative_under_products_vs_monte_carlo(self):
         mel = dist.mellin(XYZ)
@@ -370,7 +372,7 @@ class TestTypedFailures:
     def test_constant_overflow_in_tails(self):
         spec = ProductSpec(beta_pairs=((0.5, 300.0),), normal_count=1, sigma=1.0)
         with pytest.raises(NumericalError, match="overflows"):
-            dist.tail_constant(spec)
+            tail_constant(spec)
         with pytest.raises(NumericalError, match="overflows"):
             dist.tail_asymptotic(spec, 5.0)
 
@@ -598,7 +600,7 @@ class TestTails:
         sig = 2 * spec.n + spec.N
         y = (30.0 / sig) ** sig
         x = math.sqrt(y / ev.arg_coeff)
-        closed = (dist.tail_constant(spec) * abs(x) ** dist.tail_alpha(spec)
+        closed = (tail_constant(spec) * abs(x) ** tail_alpha(spec)
                   * math.exp(-sig * y ** (1.0 / sig)))
         assert closed == pytest.approx(dist.tail_asymptotic(spec, x), rel=1e-10)
 
@@ -608,9 +610,19 @@ class TestTails:
         assert out.shape == xs.shape and out.tolist() == [dist.tail_asymptotic(XYZ, x) for x in xs]
         assert type(dist.tail_asymptotic(XYZ, 5.0)) is float
 
+    @pytest.mark.parametrize("spec", [PN1, XYZ], ids=ProductSpec.describe)
+    @pytest.mark.parametrize("x", [0.0, np.array([-5.0, 0.0, 5.0]), 1e-200])
+    def test_zero_is_a_value_error(self, spec, x):
+        # the asymptote has no value at x = 0 (or where its G argument underflows to 0):
+        # a typed error, not 0,nan or 0,inf with a divide-by-zero warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x = 0"):
+                dist.tail_asymptotic(spec, x)
+
     def test_alpha_special_cases(self):
-        assert dist.tail_alpha(PN1) == pytest.approx(0.0)
-        assert dist.tail_alpha(PN2) == pytest.approx(-0.5)
+        assert tail_alpha(PN1) == pytest.approx(0.0)
+        assert tail_alpha(PN2) == pytest.approx(-0.5)
 
 
 W222 = ProductSpec(beta_pairs=((1.3, 0.6), (0.8, 1.15)), gamma_shapes=(1.4, 2.45), lam=1.0,
@@ -685,21 +697,21 @@ class TestMomentRecursion:
                                       ProductSpec(gamma_shapes=(1.0, 2.0), lam=1.0)]
                              + MELLIN_SPECS + GG_SPECS)
     def test_report_passes(self, spec):
-        rep = dist.moment_recursion_check(spec, 6)
+        rep = verify.moment_recursion_check(spec, 6)
         assert rep.passed, rep
         assert rep.estimate <= rep.tolerance
 
     @pytest.mark.parametrize("spec", [XYZ, PN2, PG2,
                                       ProductSpec(gamma_shapes=(2.0,), lam=1.0, q=0.5)])
     def test_moved_root_fails(self, spec, monkeypatch):
-        real = dist.stein_sides
+        real = verify.stein_sides
 
         def moved(s):
             lhs, rhs = real(s)
             return replace(lhs, roots=(lhs.roots[0] + 1e-6,) + lhs.roots[1:]), rhs
 
-        monkeypatch.setattr(dist, "stein_sides", moved)
-        assert not dist.moment_recursion_check(spec, 6).passed
+        monkeypatch.setattr(verify, "stein_sides", moved)
+        assert not verify.moment_recursion_check(spec, 6).passed
 
     @pytest.mark.parametrize("spec", GG_SPECS)
     def test_generalised_gamma_moments(self, spec):

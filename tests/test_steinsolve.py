@@ -1,6 +1,7 @@
 """Two-gamma Stein equation: solution, residuals, boundedness, recursion."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,8 @@ import scipy.stats as st
 
 from steinprod import cli, dist, funcs, quad, specfun, steinsolve
 from steinprod.steinops import ProductSpec
+
+from oracles import homogeneous_residual, stage_mean_zero_gap
 
 CASES = [(1.0, 1.0, 1.0), (2.0, 0.5, 1.0), (1.5, 1.5, 2.0)]
 
@@ -30,7 +33,7 @@ class TestHomogeneousSystem:
     def test_fundamental_solutions_annihilated(self, r1, r2, lam):
         s, d = 0.5 * (r1 + r2), abs(r1 - r2)
         for x in (0.05, 0.5, 2.0, 10.0, 40.0):
-            rk, ri = steinsolve.homogeneous_residual(r1, r2, lam, x)
+            rk, ri = homogeneous_residual(r1, r2, lam, x)
             wk = funcs.BesselPowerComb([(1.0, -s, d, "k")], 2 * lam, 0.5).deriv(x, 0)
             wi = funcs.BesselPowerComb([(1.0, -s, d, "i")], 2 * lam, 0.5).deriv(x, 0)
             scale = (1.0 + x * lam**2)
@@ -287,7 +290,7 @@ class TestBatchedSweep:
         comb.deriv(np.array([0.03, 0.7, 4.0]), 3)
         assert calls == [("bessel_i", [1.5, 2.5, 3.5, 4.5]), ("bessel_k", [1.5, 2.5, 3.5, 4.5])]
         calls.clear()
-        steinsolve.homogeneous_residual(2.0, 0.5, 1.0, 1.7)
+        homogeneous_residual(2.0, 0.5, 1.0, 1.7)
         assert calls == [("bessel_i", [1.5, 2.5, 3.5]), ("bessel_k", [1.5, 2.5, 3.5])]
 
 
@@ -298,6 +301,32 @@ class TestResidual:
         xs = np.geomspace(0.01, 50.0, 20)
         res = [steinsolve.stein_residual(sol, float(x)) for x in xs]
         assert np.max(np.abs(res)) < 1e-6
+
+    @pytest.mark.parametrize("name", sorted(cli.BUILTIN_TEST_FUNCTIONS))
+    def test_far_tail_rows_are_finite(self, name):
+        # past 2 lam sqrt(x) = 600 the value is the asymptote f = -h_tilde / (lam^2 x), and the
+        # residual is that f's: x^2 f'' + (1+r1+r2) x f' + r1 r2 f (the Bessel route gave NaN)
+        r1, r2, lam = 1.4, 2.45, 1.0
+        sol = steinsolve.solve_stein_pg(r1, r2, lam, cli.BUILTIN_TEST_FUNCTIONS[name]())
+        xs = np.linspace(0.0, 1e6, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, res = sol.values(xs), steinsolve.stein_residuals(sol, xs)
+        assert np.isfinite(f).all() and np.isfinite(res).all()
+        far = xs[1:]
+        if name == "sin":
+            # x^2 f'' is of order x sin(x) / lam^2: the asymptote does not solve the
+            # equation for an oscillating h, and the residual says so
+            np.testing.assert_allclose(res[1:], far * np.sin(far) / lam**2, rtol=0,
+                                       atol=(r1 + r2) / lam**2)
+            assert np.all(np.abs(res[1:]) > 1e4)
+        else:  # h' and x h'' have decayed: -(1 - r1)(1 - r2) h_tilde / (lam^2 x) is left
+            np.testing.assert_allclose(
+                res[1:], -(1 - r1) * (1 - r2) * sol.h_tilde(far) / (lam**2 * far), rtol=1e-4,
+                atol=1e-20)
+        if name == "exp":
+            np.testing.assert_allclose(res[1:], sol.e_h * (1 - r1) * (1 - r2) / (lam**2 * far),
+                                       rtol=1e-12)
 
     @pytest.mark.parametrize("r1,r2,lam", CASES)
     @pytest.mark.parametrize("name", sorted(bounded_test_functions()))
@@ -373,5 +402,5 @@ class TestDerivativeBounds:
             steinsolve.estimate_derivative_bounds(1.0, 1.0, 1.0, Rough(), 3)
 
     def test_stage_function_mean_zero(self):
-        gap = steinsolve.stage_mean_zero_gap(1.0, 1.0, 1.0, funcs.exp_decay(1.0))
+        gap = stage_mean_zero_gap(1.0, 1.0, 1.0, funcs.exp_decay(1.0))
         assert gap < 1e-6

@@ -1,17 +1,21 @@
-"""The benchmark tracer's wrapper table names functions and methods that exist.
+"""The benchmark's library names exist: the tracer's wrapper table and the
+attributes the workloads read.
 
-``perfbench/tracing.py`` looks its targets up by name when it installs, so a
-rename or deletion in the library would otherwise only surface when a traced
+``perfbench/tracing.py`` looks its targets up by name when it installs, and
+``perfbench/workloads.py`` reads library attributes when a job runs, so a
+rename or deletion in the library would otherwise only surface when a
 benchmark run starts.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -38,3 +42,19 @@ def test_series_threshold_matches(tracing):
     # near_origin_points counts the arguments that take the residue series
     from steinprod import specfun
     assert tracing.G_SERIES_BELOW == specfun._SERIES_BELOW
+
+
+def test_workload_attributes_resolve():
+    # every steinprod.<module>.<name> that workloads.py reads, through `from steinprod import`
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "steinprod"
+               for alias in node.names}
+    assert {"cli", "dist", "funcs", "steinsolve", "verify"} <= set(modules)
+    read = {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert ("dist", "char_function_closed") in read and ("verify", "default_family") in read
+    missing = [f"steinprod.{mod}.{attr}" for mod, attr in sorted(read)
+               if not hasattr(importlib.import_module(f"steinprod.{mod}"), attr)]
+    assert not missing, missing

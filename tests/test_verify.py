@@ -372,7 +372,7 @@ class TestSuite:
     def test_standard_suite_all_pass(self):
         reports = verify.standard_suite(
             ProductSpec(normal_count=1, sigma=1.0), samples=100_000, seed=5)
-        assert len(reports) == 4
+        assert len(reports) == 5
         assert all(r.passed for r in reports)
 
     @pytest.mark.parametrize("spec", [
@@ -382,9 +382,15 @@ class TestSuite:
     def test_generalised_gamma_all_pass(self, spec):
         reports = verify.standard_suite(spec, samples=200_000, seed=3)
         assert [r.test_id.split("[")[0] for r in reports] == [
-            "mc-stein", "adjoint-ode", "mellin-equality", "sampler-ks"]
+            "mc-stein", "adjoint-ode", "mellin-equality", "sampler-ks", "moment-recursion"]
         assert all(r.passed for r in reports), [(r.test_id, r.estimate, r.tolerance, r.details)
                                                 for r in reports]
+
+    @pytest.mark.parametrize("spec", [XYZ, ProductSpec(gamma_shapes=(2.0,), lam=1.0, q=0.5)],
+                             ids=lambda s: s.describe())
+    def test_moment_suite_is_the_recursion_check(self, spec):
+        [rep] = verify.standard_suite(spec, suites=("moment",))
+        assert rep.to_dict() == verify.moment_recursion_check(spec, 6).to_dict() and rep.passed
 
     @pytest.mark.parametrize("q", [0.5, 2.0, 3.0])
     def test_generalised_gamma_ks_at_200k(self, q):
