@@ -23,7 +23,9 @@ one more G-function.
 
 The characteristic function conditions on a normal factor: W = sigma Z U, so
 phi(t) = E exp(-a U^2), a = (sigma t)^2 / 2, one positive integral against
-the density of the other factors U, cut at the reach sqrt(38 / a).
+the density of the other factors U, cut at the reach sqrt(38 / a).  That
+integral, ``_density_integral``, also gives the normalisation (weight 1) and
+the Stein solver's E h (``steinsolve.expect_pg``, weight h).
 
 Evaluators reduce their parameters first.  Rows that reduce to G^{1,0}_{0,1}
 or G^{2,0}_{0,2} give one ``ClosedForm``, evaluated in logs;
@@ -39,8 +41,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quad
-from .specfun import (MeijerGParams, NumericalError, _log_asymptotic_g, bessel_k,
-                      meijer_g_batch, reduce_params)
+from .specfun import (MeijerGParams, NumericalError, _asymptotic_exponents, _log_asymptotic_g,
+                      _loggamma_signed, bessel_k, meijer_g_batch, reduce_params)
 from .steinops import ProductSpec, stein_sides
 
 _LN2 = math.log(2.0)
@@ -324,10 +326,10 @@ class DensityEvaluator:
         # simple pole at b_min = 0: the residue prod_{b != 0} Gamma(b) / prod Gamma(a)
         if any(a <= 0 and a == round(a) for a in self.reduced.a):
             return 0.0  # 1/Gamma vanishes at a nonpositive integer
-        rest = [v for v in self.reduced.b if v != 0.0]
-        sign = math.prod(_gamma_sign(v) for v in rest + list(self.reduced.a))
-        return sign * _exp_const(self.log_const + sum(map(math.lgamma, rest))
-                                 - sum(map(math.lgamma, self.reduced.a)), self.spec)
+        up = [_loggamma_signed(v) for v in self.reduced.b if v != 0.0]
+        down = [_loggamma_signed(v) for v in self.reduced.a]
+        return math.prod(s for _, s in up + down) * _exp_const(
+            self.log_const + sum(lg for lg, _ in up) - sum(lg for lg, _ in down), self.spec)
 
     def __call__(self, x: float) -> float:
         return float(self.batch([x])[0])
@@ -337,11 +339,10 @@ class DensityEvaluator:
     def tail_cut(self, target_exponent: float = 34.0) -> float:
         """x beyond which exp(-sigma z^{1/sigma}) of G's asymptote is below e^{-target}, or, when
         z^theta peaks far out (theta > target / 2 sigma), the asymptote is e^{-target} of its peak."""
-        sigma = self.reduced.q - self.reduced.p
-        if sigma == 0:  # pure beta: compact support, ending where the G argument reaches 1
+        if self.reduced.q == self.reduced.p:  # pure beta: compact, ends where the G argument is 1
             return (1.0 / self.arg_coeff) ** (1.0 / self.power)
+        sigma, theta = _asymptotic_exponents(self.reduced)
         t = target_exponent / sigma
-        theta = ((1.0 - sigma) / 2.0 + sum(self.reduced.b) - sum(self.reduced.a)) / sigma
         w = t  # w = z^{1/sigma}; the exponent is -sigma (w - theta ln w), least at w = theta
         if t < 2.0 * theta:  # Newton on w - theta ln(w / theta) - theta = t, convex for w > theta
             w = theta + math.sqrt(2.0 * theta * t) + t
@@ -377,11 +378,6 @@ def _times_const(log_const: float, g: np.ndarray, spec: ProductSpec) -> np.ndarr
         return np.sign(g) * np.exp(log_const + np.log(np.abs(g)))
 
 
-def _gamma_sign(v: float) -> int:
-    """Sign of Gamma(v) for v not a nonpositive integer."""
-    return 1 if v > 0 else (-1) ** math.ceil(-v)
-
-
 def density(spec: ProductSpec) -> DensityEvaluator:
     """Density evaluator for any product spec, read off ``stein_sides`` (module docstring)."""
     lhs, rhs = stein_sides(spec)
@@ -396,30 +392,40 @@ def density(spec: ProductSpec) -> DensityEvaluator:
 
 def _density_integral(ev: DensityEvaluator, f, reach: float, tol: float) -> float:
     """int f over the support of p = ``ev`` (the line when symmetric) for f = w p, with an
-    even weight 0 < w <= 1 that is below e^{-38} beyond ``reach``."""
+    even weight |w| <= 1 that is below e^{-38} beyond ``reach``.  The head (G argument
+    below 0.5) is tanh-sinh in u = sqrt(x), which turns an x^alpha singularity at 0 into
+    2 u^{2 alpha + 1}; the body is tanh-sinh in x on a compact support (q = p, singular at
+    the cut too), else one adaptive rule in u with leaves to tol / (100 n), n the e-folds
+    of exp(-sigma z^{1/sigma}) from head to cut, as an oscillating weight's leaf errors add."""
     # cut at the reach too, or a first adaptive panel could miss all of the weight's mass
     x_tail = min(ev.mass_cut(tol), reach)
-    # split where the G argument reaches ~0.5 so the singular head is isolated;
-    # compact support (q = p) has a singular end at x_tail too
     x_head = min((0.5 / ev.arg_coeff) ** (1.0 / ev.power), 0.5 * x_tail)
-    head = quad.tanh_sinh(f, 0.0, x_head, tol=tol * 0.1)
-    rule = quad.tanh_sinh if ev.reduced.q == ev.reduced.p else quad.adaptive
-    body = rule(f, x_head, x_tail, tol=tol * 0.1)
-    total = head + body
+
+    def in_u(u):
+        return 2.0 * u * f(u * u)
+
+    total = quad.tanh_sinh(in_u, 0.0, math.sqrt(x_head), tol=tol * 0.1)
+    sigma = ev.reduced.q - ev.reduced.p
+    if sigma == 0:
+        total += quad.tanh_sinh(f, x_head, x_tail, tol=tol * 0.1)
+    else:
+        z_head, z_tail = ev.argument(np.array([x_head, x_tail])) ** (1.0 / sigma)
+        n = max(1, math.ceil(sigma * (z_tail - z_head)))
+        total += quad.adaptive(in_u, math.sqrt(x_head), math.sqrt(x_tail), tol=tol * 0.01 / n)
     return 2.0 * total if ev.spec.symmetric else total
 
 
-def normalization(spec: ProductSpec, tol: float = 1e-8) -> float:
+def normalization(spec: ProductSpec) -> float:
     """Numerical integral of the density over its support."""
     ev = density(spec)
-    return _density_integral(ev, ev.batch, math.inf, tol)
+    return _density_integral(ev, ev.batch, math.inf, 1e-8)
 
 
 # ---------------------------------------------------------------------------
 # characteristic function and tails
 # ---------------------------------------------------------------------------
 
-def char_function(spec: ProductSpec, t: float, tol: float = 1e-9) -> float:
+def char_function(spec: ProductSpec, t: float) -> float:
     """phi(t) = E cos(t W) = E exp(-a U^2), a = (sigma t)^2 / 2, for W = sigma Z U.
 
     U, ``spec`` with one normal fewer at unit scale, is independent of
@@ -434,7 +440,7 @@ def char_function(spec: ProductSpec, t: float, tol: float = 1e-9) -> float:
         return math.exp(-0.5 * st * st)  # 1 at t = 0, the limit 0 at t = inf, NaN at NaN
     ev = density(replace(spec, normal_count=spec.N - 1, sigma=1.0 if spec.N > 1 else None))
     return _density_integral(ev, lambda us: np.exp(-0.5 * (st * us) ** 2) * ev.batch(us),
-                             math.sqrt(76.0) / st, tol)
+                             math.sqrt(76.0) / st, 1e-9)
 
 
 def char_function_closed(spec: ProductSpec, t: float) -> float:

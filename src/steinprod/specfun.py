@@ -405,13 +405,17 @@ def reduce_params(params: MeijerGParams) -> MeijerGParams:
     return MeijerGParams.upper_zero(out_a, b)
 
 
+def _asymptotic_exponents(params: MeijerGParams) -> tuple[int, float]:
+    """(sigma, theta) of G^{q,0}_{p,q}'s large-argument term z^theta exp(-sigma z^{1/sigma})."""
+    if (sigma := params.q - params.p) <= 0:
+        raise ValueError("asymptotic form requires q > p")
+    return sigma, ((1.0 - sigma) / 2.0 + sum(params.b) - sum(params.a)) / sigma
+
+
 def _log_asymptotic_g(params: MeijerGParams, zs) -> np.ndarray:
     """log of the leading large-argument term of G^{q,0}_{p,q},
     (2 pi)^{(sigma-1)/2} sigma^{-1/2} z^theta exp(-sigma z^{1/sigma}); -inf at z = inf."""
-    sigma = params.q - params.p
-    if sigma <= 0:
-        raise ValueError("asymptotic form requires q > p")
-    theta = ((1.0 - sigma) / 2.0 + sum(params.b) - sum(params.a)) / sigma
+    sigma, theta = _asymptotic_exponents(params)
     zs = np.asarray(zs, dtype=float)
     with np.errstate(invalid="ignore"):  # inf - inf at z = inf
         out = (0.5 * (sigma - 1) * math.log(2.0 * math.pi) - 0.5 * math.log(sigma)

@@ -33,7 +33,8 @@ which also gives the orders d, d+1 and d+2 at the points.  J and these
 Bessel rows of the last points are kept, so ``value(x)``,
 ``derivative(x, k)`` and ``stein_residual`` at one x share them, and the
 residual after a value makes no Bessel call.  The tail form integrates
-its K-kernel tail separately.
+its K-kernel tail separately.  E h(Y) (``expect_pg``) is one call of
+``dist._density_integral``, the integral of the normalisation and the cf.
 """
 
 from __future__ import annotations
@@ -45,34 +46,22 @@ import numpy as np
 from . import quad
 from .funcs import BesselPowerComb
 from .steinops import ProductSpec
-from .dist import density
+from .dist import _density_integral, density
 
 _Z_CAP = 600.0  # 2 lam sqrt(x) beyond which values take the far-tail asymptote
 _LADDER = (0.0, 1.0, 2.0)  # the orders d + j that f, f' and f'' need
 
 
 def expect_pg(r1: float, r2: float, lam: float, h, tol: float = 1e-11) -> float:
-    """E h(Y) for Y ~ two-gamma product, by quadrature in u = sqrt(t).
+    """E h(Y) for Y ~ two-gamma product: ``dist._density_integral`` of h against Y's
+    K-Bessel density p, the routine of the normalisation and the cf.
 
-    Integration stops at u = sqrt(x) for the density's ``mass_cut(tol)``: there
-    x p(x), read off the K-Bessel asymptote p ~ x^{s - 3/4} exp(-2 lam sqrt(x)),
-    is below 1e-3 tol, and so is the mass P(Y > x) beyond it; for a test function
-    bounded by 1 the dropped part of E h is smaller still.  The tail past the
-    peak is split into n panels one e-fold of exp(-2 lam u) wide, each integrated
-    to tol / n, so that the leaf errors of an oscillating h cannot add up beyond tol.
+    It stops at the density's ``mass_cut(tol)``, where x p(x), read off the asymptote
+    p ~ x^{s - 3/4} exp(-2 lam sqrt(x)), is below 1e-3 tol, and so is the mass P(Y > x)
+    beyond it; for a test function bounded by 1 the dropped part of E h is smaller still.
     """
     ev = density(ProductSpec(gamma_shapes=(r1, r2), lam=lam))
-
-    def integrand(u):
-        return 2.0 * u * ev.batch(u * u) * h.deriv(u * u, 0)
-
-    u_peak = max(1.0, math.sqrt(r1 * r2) / lam)
-    u_top = max(math.sqrt(ev.mass_cut(tol)), u_peak + 0.5 / lam)  # at least one panel
-    n = math.ceil(2.0 * lam * (u_top - u_peak))
-    edges = np.linspace(u_peak, u_top, n + 1)
-    head = quad.tanh_sinh(integrand, 0.0, u_peak, tol=tol)
-    tail = quad.adaptive(integrand, edges[:-1], edges[1:], tol=tol / n, rtol=1e-12)
-    return head + float(np.sum(tail))
+    return _density_integral(ev, lambda x: h.deriv(x, 0) * ev.batch(x), math.inf, tol)
 
 
 class _GriddedFunction:
