@@ -35,6 +35,10 @@ Bessel rows of the last points are kept, so ``value(x)``,
 residual after a value makes no Bessel call.  The tail form integrates
 its K-kernel tail separately.  E h(Y) (``expect_pg``) is one call of
 ``dist._density_integral``, the integral of the normalisation and the cf.
+
+Differentiated k times, the equation is that of shapes r + k for f^{(k)} with right-hand
+side h^{(k)} + k lam^2 f^{(k-1)} and no constant, so the sup-norm estimates of f, f', f''
+(``estimate_derivative_bounds``) read one solution's derivatives.
 """
 
 from __future__ import annotations
@@ -47,9 +51,12 @@ from . import quad
 from .funcs import BesselPowerComb
 from .steinops import ProductSpec
 from .dist import _density_integral, density
+from .specfun import NumericalError
 
 _Z_CAP = 600.0  # 2 lam sqrt(x) beyond which values take the far-tail asymptote
 _LADDER = (0.0, 1.0, 2.0)  # the orders d + j that f, f' and f'' need
+_SERIES_TERMS = 60  # terms of the origin series of f^{(k)}
+_FACTORIALS = np.array([math.factorial(j) for j in range(_SERIES_TERMS)], dtype=float)
 
 
 def expect_pg(r1: float, r2: float, lam: float, h, tol: float = 1e-11) -> float:
@@ -62,44 +69,6 @@ def expect_pg(r1: float, r2: float, lam: float, h, tol: float = 1e-11) -> float:
     """
     ev = density(ProductSpec(gamma_shapes=(r1, r2), lam=lam))
     return _density_integral(ev, lambda x: h.deriv(x, 0) * ev.batch(x), math.inf, tol)
-
-
-class _GriddedFunction:
-    """Dense-grid snapshot of a solved stage, interpolated for reuse.
-
-    Stage right-hand sides only need values of the previous solution;
-    interpolation on a fine log grid keeps the nested quadratures cheap
-    (the resulting sup norms are estimates either way).  The grid points,
-    ``breaks``, are the interpolant's kinks: the next stage's cells end there.
-    """
-
-    def __init__(self, sol: "SteinSolution", x_max: float, points: int = 1200):
-        self.breaks = np.geomspace(1e-6, x_max, points)
-        self.vals = sol.values(self.breaks)
-
-    def __call__(self, x):
-        return np.interp(x, self.breaks, self.vals)
-
-
-class _StageFunction:
-    """Value-only handle h^{(k)}(x) + k lam^2 f_{k-1}(x) for the bound recursion."""
-
-    max_order = 0
-
-    def __init__(self, h, k: int, lam: float, prev):
-        self.h = h
-        self.k = k
-        self.lam = lam
-        self.prev = prev
-        self.breaks = () if prev is None else prev.breaks
-
-    def deriv(self, x, order: int = 0):
-        if order != 0:
-            raise ValueError("stage right-hand side supplies values only")
-        val = self.h.deriv(x, self.k)
-        if self.k and self.prev is not None:
-            val = val + self.k * self.lam**2 * self.prev(x)
-        return val
 
 
 @dataclass
@@ -123,12 +92,9 @@ class SteinSolution:
                              tol=max(self.tol * 0.1, 1e-12))
         self.s = 0.5 * (self.r1 + self.r2)
         self.delta = abs(self.r1 - self.r2)
-        two_lam = 2.0 * self.lam
         self._ladder = _ladder(self.s, self.delta, self.lam)
         # J table (see _grow): cell edges; leaf starts and the top; J at each of those
-        octaves = np.append(np.ldexp(1.0, np.arange(-12, 10)), _Z_CAP) / two_lam
-        kinks = np.sqrt(np.asarray(getattr(self.h, "breaks", ()), dtype=float))
-        self._cells = np.union1d(octaves, kinks[kinks < octaves[-1]])
+        self._cells = np.append(np.ldexp(1.0, np.arange(-12, 10)), _Z_CAP) / (2.0 * self.lam)
         self._edge, self._j0 = np.zeros(1), np.zeros((2, 1))
         # the last points asked for, J and the Bessel rows (I_{d+j}, K_{d+j}) there
         self._key, self._j, self._rows = b"", np.zeros((2, 0)), np.zeros((3, 2, 0))
@@ -156,10 +122,10 @@ class SteinSolution:
         """Extend the table over whole cells up to the first cell edge >= u_max.
 
         Cells end where z = 2 lam u is 2^k (k >= -12) or the cap 600, the
-        far-tail switch of ``values``, and at the kinks h declares as
-        ``breaks``.  Octaves of z keep a cell's Bessel arguments in one
-        octave of the Bessel tables, so its leaves do not depend on the
-        cells that share its call; the running sum goes on sequentially.
+        far-tail switch of ``values``.  Octaves of z keep a cell's Bessel
+        arguments in one octave of the Bessel tables, so its leaves do not
+        depend on the cells that share its call; the running sum goes on
+        sequentially.
         """
         top, cells = self._edge[-1], self._cells
         edges = np.r_[top, cells[(cells > top) & (cells <= cells[np.searchsorted(cells, u_max)])]]
@@ -265,12 +231,24 @@ class SteinSolution:
         (ipre, kpre), (ji, _) = self._table(np.array([float(x)]), 0)
         return float(-2.0 * kpre[0, 0] * ji[0] - 2.0 * ipre[0, 0] * self._j_tail_k(x))
 
-    def derivative(self, x: float, order: int) -> float:
-        """f, f' or f''; J-kernel terms cancel, except h-tilde enters f''."""
+    def _derivatives(self, xs: np.ndarray, order: int) -> np.ndarray:
+        """f, ..., f^{(order)} at xs > 0, shape (order + 1, n): the ``_combine`` rows, and
+        h-tilde / x^2 in f'', where the J-kernel terms leave it.  Points past the far-tail
+        switch raise: the Bessel pair overflows there."""
         if order > 2:
             raise ValueError("orders above two need the equation itself")
-        lead = float(self._combine(np.array([float(x)]), order)[order, 0])
-        return lead + self.h_tilde(x) / (x * x) if order == 2 else lead
+        far = self._far(xs)
+        if far.any():
+            raise NumericalError(f"derivatives at x = {xs[far][0]:.6g} are past the far-tail "
+                                 f"switch 2 lam sqrt(x) = {_Z_CAP:g}")
+        rows = self._combine(xs, order)
+        if order == 2:
+            rows[2] += self.h_tilde(xs) / (xs * xs)
+        return rows
+
+    def derivative(self, x: float, order: int) -> float:
+        """f, f' or f'' at one x > 0."""
+        return float(self._derivatives(np.array([float(x)]), order)[order, 0])
 
     def __call__(self, x):
         out = self.values(np.atleast_1d(np.asarray(x, dtype=float)))
@@ -314,10 +292,9 @@ def stein_residuals(sol: SteinSolution, xs) -> np.ndarray:
         if (rest := ~(zero | far)).any():
             out[rest] = stein_residuals(sol, xs[rest])
         return out
-    f, f1, f2 = sol._combine(xs, 2)
-    h_tilde = sol.h_tilde(xs)
-    return (xs * xs * (f2 + h_tilde / (xs * xs)) + (1.0 + sol.r1 + sol.r2) * xs * f1
-            + (sol.r1 * sol.r2 - sol.lam**2 * xs) * f - h_tilde)
+    f, f1, f2 = sol._derivatives(xs, 2)
+    return (xs * xs * f2 + (1.0 + sol.r1 + sol.r2) * xs * f1
+            + (sol.r1 * sol.r2 - sol.lam**2 * xs) * f - sol.h_tilde(xs))
 
 
 def stein_residual(sol: SteinSolution, x: float) -> float:
@@ -349,25 +326,46 @@ def _prefactors(ladder: np.ndarray, s: float, xs: np.ndarray, rows) -> np.ndarra
 def estimate_derivative_bounds(r1: float, r2: float, lam: float, h,
                                k_max: int,
                                grid: np.ndarray | None = None) -> list[float]:
-    """Empirical sup-norm estimates of f, f', ..., f^{(k_max)}.
+    """Empirical sup-norm estimates of f, f', ..., f^{(k_max)}, k_max <= 2, over the grid.
 
-    Stage k solves the shifted-parameter equation with right-hand side
-    h^{(k)} + k lam^2 f^{(k-1)}, so each estimate is the grid supremum of
-    a directly solved equation rather than a differentiated one.  The
-    reported numbers are estimates over the grid, not certified bounds.
+    They read one solution at tol 1e-8: ``SteinSolution._derivatives``, and for
+    x <= min(0.1, 1/(4 lam^2)), where f'' loses about 1/x^2 to I/K cancellation, its
+    Taylor series at 0 (``_origin_series``), which covers x = 0.  Points past the
+    far-tail switch raise ``NumericalError``.  Estimates, not certified bounds.
     """
     if getattr(h, "max_order", 0) < k_max:
         raise ValueError("test function does not supply enough derivatives")
-    if grid is None:
-        grid = np.geomspace(1e-3, 1e2, 400)
-    grid = np.sort(np.asarray(grid, dtype=float))
-    x_reach = (1.0 + (130.0 + 10.0 * (r1 + r2 + 2 * k_max)) / (2.0 * lam)) ** 2
-    sups: list[float] = []
-    prev = None
-    for k in range(k_max + 1):
-        rhs = _StageFunction(h, k, lam, prev)
-        sol = SteinSolution(r1=r1 + k, r2=r2 + k, lam=lam, h=rhs, tol=1e-8)
-        sups.append(float(np.max(np.abs(sol.values(grid)))))
-        if k < k_max:  # only a next stage reads the grid
-            prev = _GriddedFunction(sol, max(x_reach, float(grid[-1]) * 1.5))
-    return sups
+    if k_max > 2:
+        raise ValueError("orders above two need the equation itself")
+    grid = np.geomspace(1e-3, 1e2, 400) if grid is None else np.asarray(grid, dtype=float)
+    sol = SteinSolution(r1=r1, r2=r2, lam=lam, h=h, tol=1e-8)
+    near = (grid >= 0) & (grid <= min(0.1, 0.25 / lam**2))
+    rows = np.empty((k_max + 1, grid.size))
+    rows[:, ~near] = sol._derivatives(grid[~near], k_max)  # a negative x raises here
+    if near.any():
+        rows[:, near] = _origin_series(sol, grid[near], k_max)
+    return np.max(np.abs(rows), axis=1).tolist()
+
+
+def _origin_series(sol: SteinSolution, xs: np.ndarray, order: int) -> np.ndarray:
+    """f, ..., f^{(order)} at 0 <= xs <= 0.1 from the bounded solution's Taylor series.
+
+    The equation differentiated j times reads at x = 0
+    (r1 + j)(r2 + j) f^{(j)}(0) = h^{(j)}(0) - [j = 0] E h + j lam^2 f^{(j-1)}(0),
+    since the x f^{(j+1)} and x^2 f^{(j+2)} terms vanish there.  A series whose last
+    term is not below rounding raises ``NumericalError`` naming x.
+    """
+    if getattr(sol.h, "max_order", 0) < _SERIES_TERMS + order - 1:
+        raise ValueError("test function does not supply enough derivatives")
+    c = np.empty(_SERIES_TERMS + order)
+    c[0] = sol.h_tilde(0.0) / (sol.r1 * sol.r2)
+    for j in range(1, c.size):
+        rhs = float(sol.h.deriv(0.0, j)) + j * sol.lam**2 * c[j - 1]
+        c[j] = rhs / ((sol.r1 + j) * (sol.r2 + j))
+    j = np.arange(_SERIES_TERMS)
+    parts = c[np.arange(order + 1)[:, None] + j, None] * (xs ** j[:, None] / _FACTORIALS[:, None])
+    bad = np.abs(parts[:, -1]) > 1e-16 * np.abs(parts).sum(axis=1)
+    if bad.any():
+        x = float(xs[bad.any(axis=0)][0])
+        raise NumericalError(f"the origin series does not converge at x = {x:.6g}")
+    return parts.sum(axis=1)

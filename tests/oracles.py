@@ -3,8 +3,9 @@
 Each is a second route to a quantity the library computes another way: a
 termwise operator comparison, the exact action on monomials, composition
 identities, the Leibniz-expanded adjoint, the G parameter shift, the
-homogeneous Stein residual, the stage mean-zero gap of the bound
-recursion, the closed tail constants and the Gamma duplication formula.
+homogeneous Stein residual, the stage mean-zero gap and the derivative
+sups of the Stein solution, the closed tail constants and the Gamma
+duplication formula.
 """
 
 from __future__ import annotations
@@ -114,12 +115,49 @@ def homogeneous_residual(r1: float, r2: float, lam: float, x: float) -> tuple[fl
 
 
 def stage_mean_zero_gap(r1: float, r2: float, lam: float, h) -> float:
-    """|E[h'(Y') + lam^2 f(Y')]| for Y' with both shapes shifted by one."""
+    """|E[h'(Y') + lam^2 f(Y')]| for Y' with both shapes shifted by one: the once
+    differentiated equation has no constant term, so f' solves it and the mean is 0."""
     sol = steinsolve.SteinSolution(r1=r1, r2=r2, lam=lam, h=h)
-    x_reach = (1.0 + (130.0 + 10.0 * (r1 + r2 + 2)) / (2.0 * lam)) ** 2
-    rhs = steinsolve._StageFunction(h, 1, lam,
-                                    steinsolve._GriddedFunction(sol, x_reach, points=2500))
-    return abs(steinsolve.expect_pg(r1 + 1.0, r2 + 1.0, lam, rhs))
+
+    class Stage:
+        def deriv(self, x, k=0):
+            return h.deriv(x, 1) + lam**2 * sol.values(x)
+
+    return abs(steinsolve.expect_pg(r1 + 1.0, r2 + 1.0, lam, Stage()))
+
+
+def richardson(f, x, step, levels: int = 4):
+    """f'(x) from central differences at step, step / 2, ... extrapolated in step^2."""
+    d = [(f(x + step / 2**i) - f(x - step / 2**i)) / (2.0 * step / 2**i) for i in range(levels)]
+    for m in range(1, levels):
+        d = [(4**m * d[i + 1] - d[i]) / (4**m - 1) for i in range(len(d) - 1)]
+    return d[0]
+
+
+def origin_series(r1: float, r2: float, lam: float, h, e_h: float, xs, order: int,
+                  terms: int = 40) -> np.ndarray:
+    """f^{(k)}(xs), k <= order, from the Taylor series at 0 of the bounded solution, term
+    by term: the equation differentiated j times reads at x = 0
+    (r1 + j)(r2 + j) f^{(j)}(0) = h^{(j)}(0) - [j = 0] E h + j lam^2 f^{(j-1)}(0)."""
+    c = [(float(h.deriv(0.0, 0)) - e_h) / (r1 * r2)]
+    for j in range(1, terms + order):
+        c.append((float(h.deriv(0.0, j)) + j * lam**2 * c[-1]) / ((r1 + j) * (r2 + j)))
+    return np.array([[math.fsum(c[k + j] * x**j / math.factorial(j) for j in range(terms))
+                      for x in xs] for k in range(order + 1)])
+
+
+def derivative_sups(r1: float, r2: float, lam: float, h, grid) -> tuple[list[float], float]:
+    """Grid sups of |f|, |f'|, |f''| on a solution at tol 1e-12: the origin series for
+    x <= 0.05, and elsewhere ``values`` with Richardson differences of it (f') and of
+    ``derivative(x, 1)`` (f'').  Also the series' largest relative gap to ``values``."""
+    sol = steinsolve.SteinSolution(r1=r1, r2=r2, lam=lam, h=h, tol=1e-12)
+    grid = np.asarray(grid, dtype=float)
+    near, far = grid[grid <= 0.05], grid[grid > 0.05]
+    series = origin_series(r1, r2, lam, h, sol.e_h, near, 2)
+    gap = float(np.max(np.abs(series[0] - sol.values(near)) / np.abs(series[0]), initial=0.0))
+    rows = np.stack([sol.values(far), richardson(sol.values, far, 0.05 * far),
+                     richardson(lambda x: sol._derivatives(x, 1)[1], far, 0.05 * far)])
+    return np.max(np.abs(np.concatenate([series, rows], axis=1)), axis=1).tolist(), gap
 
 
 # ---------------------------------------------------------------------------

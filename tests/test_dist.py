@@ -607,6 +607,11 @@ class TestTanhSinhEndpointLoss:
     def test_small_gamma_shape_normalization(self):
         assert dist.normalization(self.GAMMA) == pytest.approx(1.0, abs=1e-7)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: tanh-sinh misses the beta(0.6, 0.2) "
+                                           "(1 - x)^-0.8 mass next to x = 1: reads 1 - 5.06e-4")
+    def test_small_beta_shape_normalization(self):
+        assert abs(1.0 - dist.normalization(ProductSpec(beta_pairs=((0.6, 0.2),)))) <= 1e-9
+
     @pytest.mark.xfail(strict=True, reason="tanh-sinh misses the gamma(0.15) mass next to "
                                            "u = 0: reads 1.1e-5 low at both t")
     @pytest.mark.parametrize("t, ref", [(1e-4, 0.9999999991375), (0.5, 0.9837614998112)])
