@@ -17,8 +17,14 @@ entry, ``meijer_g_batch`` (``meijer_g`` is a batch of one), with three routes:
   abscissa, tol): step halvings and later calls evaluate only new nodes.
   One halving loop advances every abscissa of a batch together, with one
   log-gamma pass per level, and each argument stops at its own level, so
-  its value does not depend on the rest of the batch.  Its levels, rows by
-  cols ~ sqrt(M) weights, take rows + cols exponentials per argument, not M;
+  its value does not depend on the rest of the batch.  The first level an
+  argument tests has a step h <= 2 pi / (|ln z| + L / d) (and at most
+  pi / (4 + |ln z|)): the trapezoid error of an integrand analytic in a
+  strip of half-width d, here d = c + min(b) from the abscissa to the
+  nearest pole, decays like e^{-2 pi d / h} (Trefethen and Weideman, SIAM
+  Review 56 (2014)), and L = ln(1/tol) + 15 takes it below tol with a
+  margin.  Its levels, rows by cols ~ sqrt(M) weights, take rows + cols
+  exponentials per argument, not M;
 * when q = p, Norlund's expansion in powers of 1 - z for 0.3 < z < 1,
   where the residue series converges slowly or not at all.
 
@@ -629,6 +635,17 @@ def _meijer_g_norlund(params: MeijerGParams, zs: np.ndarray, tol: float) -> np.n
 # candidates per search pass.
 _LG_POINTS, _PHASE_PAIRS, _TAIL_GROUP = 8192, 16384, 8
 
+# The step of an argument's first tested trapezoid level.  On s = c + i t the integrand is
+# analytic in the strip |Im t| < d, d = c + min(b) the distance from c to the nearest pole of
+# prod Gamma(s + b), and in it z^{-s} grows by at most e^{|Im t| |ln z|}; so the error of
+# step h is about 2M e^{-(2 pi / h - |ln z|) d} (Trefethen & Weideman, SIAM Rev. 56 (2014),
+# Thm 5.1), below e^{-L} for h <= 2 pi / (|ln z| + L / d).  L = ln(1/tol) + _STRIP_MARGIN:
+# the margin (e^15, L = 40.3 at tol 1e-11) stands for ln 2M, the Gamma product's growth
+# across the strip and its pole at the edge.  The halving test, not this level, decides
+# accuracy: margins from -20 to 15 gave the same worst error on the seeded high-cell sweep,
+# and a margin of 0 saves under 4% more log-gamma points on a density block.
+_STRIP_MARGIN = 15.0
+
 
 @functools.lru_cache(maxsize=64)  # one grid per (params, c, tol), built once
 class _ContourGrid:
@@ -685,6 +702,14 @@ def _meijer_g_contour_batch(params: MeijerGParams, zs, tol: float) -> np.ndarray
     pass covers every argument still running.  Each argument starts its
     convergence test, and stops, by its own ln z, so its value does not
     depend on the rest of the batch.
+
+    The first level an argument tests is the first whose step h is at most
+    min(pi / (4 + |ln z|), 2 pi / (|ln z| + L / d)): the first term keeps
+    more than two nodes per period of z^{-i t}, and the second puts the
+    trapezoid error of an integrand analytic in the strip of half-width
+    d = c + min(b), about e^{-(2 pi / h - |ln z|) d}, below e^{-L}, with
+    L = ln(1/tol) + _STRIP_MARGIN (Trefethen and Weideman, SIAM Review 56
+    (2014)).  A high cell has a wide strip, so it tests coarser levels first.
     """
     zs = np.asarray(zs, dtype=float)
     sigma = params.q - params.p
@@ -705,8 +730,11 @@ def _meijer_g_contour_batch(params: MeijerGParams, zs, tol: float) -> np.ndarray
         raise NumericalError(f"contour tail does not decay: {where(dead)}")
     lnz, c = np.log(zs), c[cell]
     ref, h0 = np.array([(g.ref, g.t_top / 24.0) for g in grids]).reshape(-1, 2)[cell].T
-    # the first level with step <= h, and the scale of "raw" units relative to a unit true result
-    start = np.maximum(0.0, np.ceil(np.log2(h0 / np.minimum(0.25, math.pi / (4.0 + np.abs(lnz))))))
+    # the first level with step <= h_max (see _STRIP_MARGIN), and the scale of "raw" units
+    # relative to a unit true result
+    l_per_d = (math.log(1.0 / max(tol, 1e-16)) + _STRIP_MARGIN) / (c + min(params.b))
+    h_max = np.minimum(math.pi / (4.0 + np.abs(lnz)), 2.0 * math.pi / (np.abs(lnz) + l_per_d))
+    start = np.maximum(0.0, np.ceil(np.log2(h0 / h_max)))
     unit_scale, lnh = np.exp(np.minimum(-ref + c * lnz, 700.0)), lnz * h0
     vals, failed = np.zeros(len(zs)), np.zeros(len(zs), dtype=bool)
     run, n = np.argsort(cell, kind="stable"), 0  # by cell, so a chunk of arguments spans few grids

@@ -246,9 +246,18 @@ class SteinSolution:
             rows[2] += self.h_tilde(xs) / (xs * xs)
         return rows
 
+    def _near_origin(self, xs: np.ndarray) -> np.ndarray:
+        """Where f' and f'' come from the origin series: 0 <= x <= min(0.1, 1/(4 lam^2)),
+        where the Bessel form of f'' loses about 1/x^2 to I/K cancellation."""
+        return (xs >= 0) & (xs <= min(0.1, 0.25 / self.lam**2))
+
     def derivative(self, x: float, order: int) -> float:
-        """f, f' or f'' at one x > 0."""
-        return float(self._derivatives(np.array([float(x)]), order)[order, 0])
+        """f, f' or f'' at one x > 0; f' and f'' near the origin (``_near_origin``) from
+        the Taylor series at 0 (``_origin_series``)."""
+        xs = np.array([float(x)])
+        if 0 < order <= 2 and self._near_origin(xs)[0]:
+            return float(_origin_series(self, xs, order)[order, 0])
+        return float(self._derivatives(xs, order)[order, 0])
 
     def __call__(self, x):
         out = self.values(np.atleast_1d(np.asarray(x, dtype=float)))
@@ -329,9 +338,9 @@ def estimate_derivative_bounds(r1: float, r2: float, lam: float, h,
     """Empirical sup-norm estimates of f, f', ..., f^{(k_max)}, k_max <= 2, over the grid.
 
     They read one solution at tol 1e-8: ``SteinSolution._derivatives``, and for
-    x <= min(0.1, 1/(4 lam^2)), where f'' loses about 1/x^2 to I/K cancellation, its
-    Taylor series at 0 (``_origin_series``), which covers x = 0.  Points past the
-    far-tail switch raise ``NumericalError``.  Estimates, not certified bounds.
+    x <= min(0.1, 1/(4 lam^2)) (``SteinSolution._near_origin``) its Taylor series at 0
+    (``_origin_series``), which covers x = 0.  Points past the far-tail switch raise
+    ``NumericalError``.  Estimates, not certified bounds.
     """
     if getattr(h, "max_order", 0) < k_max:
         raise ValueError("test function does not supply enough derivatives")
@@ -339,7 +348,7 @@ def estimate_derivative_bounds(r1: float, r2: float, lam: float, h,
         raise ValueError("orders above two need the equation itself")
     grid = np.geomspace(1e-3, 1e2, 400) if grid is None else np.asarray(grid, dtype=float)
     sol = SteinSolution(r1=r1, r2=r2, lam=lam, h=h, tol=1e-8)
-    near = (grid >= 0) & (grid <= min(0.1, 0.25 / lam**2))
+    near = sol._near_origin(grid)
     rows = np.empty((k_max + 1, grid.size))
     rows[:, ~near] = sol._derivatives(grid[~near], k_max)  # a negative x raises here
     if near.any():

@@ -325,6 +325,37 @@ class TestMeijerG:
             ref = [float(mp.meijerg([[], list(params.a)], [list(params.b), []], z)) for z in zs]
         np.testing.assert_allclose(values, ref, rtol=1e-9, atol=0)
 
+    @staticmethod
+    def generic_contour_rows(count: int, seed: int) -> list:
+        """(params, z): p <= 2, sigma = q - p from 2 to 6, no two parameters within 0.05 of
+        an integer spacing, and z^{1/sigma} log-uniform on [0.6, 144], so the abscissa
+        cells run from c = 1.5625 to about 150.  Rows whose G is below e^{-400} by its
+        leading asymptote are drawn again: mpmath's series then cancel by more than 170
+        digits and take seconds."""
+        rng, rows = np.random.default_rng(seed), []
+        while len(rows) < count:
+            p, sigma = int(rng.integers(0, 3)), int(rng.integers(2, 7))
+            params = MeijerGParams.upper_zero(rng.uniform(0.5, 4.0, p), rng.uniform(0.0, 3.0, p + sigma))
+            gaps = np.subtract.outer(params.a + params.b, params.a + params.b)[
+                np.triu_indices(len(params.a + params.b), 1)]
+            z = math.exp(sigma * rng.uniform(math.log(0.6), math.log(144.0)))
+            if np.all(np.abs(gaps - np.round(gaps)) >= 0.05) and _log_asymptotic_g(params, z) > -400:
+                rows.append((params, z))
+        return rows
+
+    def test_high_abscissa_cells_against_mpmath(self):
+        # the first tested trapezoid level comes from the integrand's pole-free strip, so
+        # high cells test fewer levels; every value stays within 1e-11 of 30-digit mpmath
+        rows = self.generic_contour_rows(120, 37)
+        roots = [z ** (1.0 / (params.q - params.p)) for params, z in rows]
+        assert min(roots) < 1.0 and max(roots) > 100.0
+        with mp.workdps(30):
+            ref = [float(mp.meijerg([[], list(params.a)], [list(params.b), []], z, maxterms=10**5))
+                   for params, z in rows]
+        for tol in (1e-11, 1e-12):
+            values = [meijer_g_batch(params, [z], tol)[0] for params, z in rows]
+            np.testing.assert_allclose(values, ref, rtol=1e-11, atol=0)
+
     def test_beta_kernel_q_equals_p(self):
         a, b = 1.3, 0.7
         params = MeijerGParams.upper_zero([a + b - 1], [a - 1])
@@ -489,6 +520,26 @@ class TestCaches:
         np.testing.assert_allclose(meijer_g_batch(EXP, zs), np.exp(-zs), rtol=1e-12)
         deepest = max(len(specfun._ContourGrid(EXP, c, 1e-10).levels) for c in cs) - 1
         assert len(lg_points) <= deepest + 2
+
+    @pytest.mark.parametrize("params,z,points", [
+        (MeijerGParams.upper_zero([0.9], [0.0, 0.35, 1.3]), 4.5**2, 424),  # c = 5.0625
+        (MeijerGParams.upper_zero([], [0.2, 0.7, 1.1]), 4.5**3, 318),  # c = 5.0625
+        (EXP, 100.0, 778),  # c = 100
+        (MeijerGParams.upper_zero([0.9], [0.0, 0.35, 1.3]), 9.0**2, 808),  # c = 9
+    ])
+    def test_contour_work_on_high_cells(self, lg_points, params, z, points):
+        # the first tested level comes from the pole-free strip, not a step cap of 0.25:
+        # a fixed cap built 808, 606 and 1546 points on the first three rows; at c = 9
+        # the |ln z| term binds and the count is unchanged
+        _meijer_g_contour_batch(params, [z], 1e-11)
+        assert sum(lg_points) <= points
+
+    def test_contour_levels_on_a_low_cell(self):
+        # at c = 1.5625 with |ln z| = 8.8 the strip bound (0.19) is stricter than the
+        # |ln z| term (0.245); the grid stops at the same level as with a 0.25 cap
+        value = _meijer_g_contour_batch(EXP, [1.5e-4], 1e-10)
+        assert len(specfun._ContourGrid(EXP, 1.5625, 1e-10).levels) == 6
+        assert value[0] == pytest.approx(math.exp(-1.5e-4), abs=1e-10)
 
     def test_contour_values_do_not_depend_on_batch(self):
         # each argument stops at its own level, whatever its cellmates need

@@ -13,7 +13,7 @@ import scipy.stats as st
 from steinprod import cli, dist, funcs, quad, specfun, steinsolve
 from steinprod.steinops import ProductSpec
 
-from oracles import derivative_sups, homogeneous_residual, stage_mean_zero_gap
+from oracles import derivative_sups, homogeneous_residual, origin_series, stage_mean_zero_gap
 
 CASES = [(1.0, 1.0, 1.0), (2.0, 0.5, 1.0), (1.5, 1.5, 2.0)]
 
@@ -418,6 +418,17 @@ class TestDerivativeBounds:
             with pytest.raises(specfun.NumericalError, match="x = 1e"):
                 sol.derivative(1e6, k)
 
+    @pytest.mark.parametrize("r1,r2,lam,name", [(1.0, 1.0, 1.0, "exp"), (0.55, 2.9, 0.7, "exp"),
+                                                (1.4, 2.45, 1.0, "sin")])
+    def test_derivative_near_the_origin_takes_the_series(self, r1, r2, lam, name):
+        # the Bessel form loses about 1/x^2 to I/K cancellation: on (1, 1, 1) with h = exp
+        # it read f''(1e-6) = 4.1e4 and f'(1e-6) = -0.1696 against 0.0780 and -0.1491
+        sol = steinsolve.solve_stein_pg(r1, r2, lam, cli.BUILTIN_TEST_FUNCTIONS[name]())
+        xs = np.array([1e-6, 1e-4])
+        ref = origin_series(r1, r2, lam, sol.h, sol.e_h, xs, 2)[1:]
+        got = [[sol.derivative(x, k) for x in xs] for k in (1, 2)]
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0)
+
     def test_origin_series_past_its_radius_raises(self):
         # x / (0.1 + x) has a pole at -0.1, so its Taylor series at 0 stops converging there
         with pytest.raises(specfun.NumericalError, match="origin series does not converge"):
@@ -439,6 +450,8 @@ class TestDerivativeBounds:
         # enough for f' itself, but not for the origin series the default grid reaches
         with pytest.raises(ValueError, match="derivatives"):
             steinsolve.estimate_derivative_bounds(1.0, 1.0, 1.0, Rough(), 1)
+        with pytest.raises(ValueError, match="derivatives"):  # and so does f'(x) near 0
+            steinsolve.solve_stein_pg(1.0, 1.0, 1.0, Rough()).derivative(1e-4, 1)
 
     @pytest.mark.parametrize("r1,r2,lam,h", [(1.0, 1.0, 1.0, funcs.exp_decay(1.0)),
                                              (1.4, 2.45, 1.0, funcs.Sinusoid())])
