@@ -71,22 +71,25 @@ def _draw(spec: ProductSpec, seq: np.random.SeedSequence, size: int) -> np.ndarr
     """One block of draws: the factors in turn, betas, gammas, then normals.
 
     Generalised-gamma factors use V = (lam^{1-q} U)^{1/q} with
-    U ~ Gamma(r/q, lam), which has the target density.
+    U ~ Gamma(r/q, lam), which has the target density.  The rate, the scale and
+    q are taken as floats, so an exact-rational spec draws the float spec's bits.
     """
     rng = np.random.Generator(np.random.PCG64(seq))
     w = np.ones(size)
     for a, b in spec.beta_pairs:
         w *= rng.beta(a, b, size)
+    if spec.n:
+        lam, q = float(spec.lam), float(spec.q)
     for r in spec.gamma_shapes:
-        if spec.q == 1:
-            w *= rng.gamma(r, 1.0, size) / spec.lam
+        if q == 1:
+            w *= rng.gamma(r, 1.0, size) / lam
         else:
-            u = rng.gamma(r / spec.q, 1.0, size) / spec.lam
-            w *= (spec.lam ** (1.0 - spec.q) * u) ** (1.0 / spec.q)
+            u = rng.gamma(r / q, 1.0, size) / lam
+            w *= (lam ** (1.0 - q) * u) ** (1.0 / q)
     for _ in range(spec.normal_count):
         w *= rng.standard_normal(size)
     if spec.normal_count:
-        w *= spec.sigma
+        w *= float(spec.sigma)
     return w
 
 

@@ -20,10 +20,16 @@ are taken analytically: the J-derivative contributions collapse through
 the Wronskian, leaving only Bessel-prefactor derivatives: orders d, d+1,
 d+2 of each kind and one table of the one-sided ladder (``_ladder``).  So
 the Stein residual checks the prefactors' Bessel orders but not J: with J_I and J_K
-both replaced by 1.5 J + 0.3 (on r = (2, 0.5), lam = 1, h = sin), f(0.05)
-moves from -0.30 to -96.8 while the residual stays below 2e-13.  What sees
-J is the gap between the two forms: 1.3, 0.61 and 2.5 at x = 0.1, 1 and 10
-under that change, and 3.6e-7 when J_K alone is scaled by 1 + 1e-6.
+both replaced by 1.5 J + 0.3 (on r = (2, 0.5), lam = 1, h = sin), f(0.5)
+moves from -0.227 to -0.189 while the residual stays below 1e-13.  What sees
+J is the gap between the two forms: 23, 0.61 and 2.5 at x = 0.1, 1 and 10
+under that change, and 9.1e-8 at x = 1 when J_K alone is scaled by 1 + 1e-6.
+
+Values, derivatives, residuals and bounds read one routine for f, f' and f''
+(``SteinSolution._derivatives``): up to the switch min(0.1, 1/(4 lam^2)) the
+Taylor series at 0, x = 0 included, at every point where its last term is
+below rounding, and the Bessel form elsewhere.  The tail form stays on the
+Bessel route as the independent check.
 
 J_I and J_K are read off one table per solution: the accepted leaves of
 the adaptive rule in u = sqrt(t) on fixed cells (``SteinSolution._grow``),
@@ -98,6 +104,7 @@ class SteinSolution:
         self._edge, self._j0 = np.zeros(1), np.zeros((2, 1))
         # the last points asked for, J and the Bessel rows (I_{d+j}, K_{d+j}) there
         self._key, self._j, self._rows = b"", np.zeros((2, 0)), np.zeros((3, 2, 0))
+        self._coef = None  # the origin series' coefficients (``_origin_series``)
 
     # -- centred test function ------------------------------------------------
 
@@ -203,25 +210,14 @@ class SteinSolution:
         return 2.0 * (ipre * jk - kpre * ji)
 
     def values(self, xs) -> np.ndarray:
-        """Solution values at every point of xs in one J sweep.
-
-        At x = 0 the bounded solution takes its limit (h(0) - E h) / (r1 r2),
-        the equation's value there, since x f' and x^2 f'' vanish; the Bessel
-        form would need K_d(0).
-        """
+        """Solution values at every point of xs in one sweep: ``_derivatives`` of order 0,
+        and past the far-tail switch the asymptote."""
         xs = np.asarray(xs, dtype=float)
         far = self._far(xs)
         out = np.empty(xs.shape)
         if far.any():
             out[far] = -self.h_tilde(xs[far]) / (self.lam**2 * xs[far])
-        live = ~far
-        zero = xs == 0
-        if zero.any():
-            out[zero] = self.h_tilde(xs[zero]) / (self.r1 * self.r2)
-            live &= ~zero
-            if not live.any():  # an empty call would drop the rows kept for the last points
-                return out
-        out[live] = self._combine(xs[live], 0)[0]
+        out[~far] = self._derivatives(xs[~far], 0)[0]
         return out
 
     def value(self, x: float) -> float:
@@ -232,32 +228,59 @@ class SteinSolution:
         return float(-2.0 * kpre[0, 0] * ji[0] - 2.0 * ipre[0, 0] * self._j_tail_k(x))
 
     def _derivatives(self, xs: np.ndarray, order: int) -> np.ndarray:
-        """f, ..., f^{(order)} at xs > 0, shape (order + 1, n): the ``_combine`` rows, and
-        h-tilde / x^2 in f'', where the J-kernel terms leave it.  Points past the far-tail
-        switch raise: the Bessel pair overflows there."""
+        """f, ..., f^{(order)} at xs >= 0, shape (order + 1, n), by one rule.
+
+        Up to the switch min(0.1, 1/(4 lam^2)), where the Bessel form of f'' loses about
+        1/x^2 to I/K cancellation and that of f divides J's error by x^s, they are the
+        Taylor series at 0 (``_origin_series``) at every point where its last term is
+        below rounding; at x = 0 that is the first coefficient of each.  Everywhere else they are
+        the ``_combine`` rows, with h-tilde / x^2 in f'', where the J-kernel terms leave
+        it.  Points past the far-tail switch raise: the Bessel pair overflows there."""
         if order > 2:
             raise ValueError("orders above two need the equation itself")
         far = self._far(xs)
         if far.any():
             raise NumericalError(f"derivatives at x = {xs[far][0]:.6g} are past the far-tail "
                                  f"switch 2 lam sqrt(x) = {_Z_CAP:g}")
-        rows = self._combine(xs, order)
-        if order == 2:
-            rows[2] += self.h_tilde(xs) / (xs * xs)
+        rows = np.empty((order + 1, xs.size))
+        series = xs <= min(0.1, 0.25 / self.lam**2)
+        if series.any():
+            rows[:, series], series[series] = self._origin_series(xs[series], order)
+        if not series.all():
+            x = xs[~series]
+            rows[:, ~series] = self._combine(x, order)
+            if order == 2:
+                rows[2, ~series] += self.h_tilde(x) / (x * x)
         return rows
 
-    def _near_origin(self, xs: np.ndarray) -> np.ndarray:
-        """Where f' and f'' come from the origin series: 0 <= x <= min(0.1, 1/(4 lam^2)),
-        where the Bessel form of f'' loses about 1/x^2 to I/K cancellation."""
-        return (xs >= 0) & (xs <= min(0.1, 0.25 / self.lam**2))
+    def _origin_series(self, xs: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """f, ..., f^{(order)} at xs from the bounded solution's Taylor series at 0, shape
+        (order + 1, n), and where its last term is below rounding in f, f' and f''.
+
+        The equation differentiated j times reads at x = 0
+        (r1 + j)(r2 + j) f^{(j)}(0) = h^{(j)}(0) - [j = 0] E h + j lam^2 f^{(j-1)}(0),
+        since the x f^{(j+1)} and x^2 f^{(j+2)} terms vanish there; the coefficients of f,
+        f' and f'' are built on first use.  Whether a point's series converges does not
+        depend on ``order``, and each point's terms are summed along a row of its own, so
+        its bits do not depend on the points that share the call.
+        """
+        if self._coef is None:
+            if getattr(self.h, "max_order", 0) < _SERIES_TERMS + 1:
+                raise ValueError("test function does not supply enough derivatives")
+            c = np.empty(_SERIES_TERMS + 2)
+            c[0] = self.h_tilde(0.0) / (self.r1 * self.r2)
+            for j in range(1, c.size):
+                rhs = float(self.h.deriv(0.0, j)) + j * self.lam**2 * c[j - 1]
+                c[j] = rhs / ((self.r1 + j) * (self.r2 + j))
+            j = np.arange(_SERIES_TERMS)
+            self._coef = c[np.arange(3)[:, None] + j] / _FACTORIALS  # c[k + j] / j!
+        parts = self._coef[:, None, :] * xs[:, None] ** np.arange(_SERIES_TERMS)
+        fits = np.abs(parts[..., -1]) <= 1e-16 * np.abs(parts).sum(axis=-1)
+        return parts[:order + 1].sum(axis=-1), fits.all(axis=0)
 
     def derivative(self, x: float, order: int) -> float:
-        """f, f' or f'' at one x > 0; f' and f'' near the origin (``_near_origin``) from
-        the Taylor series at 0 (``_origin_series``)."""
-        xs = np.array([float(x)])
-        if 0 < order <= 2 and self._near_origin(xs)[0]:
-            return float(_origin_series(self, xs, order)[order, 0])
-        return float(self._derivatives(xs, order)[order, 0])
+        """f, f' or f'' at one x >= 0 (``_derivatives``)."""
+        return float(self._derivatives(np.array([float(x)]), order)[order, 0])
 
     def __call__(self, x):
         out = self.values(np.atleast_1d(np.asarray(x, dtype=float)))
@@ -285,25 +308,23 @@ def stein_residuals(sol: SteinSolution, xs) -> np.ndarray:
     The J terms cancel through the Wronskian, so this checks the Bessel
     prefactors only and stays at rounding level for any J; an error in J
     shows in ``value(x) - value_tail_form(x)`` instead.  Each residual has
-    the bits of the point alone.  At x = 0 the equation reads r1 r2 f(0) - (h(0) - E h).
+    the bits of the point alone.
     Past the cap ``values`` gives f = -h_tilde / (lam^2 x); the lam^2 x f and h_tilde terms
     cancel, leaving x^2 f'' + (1+r1+r2) x f' + r1 r2 f
     = -(x h'' + (r1 + r2 - 1) h' + (1 - r1)(1 - r2) h_tilde / x) / lam^2.
     """
     xs = np.asarray(xs, dtype=float)
-    zero, far = xs == 0, sol._far(xs)
-    if zero.any() or far.any():
-        out = np.empty(xs.shape)
-        out[zero] = sol.r1 * sol.r2 * sol.values(xs[zero]) - sol.h_tilde(xs[zero])
+    far = sol._far(xs)
+    out = np.empty(xs.shape)
+    if far.any():
         x = xs[far]
         out[far] = -(x * sol.h.deriv(x, 2) + (sol.r1 + sol.r2 - 1.0) * sol.h.deriv(x, 1)
                      + (1.0 - sol.r1) * (1.0 - sol.r2) * sol.h_tilde(x) / x) / sol.lam**2
-        if (rest := ~(zero | far)).any():
-            out[rest] = stein_residuals(sol, xs[rest])
-        return out
-    f, f1, f2 = sol._derivatives(xs, 2)
-    return (xs * xs * f2 + (1.0 + sol.r1 + sol.r2) * xs * f1
-            + (sol.r1 * sol.r2 - sol.lam**2 * xs) * f - sol.h_tilde(xs))
+    x = xs[~far]
+    f, f1, f2 = sol._derivatives(x, 2)
+    out[~far] = (x * x * f2 + (1.0 + sol.r1 + sol.r2) * x * f1
+                 + (sol.r1 * sol.r2 - sol.lam**2 * x) * f - sol.h_tilde(x))
+    return out
 
 
 def stein_residual(sol: SteinSolution, x: float) -> float:
@@ -337,44 +358,12 @@ def estimate_derivative_bounds(r1: float, r2: float, lam: float, h,
                                grid: np.ndarray | None = None) -> list[float]:
     """Empirical sup-norm estimates of f, f', ..., f^{(k_max)}, k_max <= 2, over the grid.
 
-    They read one solution at tol 1e-8: ``SteinSolution._derivatives``, and for
-    x <= min(0.1, 1/(4 lam^2)) (``SteinSolution._near_origin``) its Taylor series at 0
-    (``_origin_series``), which covers x = 0.  Points past the far-tail switch raise
-    ``NumericalError``.  Estimates, not certified bounds.
+    They read one solution at tol 1e-8 (``SteinSolution._derivatives``, which covers
+    x = 0).  Points past the far-tail switch raise ``NumericalError``.  Estimates, not
+    certified bounds.
     """
     if getattr(h, "max_order", 0) < k_max:
         raise ValueError("test function does not supply enough derivatives")
-    if k_max > 2:
-        raise ValueError("orders above two need the equation itself")
     grid = np.geomspace(1e-3, 1e2, 400) if grid is None else np.asarray(grid, dtype=float)
     sol = SteinSolution(r1=r1, r2=r2, lam=lam, h=h, tol=1e-8)
-    near = sol._near_origin(grid)
-    rows = np.empty((k_max + 1, grid.size))
-    rows[:, ~near] = sol._derivatives(grid[~near], k_max)  # a negative x raises here
-    if near.any():
-        rows[:, near] = _origin_series(sol, grid[near], k_max)
-    return np.max(np.abs(rows), axis=1).tolist()
-
-
-def _origin_series(sol: SteinSolution, xs: np.ndarray, order: int) -> np.ndarray:
-    """f, ..., f^{(order)} at 0 <= xs <= 0.1 from the bounded solution's Taylor series.
-
-    The equation differentiated j times reads at x = 0
-    (r1 + j)(r2 + j) f^{(j)}(0) = h^{(j)}(0) - [j = 0] E h + j lam^2 f^{(j-1)}(0),
-    since the x f^{(j+1)} and x^2 f^{(j+2)} terms vanish there.  A series whose last
-    term is not below rounding raises ``NumericalError`` naming x.
-    """
-    if getattr(sol.h, "max_order", 0) < _SERIES_TERMS + order - 1:
-        raise ValueError("test function does not supply enough derivatives")
-    c = np.empty(_SERIES_TERMS + order)
-    c[0] = sol.h_tilde(0.0) / (sol.r1 * sol.r2)
-    for j in range(1, c.size):
-        rhs = float(sol.h.deriv(0.0, j)) + j * sol.lam**2 * c[j - 1]
-        c[j] = rhs / ((sol.r1 + j) * (sol.r2 + j))
-    j = np.arange(_SERIES_TERMS)
-    parts = c[np.arange(order + 1)[:, None] + j, None] * (xs ** j[:, None] / _FACTORIALS[:, None])
-    bad = np.abs(parts[:, -1]) > 1e-16 * np.abs(parts).sum(axis=1)
-    if bad.any():
-        x = float(xs[bad.any(axis=0)][0])
-        raise NumericalError(f"the origin series does not converge at x = {x:.6g}")
-    return parts.sum(axis=1)
+    return np.max(np.abs(sol._derivatives(grid, k_max)), axis=1).tolist()

@@ -7,6 +7,7 @@ import threading
 import time
 import warnings
 from contextlib import closing
+from fractions import Fraction as F
 from dataclasses import replace
 
 import mpmath as mp
@@ -124,6 +125,20 @@ class TestSampler:
             for block in dist.sample_blocks(XYZ, 4 * dist.SAMPLE_BLOCK, seed=3):
                 got.append(block)
         assert len(got) == 1 and threading.active_count() == baseline
+
+    @pytest.mark.parametrize("exact,floats", [
+        (ProductSpec(beta_pairs=((F(13, 10), F(6, 10)),), normal_count=1, sigma=F(3, 2)),
+         ProductSpec(beta_pairs=((1.3, 0.6),), normal_count=1, sigma=1.5)),
+        (ProductSpec(gamma_shapes=(F(2),), lam=F(3, 2)), ProductSpec(gamma_shapes=(2.0,), lam=1.5)),
+    ])
+    def test_exact_rational_spec_draws_the_float_specs_bits(self, exact, floats):
+        # the rate and the scale multiplied the float block as Fractions: numpy's
+        # UFuncTypeError from sample, mc_stein_identity and sampler_density_ks
+        n = dist.SAMPLE_BLOCK + 5
+        assert dist.sample(exact, n, seed=4).tobytes() == dist.sample(floats, n, seed=4).tobytes()
+        report = verify.mc_stein_identity(exact, verify.default_family(exact), 2000, 1)
+        assert math.isfinite(report.estimate)
+        assert verify.sampler_density_ks(exact, 2000, 1).passed
 
     def test_two_beta_mean(self):
         pairs = ((1.3, 0.6), (0.8, 1.15))
