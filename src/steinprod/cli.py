@@ -8,6 +8,9 @@ Product specifications are JSON files with a mandatory version field:
      "normal": {"count": 1, "sigma": 1.0},
      "q": 1.0}
 
+No other field is read: an unknown one, or a value that is not a JSON number (an
+integer for ``count``), is a validation error.
+
 Exit codes: 0 success; 1 validation error (a bad spec, argument or grid, a
 non-finite grid end included); 2 numerical failure (a value past the double
 range, an overflowing Mellin transform included, or a routine that did not
@@ -33,6 +36,21 @@ class SpecError(ValueError):
     pass
 
 
+def _number(value, name: str, kind=float):
+    """A JSON number as ``kind``; an int ``kind`` takes integers only, and no kind takes bools."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise SpecError(f"field {name!r} must be {'an integer' if kind is int else 'a number'}, "
+                        f"got {json.dumps(value)}")
+    return kind(value)
+
+
+def _known(obj: dict, keys: tuple[str, ...], where: str) -> None:
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise SpecError(f"unknown field(s) {', '.join(map(repr, unknown))} in {where}; "
+                        f"expected {', '.join(map(repr, keys))}")
+
+
 def load_spec(path: str) -> ProductSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -43,22 +61,28 @@ def load_spec(path: str) -> ProductSpec:
         raise SpecError("spec file must contain a JSON object")
     if data.get("version") != SPEC_VERSION:
         raise SpecError(f"spec field 'version' must be {SPEC_VERSION}")
+    _known(data, ("version", "beta", "gamma", "normal", "q"), "the spec")
     beta = data.get("beta", [])
     if not (isinstance(beta, list) and all(isinstance(p, list) and len(p) == 2 for p in beta)):
         raise SpecError("field 'beta' must be a list of [a, b] pairs")
     gamma, normal = ({} if data.get(name) is None else data[name] for name in ("gamma", "normal"))
-    for name, field in (("gamma", gamma), ("normal", normal)):
+    for name, field, keys in (("gamma", gamma, ("shapes", "lambda")),
+                              ("normal", normal, ("count", "sigma"))):
         if not isinstance(field, dict):
             raise SpecError(f"field {name!r} must be an object, got {json.dumps(field)}")
+        _known(field, keys, f"field {name!r}")
+    shapes = gamma.get("shapes", [])
+    if not isinstance(shapes, list):
+        raise SpecError(f"field 'gamma.shapes' must be a list of numbers, got {json.dumps(shapes)}")
     try:
         return ProductSpec(
-            beta_pairs=tuple((float(a), float(b)) for a, b in beta),
-            gamma_shapes=tuple(float(r) for r in gamma.get("shapes", [])),
-            lam=float(gamma["lambda"]) if gamma.get("shapes") else None,
-            normal_count=int(normal.get("count", 0)),
-            sigma=float(normal["sigma"]) if normal.get("count", 0) else None,
-            q=float(data.get("q", 1.0)))
-    except (KeyError, TypeError, ValueError) as exc:
+            beta_pairs=tuple((_number(a, "beta"), _number(b, "beta")) for a, b in beta),
+            gamma_shapes=tuple(_number(r, "gamma.shapes") for r in shapes),
+            lam=_number(gamma["lambda"], "gamma.lambda") if "lambda" in gamma else None,
+            normal_count=_number(normal.get("count", 0), "normal.count", int),
+            sigma=_number(normal["sigma"], "normal.sigma") if "sigma" in normal else None,
+            q=_number(data.get("q", 1.0), "q"))
+    except ValueError as exc:
         raise SpecError(f"invalid spec: {exc}") from exc
 
 

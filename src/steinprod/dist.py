@@ -389,7 +389,7 @@ def density(spec: ProductSpec) -> DensityEvaluator:
                                       [(v - shift) / h for v in lhs.roots])
     kappa = float(rhs.coeff) / float(lhs.coeff) * h ** (len(rhs.roots) - len(lhs.roots))
     return DensityEvaluator(
-        spec=spec, g_params=params, arg_coeff=kappa, power=h,
+        spec=spec, g_params=params, arg_coeff=kappa, power=float(h),
         log_const=-_log_g_mellin(params, kappa, h, spec.symmetric, 1.0))
 
 

@@ -197,29 +197,21 @@ class BesselPowerComb:
             self._levels.append(self._differentiate(self._levels[-1]))
         return self._levels[k]
 
-    def deriv(self, x, k: int = 0, bessel: dict | None = None):
-        """k-th derivative at x.
-
-        ``bessel`` maps (nu, kind) to Phi_nu(rate * x^power) at this x;
-        it is filled in place, so derivatives of several orders (or of
-        several combinations with the same rate and power) at one x share
-        their Bessel evaluations.  The orders missing from it take one call
-        per kind.
-        """
+    def deriv(self, x, k: int = 0):
+        """k-th derivative at x: one Bessel call per kind for all the orders it needs."""
         from .specfun import bessel_i, bessel_k
 
         xs = np.asarray(x, dtype=float)
         arg = self.rate * xs**self.power
-        cache = {} if bessel is None else bessel
-        terms = self._terms(k)
+        terms, rows = self._terms(k), {}
         for kind, fn in (("i", bessel_i), ("k", bessel_k)):
-            new = sorted({nu for _, _, nu, kd in terms if kd == kind and (nu, kind) not in cache})
-            if new:
-                rows = fn(np.reshape(new, (-1,) + (1,) * arg.ndim), arg)
-                cache.update(((nu, kind), row) for nu, row in zip(new, rows))
+            nus = sorted({nu for _, _, nu, kd in terms if kd == kind})
+            if nus:
+                vals = fn(np.reshape(nus, (-1,) + (1,) * arg.ndim), arg)
+                rows.update(((nu, kind), row) for nu, row in zip(nus, vals))
         out = np.zeros_like(xs)
         for c, alpha, nu, kind in terms:
-            out = out + c * xs**alpha * cache[nu, kind]
+            out = out + c * xs**alpha * rows[nu, kind]
         return out if np.ndim(x) else float(out)
 
     def __call__(self, x):

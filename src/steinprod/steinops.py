@@ -200,7 +200,7 @@ class SteinOperatorBundle:
         rows = poly_exp_rows([_theta_image(g, side.roots) for g in fs for side in sides], x)
         rows = rows.reshape((len(fs), 2) + rows.shape[1:])
         for j, side in enumerate(sides):
-            rows[:, j] *= float(side.coeff) * x**side.xpow
+            rows[:, j] *= float(side.coeff) * x ** float(side.xpow)
         lhs, rhs = rows[:, 0], rows[:, 1]
         return (lhs[0], rhs[0]) if single else (lhs, rhs)
 

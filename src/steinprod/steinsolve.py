@@ -29,7 +29,9 @@ Values, derivatives, residuals and bounds read one routine for f, f' and f''
 (``SteinSolution._derivatives``): up to the switch min(0.1, 1/(4 lam^2)) the
 Taylor series at 0, x = 0 included, at every point where its last term is
 below rounding, and the Bessel form elsewhere.  The tail form stays on the
-Bessel route as the independent check.
+Bessel route as the independent check.  Every route has one domain
+(``SteinSolution._domain``), x >= 0 with 2 lam sqrt(x) <= 600, past which the
+Bessel pair overflows and each raises ``NumericalError`` naming the x.
 
 J_I and J_K are read off one table per solution: the accepted leaves of
 the adaptive rule in u = sqrt(t) on fixed cells (``SteinSolution._grow``),
@@ -59,7 +61,7 @@ from .steinops import ProductSpec
 from .dist import _density_integral, density
 from .specfun import NumericalError
 
-_Z_CAP = 600.0  # 2 lam sqrt(x) beyond which values take the far-tail asymptote
+_Z_CAP = 600.0  # 2 lam sqrt(x) at the edge of the solution's domain
 _LADDER = (0.0, 1.0, 2.0)  # the orders d + j that f, f' and f'' need
 _SERIES_TERMS = 60  # terms of the origin series of f^{(k)}
 _FACTORIALS = np.array([math.factorial(j) for j in range(_SERIES_TERMS)], dtype=float)
@@ -129,7 +131,7 @@ class SteinSolution:
         """Extend the table over whole cells up to the first cell edge >= u_max.
 
         Cells end where z = 2 lam u is 2^k (k >= -12) or the cap 600, the
-        far-tail switch of ``values``.  Octaves of z keep a cell's Bessel
+        edge of the domain (``_domain``).  Octaves of z keep a cell's Bessel
         arguments in one octave of the Bessel tables, so its leaves do not
         depend on the cells that share its call; the running sum goes on
         sequentially.
@@ -145,14 +147,10 @@ class SteinSolution:
 
     def _j_values(self, xs: np.ndarray) -> np.ndarray:
         """(J_I, J_K) at every x, shape (2, n): J at the start of the point's leaf plus
-        one Gauss-Legendre panel from there.  Beyond the cap, reached only by
-        ``derivative`` and ``value_tail_form``, a panel starts at the cap.  Orders d, d+1
-        and d+2 at each point's own argument join its panel's Bessel calls (256 points a
-        call) and become ``_rows``."""
-        if np.any(xs < 0):
-            raise ValueError("x must be nonnegative")
+        one Gauss-Legendre panel from there.  Orders d, d+1 and d+2 at each point's own
+        argument join its panel's Bessel calls (256 points a call) and become ``_rows``."""
         u = np.sqrt(xs)
-        u_max = min(float(np.fmax.reduce(u, initial=0.0)), self._cells[-1])
+        u_max = float(np.fmax.reduce(u, initial=0.0))
         if u_max > self._edge[-1]:
             self._grow(u_max)
         leaf = np.searchsorted(self._edge, u, side="right") - 1
@@ -188,12 +186,16 @@ class SteinSolution:
 
     # -- solution values ---------------------------------------------------------
 
-    def _far(self, xs: np.ndarray) -> np.ndarray:
-        """Where 2 lam sqrt(x) passes the cap: ``values`` takes the asymptote -h_tilde(x) /
-        (lam^2 x) there, where the growing/decaying Bessel pair would overflow."""
+    def _domain(self, xs: np.ndarray) -> None:
+        """The solution's domain, x >= 0 with 2 lam sqrt(x) <= 600 (the J table's top),
+        checked for every route: past it the growing/decaying Bessel pair overflows.
+        NaN passes."""
         if np.any(xs < 0):
             raise ValueError("x must be nonnegative")
-        return 2.0 * self.lam * np.sqrt(xs) > _Z_CAP
+        past = np.sqrt(xs) > self._cells[-1]
+        if past.any():
+            x = np.format_float_scientific(xs[past].flat[0], trim="-")
+            raise NumericalError(f"x = {x} is past the solution's domain 2 lam sqrt(x) <= {_Z_CAP:g}")
 
     def _table(self, xs: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
         """(prefactor derivatives, shape (2, order + 1, n), and J, shape (2, n)) at xs;
@@ -210,39 +212,31 @@ class SteinSolution:
         return 2.0 * (ipre * jk - kpre * ji)
 
     def values(self, xs) -> np.ndarray:
-        """Solution values at every point of xs in one sweep: ``_derivatives`` of order 0,
-        and past the far-tail switch the asymptote."""
-        xs = np.asarray(xs, dtype=float)
-        far = self._far(xs)
-        out = np.empty(xs.shape)
-        if far.any():
-            out[far] = -self.h_tilde(xs[far]) / (self.lam**2 * xs[far])
-        out[~far] = self._derivatives(xs[~far], 0)[0]
-        return out
+        """Solution values at every point of xs in one sweep (``_derivatives``)."""
+        return self._derivatives(np.asarray(xs, dtype=float), 0)[0]
 
     def value(self, x: float) -> float:
         return float(self.values(np.array([float(x)]))[0])
 
     def value_tail_form(self, x: float) -> float:
-        (ipre, kpre), (ji, _) = self._table(np.array([float(x)]), 0)
+        xs = np.array([float(x)])
+        self._domain(xs)
+        (ipre, kpre), (ji, _) = self._table(xs, 0)
         return float(-2.0 * kpre[0, 0] * ji[0] - 2.0 * ipre[0, 0] * self._j_tail_k(x))
 
     def _derivatives(self, xs: np.ndarray, order: int) -> np.ndarray:
-        """f, ..., f^{(order)} at xs >= 0, shape (order + 1, n), by one rule.
+        """f, ..., f^{(order)} at xs in the domain, shape (order + 1,) + xs.shape, by one rule.
 
         Up to the switch min(0.1, 1/(4 lam^2)), where the Bessel form of f'' loses about
         1/x^2 to I/K cancellation and that of f divides J's error by x^s, they are the
         Taylor series at 0 (``_origin_series``) at every point where its last term is
         below rounding; at x = 0 that is the first coefficient of each.  Everywhere else they are
         the ``_combine`` rows, with h-tilde / x^2 in f'', where the J-kernel terms leave
-        it.  Points past the far-tail switch raise: the Bessel pair overflows there."""
+        it.  Points outside the domain raise (``_domain``)."""
         if order > 2:
             raise ValueError("orders above two need the equation itself")
-        far = self._far(xs)
-        if far.any():
-            raise NumericalError(f"derivatives at x = {xs[far][0]:.6g} are past the far-tail "
-                                 f"switch 2 lam sqrt(x) = {_Z_CAP:g}")
-        rows = np.empty((order + 1, xs.size))
+        self._domain(xs)
+        rows = np.empty((order + 1,) + xs.shape)
         series = xs <= min(0.1, 0.25 / self.lam**2)
         if series.any():
             rows[:, series], series[series] = self._origin_series(xs[series], order)
@@ -309,22 +303,11 @@ def stein_residuals(sol: SteinSolution, xs) -> np.ndarray:
     prefactors only and stays at rounding level for any J; an error in J
     shows in ``value(x) - value_tail_form(x)`` instead.  Each residual has
     the bits of the point alone.
-    Past the cap ``values`` gives f = -h_tilde / (lam^2 x); the lam^2 x f and h_tilde terms
-    cancel, leaving x^2 f'' + (1+r1+r2) x f' + r1 r2 f
-    = -(x h'' + (r1 + r2 - 1) h' + (1 - r1)(1 - r2) h_tilde / x) / lam^2.
     """
-    xs = np.asarray(xs, dtype=float)
-    far = sol._far(xs)
-    out = np.empty(xs.shape)
-    if far.any():
-        x = xs[far]
-        out[far] = -(x * sol.h.deriv(x, 2) + (sol.r1 + sol.r2 - 1.0) * sol.h.deriv(x, 1)
-                     + (1.0 - sol.r1) * (1.0 - sol.r2) * sol.h_tilde(x) / x) / sol.lam**2
-    x = xs[~far]
+    x = np.asarray(xs, dtype=float)
     f, f1, f2 = sol._derivatives(x, 2)
-    out[~far] = (x * x * f2 + (1.0 + sol.r1 + sol.r2) * x * f1
-                 + (sol.r1 * sol.r2 - sol.lam**2 * x) * f - sol.h_tilde(x))
-    return out
+    return (x * x * f2 + (1.0 + sol.r1 + sol.r2) * x * f1
+            + (sol.r1 * sol.r2 - sol.lam**2 * x) * f - sol.h_tilde(x))
 
 
 def stein_residual(sol: SteinSolution, x: float) -> float:
@@ -359,7 +342,7 @@ def estimate_derivative_bounds(r1: float, r2: float, lam: float, h,
     """Empirical sup-norm estimates of f, f', ..., f^{(k_max)}, k_max <= 2, over the grid.
 
     They read one solution at tol 1e-8 (``SteinSolution._derivatives``, which covers
-    x = 0).  Points past the far-tail switch raise ``NumericalError``.  Estimates, not
+    x = 0).  Points past 2 lam sqrt(x) = 600 raise ``NumericalError``.  Estimates, not
     certified bounds.
     """
     if getattr(h, "max_order", 0) < k_max:

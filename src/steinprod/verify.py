@@ -243,7 +243,7 @@ def adjoint_residual_scan(spec: ProductSpec, grid,
         for i, c in enumerate(side.theta_coeffs()):
             for k in range(i + 1):
                 weights[i, k] = float(c) * ev.power**i * stirling2(i, k)
-        terms = weights[:, :, None] * zg * grid**side.xpow
+        terms = weights[:, :, None] * zg * grid ** float(side.xpow)
         residuals += sign * terms.sum(axis=(0, 1))
         magnitudes += np.abs(terms).sum(axis=(0, 1))
     tol = tolerance if tolerance is not None else (1e-8 if ev.closed else 1e-4)

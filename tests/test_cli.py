@@ -54,6 +54,30 @@ class TestSpecParsing:
         assert main(["operator", "--spec", path]) == 1
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"normal": {"count": 1.5, "sigma": 1.0}}, "'normal.count' must be an integer"),
+        ({"normal": {"count": True, "sigma": 1.0}}, "'normal.count' must be an integer"),
+        ({"gamma": {"shapes": "12", "lambda": 1.0}}, "'gamma.shapes' must be a list"),
+        ({"gamma": {"shapes": [True], "lambda": 1.0}}, "'gamma.shapes' must be a number"),
+        ({"gama": {"shapes": [1.4], "lambda": 1.0}, "normal": {"count": 1, "sigma": 1.0}},
+         "unknown field.*'gama'"),
+        ({"normal": {"count": 1, "sigma": 1.0, "mu": 0.0}}, "unknown field.*'mu'"),
+        ({"gamma": {"shapes": [], "lambda": 1.0}, "normal": {"count": 1, "sigma": 1.0}},
+         "lam given without gamma factors"),
+        ({"gamma": {"shapes": [1.4], "lambda": 1.0}, "normal": {"count": 0, "sigma": 1.0}},
+         "sigma given without normal factors"),
+        ({"beta": [["1", "2"]]}, "'beta' must be a number"),
+    ], ids=["count-float", "count-bool", "shapes-string", "shapes-bool", "top-level-key",
+            "normal-key", "lambda-without-shapes", "sigma-without-count", "beta-strings"])
+    def test_malformed_spec_rejected(self, spec_file, capsys, payload, message):
+        # each of these exited 0, read as some other product
+        path = spec_file({"version": 1, **payload})
+        with pytest.raises(SpecError, match=message):
+            load_spec(path)
+        assert main(["operator", "--spec", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+
     def test_missing_file(self):
         with pytest.raises(SpecError, match="cannot read"):
             load_spec("/nonexistent/spec.json")
@@ -260,14 +284,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "x = 0" in captured.err
 
-    def test_stein_solve_far_tail_rows_are_finite(self, capsys):
-        # past the far-tail switch the residual is the asymptote's, not the Bessel route's NaN
+    def test_stein_solve_past_the_cap_is_a_numerical_failure(self, capsys):
+        # 2 lam sqrt(x) > 600 is outside the solution's domain: no rows, one error line
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["stein-solve", "--r1", "1.4", "--r2", "2.45", "--lam", "1", "--h", "exp",
-                         "--grid", "0:1e6:3"]) == 0
-        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
-        assert len(rows) == 3 and all(math.isfinite(float(v)) for row in rows for v in row)
+                         "--grid", "0:1e6:3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "x = 5e+05" in captured.err
 
     def test_verify_unresolved_is_not_fail(self, spec_file, capsys, monkeypatch):
         real = verify.adjoint_residual_scan

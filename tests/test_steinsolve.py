@@ -246,12 +246,12 @@ class TestBatchedSweep:
         sol.value(5e4)
         assert sol._edge.size < 20_000
 
-    def test_far_tail_and_call_shapes(self):
+    def test_call_shapes(self):
         sol = steinsolve.solve_stein_pg(1.0, 1.0, 1.0, funcs.exp_decay(1.0))
-        xs = np.array([0.5, 1e6, 2.0])
+        xs = np.array([0.5, 40.0, 2.0])
         vals = sol(xs)
         assert vals.shape == (3,)
-        assert vals[1] == pytest.approx(sol.e_h / 1e6, rel=1e-12)
+        assert vals[1] == sol.value(40.0)
         assert isinstance(sol(2.0), float) and sol(2.0) == vals[2]
 
     def test_residual_evaluates_each_bessel_order_once(self, monkeypatch):
@@ -272,16 +272,6 @@ class TestBatchedSweep:
         assert abs(res) < 1e-8
         assert calls == []  # the residual reads the rows value(x) kept
 
-    def test_shared_bessel_values_match_fresh_evaluation(self):
-        comb = funcs.BesselPowerComb([(1.0, -1.25, 1.5, "k"), (0.3, -1.25, 1.5, "i")], 2.0, 0.5)
-        xs = np.array([0.03, 0.7, 4.0, 30.0])
-        shared = {}
-        for k in range(4):
-            np.testing.assert_array_equal(comb.deriv(xs, k, bessel=shared), comb.deriv(xs, k))
-        # the one-sided ladder: orders 0..3 need nu = 1.5 + 0..3 once per kind
-        assert sorted(nu for nu, kind in shared if kind == "k") == [1.5, 2.5, 3.5, 4.5]
-        assert sorted(nu for nu, kind in shared if kind == "i") == [1.5, 2.5, 3.5, 4.5]
-
     def test_bessel_rows_take_one_call_per_kind(self, monkeypatch):
         calls = []
         for name in ("bessel_i", "bessel_k"):
@@ -296,6 +286,53 @@ class TestBatchedSweep:
         assert calls == [("bessel_i", [1.5, 2.5, 3.5]), ("bessel_k", [1.5, 2.5, 3.5])]
 
 
+LAM = 2.0  # the domain's edge 2 lam sqrt(x) = 600 is at x = (300 / lam)^2 = 22500
+DOMAIN_ROUTES = {
+    "values": lambda sol, x: sol.values(np.array([1.0, x])),
+    "value": lambda sol, x: sol.value(x),
+    "call": lambda sol, x: sol(np.array([x, 1.0])),
+    "f": lambda sol, x: sol.derivative(x, 0),
+    "f'": lambda sol, x: sol.derivative(x, 1),
+    "f''": lambda sol, x: sol.derivative(x, 2),
+    "value_tail_form": lambda sol, x: sol.value_tail_form(x),
+    "stein_residual": lambda sol, x: steinsolve.stein_residual(sol, x),
+    "stein_residuals": lambda sol, x: steinsolve.stein_residuals(sol, [x, 1.0]),
+    "bounds": lambda sol, x: steinsolve.estimate_derivative_bounds(
+        sol.r1, sol.r2, sol.lam, sol.h, 2, grid=np.array([1.0, x])),
+}
+
+
+class TestDomain:
+    """One domain, x >= 0 with 2 lam sqrt(x) <= 600, for every route."""
+
+    @pytest.fixture(scope="class")
+    def sol(self):
+        return steinsolve.solve_stein_pg(1.4, 2.45, LAM, funcs.Sinusoid())
+
+    @pytest.mark.parametrize("x", [1e6, (300.0 / LAM) ** 2 * (1 + 1e-12)])
+    @pytest.mark.parametrize("route", sorted(DOMAIN_ROUTES))
+    def test_points_past_the_cap_raise(self, sol, route, x):
+        # on (1.4, 2.45, lam = 1) the asymptote -h_tilde / (lam^2 x) that values took past the
+        # cap was 6.4e-6 relative off for exp and 0.44-4.2 times the true value for h = sin;
+        # value_tail_form gave NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(specfun.NumericalError, match="x = "):
+                DOMAIN_ROUTES[route](sol, x)
+
+    def test_the_cap_itself_is_inside(self, sol):
+        x = (300.0 / LAM) ** 2
+        assert math.isfinite(sol.value_tail_form(x))
+        assert np.isfinite(sol.values(np.array([1.0, x]))).all()
+
+    def test_nan_passes_and_negative_x_is_rejected(self, sol):
+        assert np.isnan(sol.values([np.nan])).all()
+        assert np.isnan(steinsolve.stein_residuals(sol, [np.nan])).all()
+        for route in ("values", "value_tail_form", "stein_residuals", "f''"):
+            with pytest.raises(ValueError, match="nonnegative"):
+                DOMAIN_ROUTES[route](sol, -1.0)
+
+
 class TestResidual:
     @pytest.mark.parametrize("r1,r2,lam", CASES)
     def test_residual_small_for_exp(self, r1, r2, lam):
@@ -303,32 +340,6 @@ class TestResidual:
         xs = np.geomspace(0.01, 50.0, 20)
         res = [steinsolve.stein_residual(sol, float(x)) for x in xs]
         assert np.max(np.abs(res)) < 1e-6
-
-    @pytest.mark.parametrize("name", sorted(cli.BUILTIN_TEST_FUNCTIONS))
-    def test_far_tail_rows_are_finite(self, name):
-        # past 2 lam sqrt(x) = 600 the value is the asymptote f = -h_tilde / (lam^2 x), and the
-        # residual is that f's: x^2 f'' + (1+r1+r2) x f' + r1 r2 f (the Bessel route gave NaN)
-        r1, r2, lam = 1.4, 2.45, 1.0
-        sol = steinsolve.solve_stein_pg(r1, r2, lam, cli.BUILTIN_TEST_FUNCTIONS[name]())
-        xs = np.linspace(0.0, 1e6, 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            f, res = sol.values(xs), steinsolve.stein_residuals(sol, xs)
-        assert np.isfinite(f).all() and np.isfinite(res).all()
-        far = xs[1:]
-        if name == "sin":
-            # x^2 f'' is of order x sin(x) / lam^2: the asymptote does not solve the
-            # equation for an oscillating h, and the residual says so
-            np.testing.assert_allclose(res[1:], far * np.sin(far) / lam**2, rtol=0,
-                                       atol=(r1 + r2) / lam**2)
-            assert np.all(np.abs(res[1:]) > 1e4)
-        else:  # h' and x h'' have decayed: -(1 - r1)(1 - r2) h_tilde / (lam^2 x) is left
-            np.testing.assert_allclose(
-                res[1:], -(1 - r1) * (1 - r2) * sol.h_tilde(far) / (lam**2 * far), rtol=1e-4,
-                atol=1e-20)
-        if name == "exp":
-            np.testing.assert_allclose(res[1:], sol.e_h * (1 - r1) * (1 - r2) / (lam**2 * far),
-                                       rtol=1e-12)
 
     @pytest.mark.parametrize("r1,r2,lam", CASES)
     @pytest.mark.parametrize("name", sorted(bounded_test_functions()))

@@ -5,6 +5,7 @@ import json
 import math
 import threading
 import tracemalloc
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -385,6 +386,22 @@ class TestSuite:
             "mc-stein", "adjoint-ode", "mellin-equality", "sampler-ks", "moment-recursion"]
         assert all(r.passed for r in reports), [(r.test_id, r.estimate, r.tolerance, r.details)
                                                 for r in reports]
+
+    @pytest.mark.parametrize("exact, floats", [
+        (ProductSpec(gamma_shapes=(F(2), F(3)), lam=F(3, 2), q=F(1, 2)),
+         ProductSpec(gamma_shapes=(2.0, 3.0), lam=1.5, q=0.5)),
+        (ProductSpec(beta_pairs=((F(13, 10), F(3, 5)),), gamma_shapes=(F(7, 5),), lam=F(1),
+                     normal_count=1, sigma=F(3, 2)), None),
+    ], ids=["PGG", "XYZ"])
+    def test_exact_rational_specs_pass(self, exact, floats):
+        # an array raised to a Fraction x-power crashed the stein, adjoint and ks suites of
+        # the generalised gamma (UFuncTypeError, UFuncOutputCastingError, isnan TypeError)
+        reports = verify.standard_suite(exact, samples=100_000, seed=3)
+        assert len(reports) == 5 and all(r.passed for r in reports)
+        if floats is not None:  # the same numbers as the float spec, names aside
+            strip = [{**r.to_dict(), "test_id": None} for r in reports]
+            assert strip == [{**r.to_dict(), "test_id": None}
+                             for r in verify.standard_suite(floats, samples=100_000, seed=3)]
 
     @pytest.mark.parametrize("spec", [XYZ, ProductSpec(gamma_shapes=(2.0,), lam=1.0, q=0.5)],
                              ids=lambda s: s.describe())
