@@ -11,8 +11,8 @@ Product specifications are JSON files with a mandatory version field:
 No other field is read: an unknown one, or a value that is not a JSON number (an
 integer for ``count``), is a validation error.
 
-Exit codes: 0 success; 1 validation error (a bad spec, argument or grid, a
-non-finite grid end included); 2 numerical failure (a value past the double
+Exit codes: 0 success; 1 validation error (a bad spec or grid, a bad or missing
+argument, a non-finite grid end included); 2 numerical failure (a value past the double
 range, an overflowing Mellin transform included, or a routine that did not
 converge).  Either failure prints one line on stderr, a traceback only with --debug.
 """
@@ -179,7 +179,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_gfunc(args) -> int:
-    params = MeijerGParams.upper_zero(args.a or [], args.b)
+    params = MeijerGParams(args.a or [], args.b)
     val = meijer_g(params, args.x, tol=args.tolerance)
     print(f"{val:.15g}")
     return 0
@@ -215,10 +215,16 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad or missing argument is a validation error: one line on stderr, exit 1."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="steinprod",
-                                 description="Stein operators and distributional "
-                                             "theory for products of random variables")
+    ap = _Parser(prog="steinprod", description="Stein operators and distributional "
+                                               "theory for products of random variables")
     ap.add_argument("--debug", action="store_true", help="print tracebacks")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -385,8 +385,8 @@ def density(spec: ProductSpec) -> DensityEvaluator:
     """Density evaluator for any product spec, read off ``stein_sides`` (module docstring)."""
     lhs, rhs = stein_sides(spec)
     h, shift = rhs.xpow - lhs.xpow, lhs.xpow + 1
-    params = MeijerGParams.upper_zero([(v - shift) / h for v in rhs.roots],
-                                      [(v - shift) / h for v in lhs.roots])
+    params = MeijerGParams([(v - shift) / h for v in rhs.roots],
+                           [(v - shift) / h for v in lhs.roots])
     kappa = float(rhs.coeff) / float(lhs.coeff) * h ** (len(rhs.roots) - len(lhs.roots))
     return DensityEvaluator(
         spec=spec, g_params=params, arg_coeff=kappa, power=float(h),
@@ -494,7 +494,7 @@ class NumericCdf:
     def __init__(self, spec: ProductSpec):
         self.ev = ev = density(spec)
         shift = 1.0 / ev.power
-        self.params = reduce_params(MeijerGParams.upper_zero(
+        self.params = reduce_params(MeijerGParams(
             [v + shift for v in ev.reduced.a] + [1.0], [v + shift for v in ev.reduced.b] + [0.0]))
         self.log_const = (ev.log_const + math.log((1 + spec.symmetric) / ev.power)
                           - shift * math.log(ev.arg_coeff))

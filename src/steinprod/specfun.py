@@ -366,32 +366,26 @@ def bessel_i(nu, x) -> "float | np.ndarray":
 
 @dataclass(frozen=True)
 class MeijerGParams:
-    """Orders (m, n, p, q) plus parameter rows for G^{m,n}_{p,q}(z | a; b)."""
+    """Parameter rows of G^{q,0}_{p,q}(z | a; b), p = len(a) <= q = len(b), as floats."""
 
-    m: int
-    n: int
-    p: int
-    q: int
     a: tuple[float, ...]
     b: tuple[float, ...]
 
     def __post_init__(self):
-        if self.n != 0:
-            raise ValueError("evaluator handles n = 0 only")
-        if self.m != self.q:
-            raise ValueError("evaluator handles m = q only")
-        if len(self.a) != self.p or len(self.b) != self.q:
-            raise ValueError("parameter row lengths must match (p, q)")
+        for name in ("a", "b"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if self.q < self.p:
             raise ValueError("need q >= p")
         if self.q == 0:
             raise ValueError("need at least one b parameter")
 
-    @staticmethod
-    def upper_zero(a: Sequence[float], b: Sequence[float]) -> "MeijerGParams":
-        a = tuple(float(v) for v in a)
-        b = tuple(float(v) for v in b)
-        return MeijerGParams(m=len(b), n=0, p=len(a), q=len(b), a=a, b=b)
+    @property
+    def p(self) -> int:
+        return len(self.a)
+
+    @property
+    def q(self) -> int:
+        return len(self.b)
 
 
 _CANCEL_TOL = 1e-12  # an upper and a lower parameter this close cancel
@@ -408,7 +402,7 @@ def reduce_params(params: MeijerGParams) -> MeijerGParams:
             out_a.append(av)
         else:
             b.pop(hit)
-    return MeijerGParams.upper_zero(out_a, b)
+    return MeijerGParams(out_a, b)
 
 
 def _asymptotic_exponents(params: MeijerGParams) -> tuple[int, float]:
@@ -800,7 +794,7 @@ def meijer_g_batch(params: MeijerGParams, zs, tol: float = 1e-10,
         raise ValueError("arguments must be positive")
     if deriv:
         # P(s) = s (s+1) ... (s+deriv-1) = Gamma(s + deriv) / Gamma(s)
-        params = MeijerGParams.upper_zero(params.a + (0.0,), params.b + (float(deriv),))
+        params = MeijerGParams(params.a + (0.0,), params.b + (float(deriv),))
     flat = zs.ravel()
     out = np.where(np.isnan(flat), np.nan, 0.0)
     sigma = params.q - params.p

@@ -60,6 +60,8 @@ class ProductSpec:
         object.__setattr__(self, "beta_pairs",
                            tuple((a, b) for a, b in self.beta_pairs))
         object.__setattr__(self, "gamma_shapes", tuple(self.gamma_shapes))
+        if self.normal_count < 0:
+            raise ValueError("normal_count must be nonnegative")
         if self.m + self.n + self.normal_count < 1:
             raise ValueError("at least one factor is required")
         for a, b in self.beta_pairs:
@@ -73,8 +75,6 @@ class ProductSpec:
             _pos("lam", self.lam)
         elif self.lam is not None:
             raise ValueError("lam given without gamma factors")
-        if self.normal_count < 0:
-            raise ValueError("normal_count must be nonnegative")
         if self.normal_count > 0:
             if self.sigma is None:
                 raise ValueError("normal factors need a scale sigma")

@@ -36,12 +36,11 @@ Bessel pair overflows and each raises ``NumericalError`` naming the x.
 J_I and J_K are read off one table per solution: the accepted leaves of
 the adaptive rule in u = sqrt(t) on fixed cells (``SteinSolution._grow``),
 with J at each leaf start.  J at a point is that plus one 16-node panel;
-the panels of a call share one I and one K call with an array of orders,
-which also gives the orders d, d+1 and d+2 at the points.  J and these
-Bessel rows of the last points are kept, so ``value(x)``,
-``derivative(x, k)`` and ``stein_residual`` at one x share them, and the
-residual after a value makes no Bessel call.  The tail form integrates
-its K-kernel tail separately.  E h(Y) (``expect_pg``) is one call of
+the panels of a call share one I and one K call with an array of orders, which also
+gives the orders d, d+1 and d+2 at the points.  f, f' and f'' at the last points are
+kept, so ``value(x)``, ``derivative(x, k)`` and ``stein_residual`` at one x read one
+computation and the residual after a value makes no Bessel call; the tail form takes
+its own J and prefactors.  E h(Y) (``expect_pg``) is one call of
 ``dist._density_integral``, the integral of the normalisation and the cf.
 
 Differentiated k times, the equation is that of shapes r + k for f^{(k)} with right-hand
@@ -104,8 +103,8 @@ class SteinSolution:
         # J table (see _grow): cell edges; leaf starts and the top; J at each of those
         self._cells = np.append(np.ldexp(1.0, np.arange(-12, 10)), _Z_CAP) / (2.0 * self.lam)
         self._edge, self._j0 = np.zeros(1), np.zeros((2, 1))
-        # the last points asked for, J and the Bessel rows (I_{d+j}, K_{d+j}) there
-        self._key, self._j, self._rows = b"", np.zeros((2, 0)), np.zeros((3, 2, 0))
+        # the last points asked for (shape and bytes) and f, f', f'' there (``_derivatives``)
+        self._key, self._rows = None, np.zeros((3, 0))
         self._coef = None  # the origin series' coefficients (``_origin_series``)
 
     # -- centred test function ------------------------------------------------
@@ -145,10 +144,11 @@ class SteinSolution:
         carried = np.cumsum(np.concatenate([self._j0[:, -1:], leaf[:, order]], axis=1), axis=1)
         self._j0 = np.concatenate([self._j0[:, :-1], carried], axis=1)
 
-    def _j_values(self, xs: np.ndarray) -> np.ndarray:
+    def _j_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(J_I, J_K) at every x, shape (2, n): J at the start of the point's leaf plus
-        one Gauss-Legendre panel from there.  Orders d, d+1 and d+2 at each point's own
-        argument join its panel's Bessel calls (256 points a call) and become ``_rows``."""
+        one Gauss-Legendre panel from there; and the Bessel rows (I_{d+j}, K_{d+j}) at
+        2 lam sqrt(x) for j = 0, 1, 2, shape (3, 2, n), which join the panels' Bessel
+        calls (256 points a call)."""
         u = np.sqrt(xs)
         u_max = float(np.fmax.reduce(u, initial=0.0))
         if u_max > self._edge[-1]:
@@ -170,8 +170,7 @@ class SteinSolution:
             own[:, :, sl] = kern[:, nodes.size:].reshape(2, 3, m).swapaxes(0, 1)
             vals = (self._weight(nodes) * kern[:, :nodes.size]).reshape(2, -1, quad.GL_ORDER)
             j[:, sl][:, part] += half * np.sum(w * vals, axis=-1)
-        self._rows = own
-        return j
+        return j, own
 
     def _j_tail_k(self, x: float) -> float:
         """int_x^infty of the K-kernel integrand (pen-form ingredient)."""
@@ -197,20 +196,6 @@ class SteinSolution:
             x = np.format_float_scientific(xs[past].flat[0], trim="-")
             raise NumericalError(f"x = {x} is past the solution's domain 2 lam sqrt(x) <= {_Z_CAP:g}")
 
-    def _table(self, xs: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """(prefactor derivatives, shape (2, order + 1, n), and J, shape (2, n)) at xs;
-        J and the Bessel rows are kept for the last xs, so each is computed once per x."""
-        key = xs.tobytes()
-        if key != self._key:
-            self._j, self._key = self._j_values(xs), key
-        return _prefactors(self._ladder, self.s, xs, self._rows[:order + 1]), self._j
-
-    def _combine(self, xs: np.ndarray, order: int) -> np.ndarray:
-        """2 (I-prefactor J_K - K-prefactor J_I) differentiated 0..order times, shape
-        (order + 1, n); the h-tilde term of f'' is left to the callers."""
-        (ipre, kpre), (ji, jk) = self._table(xs, order)
-        return 2.0 * (ipre * jk - kpre * ji)
-
     def values(self, xs) -> np.ndarray:
         """Solution values at every point of xs in one sweep (``_derivatives``)."""
         return self._derivatives(np.asarray(xs, dtype=float), 0)[0]
@@ -219,44 +204,49 @@ class SteinSolution:
         return float(self.values(np.array([float(x)]))[0])
 
     def value_tail_form(self, x: float) -> float:
+        """f with J_K as minus its tail integral, from its own J and prefactors: the check
+        of ``value`` that the residual cannot make."""
         xs = np.array([float(x)])
         self._domain(xs)
-        (ipre, kpre), (ji, _) = self._table(xs, 0)
-        return float(-2.0 * kpre[0, 0] * ji[0] - 2.0 * ipre[0, 0] * self._j_tail_k(x))
+        (ji, _), bessel = self._j_values(xs)
+        ipre, kpre = _prefactors(self._ladder, self.s, xs, bessel[:1])[:, 0, 0]
+        return float(-2.0 * kpre * ji[0] - 2.0 * ipre * self._j_tail_k(x))
 
     def _derivatives(self, xs: np.ndarray, order: int) -> np.ndarray:
-        """f, ..., f^{(order)} at xs in the domain, shape (order + 1,) + xs.shape, by one rule.
-
+        """f, ..., f^{(order)} at xs in the domain, shape (order + 1,) + xs.shape: a copy of
+        the f, f' and f'' rows that one rule gives once per point set and keeps for the last.
         Up to the switch min(0.1, 1/(4 lam^2)), where the Bessel form of f'' loses about
         1/x^2 to I/K cancellation and that of f divides J's error by x^s, they are the
         Taylor series at 0 (``_origin_series``) at every point where its last term is
-        below rounding; at x = 0 that is the first coefficient of each.  Everywhere else they are
-        the ``_combine`` rows, with h-tilde / x^2 in f'', where the J-kernel terms leave
-        it.  Points outside the domain raise (``_domain``)."""
+        below rounding; at x = 0 that is the first coefficient of each.  Everywhere else
+        they are 2 (I-prefactor J_K - K-prefactor J_I) differentiated (``_j_values``,
+        ``_prefactors``), with h-tilde / x^2 in f'', where the J-kernel terms leave it.
+        Points outside the domain raise (``_domain``)."""
         if order > 2:
             raise ValueError("orders above two need the equation itself")
-        self._domain(xs)
-        rows = np.empty((order + 1,) + xs.shape)
-        series = xs <= min(0.1, 0.25 / self.lam**2)
-        if series.any():
-            rows[:, series], series[series] = self._origin_series(xs[series], order)
-        if not series.all():
-            x = xs[~series]
-            rows[:, ~series] = self._combine(x, order)
-            if order == 2:
+        key = (xs.shape, xs.tobytes())
+        if key != self._key:
+            self._domain(xs)
+            rows = np.empty((3,) + xs.shape)
+            series = xs <= min(0.1, 0.25 / self.lam**2)
+            if series.any():
+                rows[:, series], series[series] = self._origin_series(xs[series])
+            if not series.all():
+                x = xs[~series]
+                (ji, jk), bessel = self._j_values(x)
+                ipre, kpre = _prefactors(self._ladder, self.s, x, bessel)
+                rows[:, ~series] = 2.0 * (ipre * jk - kpre * ji)
                 rows[2, ~series] += self.h_tilde(x) / (x * x)
-        return rows
+            self._key, self._rows = key, rows
+        return self._rows[:order + 1].copy()
 
-    def _origin_series(self, xs: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """f, ..., f^{(order)} at xs from the bounded solution's Taylor series at 0, shape
-        (order + 1, n), and where its last term is below rounding in f, f' and f''.
-
-        The equation differentiated j times reads at x = 0
-        (r1 + j)(r2 + j) f^{(j)}(0) = h^{(j)}(0) - [j = 0] E h + j lam^2 f^{(j-1)}(0),
-        since the x f^{(j+1)} and x^2 f^{(j+2)} terms vanish there; the coefficients of f,
-        f' and f'' are built on first use.  Whether a point's series converges does not
-        depend on ``order``, and each point's terms are summed along a row of its own, so
-        its bits do not depend on the points that share the call.
+    def _origin_series(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f, f' and f'' at xs from the bounded solution's Taylor series at 0, shape (3, n),
+        and where its last term is below rounding in all three.  Differentiated j times,
+        (r1 + j)(r2 + j) f^{(j)}(0) = h^{(j)}(0) - [j = 0] E h + j lam^2 f^{(j-1)}(0)
+        is the equation at x = 0, where the x f^{(j+1)} and x^2 f^{(j+2)} terms vanish; the
+        coefficients of f, f' and f'' are built on first use.  Each point's terms are summed
+        along a row of its own, so its bits do not depend on the points that share the call.
         """
         if self._coef is None:
             if getattr(self.h, "max_order", 0) < _SERIES_TERMS + 1:
@@ -270,7 +260,7 @@ class SteinSolution:
             self._coef = c[np.arange(3)[:, None] + j] / _FACTORIALS  # c[k + j] / j!
         parts = self._coef[:, None, :] * xs[:, None] ** np.arange(_SERIES_TERMS)
         fits = np.abs(parts[..., -1]) <= 1e-16 * np.abs(parts).sum(axis=-1)
-        return parts[:order + 1].sum(axis=-1), fits.all(axis=0)
+        return parts.sum(axis=-1), fits.all(axis=0)
 
     def derivative(self, x: float, order: int) -> float:
         """f, f' or f'' at one x >= 0 (``_derivatives``)."""

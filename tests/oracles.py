@@ -93,8 +93,8 @@ def adjoint_expanded(op: PolyDiffOp, gamma) -> PolyDiffOp:
 
 def shift_params(params: MeijerGParams, c: float) -> MeijerGParams:
     """Parameter translation: z^c G(z | a; b) = G(z | a + c; b + c)."""
-    return MeijerGParams.upper_zero([x + c for x in params.a],
-                                    [x + c for x in params.b])
+    return MeijerGParams([x + c for x in params.a],
+                         [x + c for x in params.b])
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,13 @@ class TestSpecParsing:
         ({"gamma": {"shapes": [1.4], "lambda": 1.0}, "normal": {"count": 0, "sigma": 1.0}},
          "sigma given without normal factors"),
         ({"beta": [["1", "2"]]}, "'beta' must be a number"),
+        ({"gamma": {"shapes": [1.4]}}, "gamma factors need a rate lam"),
+        ({"normal": {"count": 1}}, "normal factors need a scale sigma"),
+        ({"gamma": {"shapes": [1.4], "lambda": 1.0}, "normal": {"count": -1, "sigma": 1.0}},
+         "normal_count must be nonnegative"),
     ], ids=["count-float", "count-bool", "shapes-string", "shapes-bool", "top-level-key",
-            "normal-key", "lambda-without-shapes", "sigma-without-count", "beta-strings"])
+            "normal-key", "lambda-without-shapes", "sigma-without-count", "beta-strings",
+            "shapes-without-lambda", "count-without-sigma", "negative-count"])
     def test_malformed_spec_rejected(self, spec_file, capsys, payload, message):
         # each of these exited 0, read as some other product
         path = spec_file({"version": 1, **payload})
@@ -238,6 +243,40 @@ class TestExitCodes:
         rc = main(["density", "--spec", str(bad), "--grid", "0:1:3"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, payload, message", [
+        (["sample", "--count", "0"], XYZ, "count must be >= 1"),
+        (["operator"], [1, 2], "must contain a JSON object"),
+        (["gfunc", "--a", "1", "2", "--b", "1", "--x", "0.5"], None, "need q >= p"),
+    ], ids=["sample-count-0", "spec-list", "gfunc-p-above-q"])
+    def test_rejected_input_is_one(self, spec_file, capsys, argv, payload, message):
+        spec = [] if payload is None else ["--spec", spec_file(payload)]
+        assert main([*argv, *spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert message in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gfunc", "--b", "1", "--x", "abc"],
+        ["density"],
+        ["stein-solve", "--r1", "1", "--r2", "1"],
+        ["bogus-command"],
+        ["verify", "--spec", "s.json", "--suite", "bogus"],
+    ], ids=["gfunc-x-not-a-number", "density-no-spec", "stein-solve-no-lam", "unknown-command",
+            "verify-unknown-suite"])
+    def test_argument_error_is_one(self, capsys, argv):
+        # argparse's own exit code 2 and usage lines read as a numerical failure
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_help_is_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0 and capsys.readouterr().out.startswith("usage: steinprod")
 
     def test_tail_without_normal_is_one(self, spec_file, capsys):
         payload = {"version": 1, "gamma": {"shapes": [1.4], "lambda": 1.0}}

@@ -172,6 +172,9 @@ class TestMellin:
     def test_normal_second_moment(self):
         assert dist.mellin(PN1)(3.0) == pytest.approx(1.0, rel=1e-13)
 
+    def test_odd_moment_with_a_normal_factor_is_zero(self):
+        assert dist.moment(XYZ, 1) == 0.0
+
     def test_beta_mean(self):
         a, b = 1.3, 0.7
         spec = ProductSpec(beta_pairs=((a, b),))

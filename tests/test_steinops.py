@@ -22,6 +22,11 @@ class TestProductSpec:
         with pytest.raises(ValueError, match="at least one factor"):
             ProductSpec()
 
+    def test_negative_normal_count_names_itself(self):
+        # the sign of N is checked before the factor count, which a gamma already meets
+        with pytest.raises(ValueError, match="nonnegative"):
+            ProductSpec(gamma_shapes=(1.4,), lam=1.0, normal_count=-1, sigma=1.0)
+
     def test_positivity(self):
         with pytest.raises(ValueError):
             ProductSpec(beta_pairs=((0.0, 1.0),))
@@ -48,6 +53,7 @@ class TestProductSpec:
         assert ProductSpec(normal_count=2, sigma=1.0).row() == "Z"
         assert ProductSpec(beta_pairs=((1.0, 2.0),), gamma_shapes=(1.0,),
                            lam=1.0).row() == "XY"
+        assert ProductSpec(gamma_shapes=(1.4, 2.45), lam=1.3, q=2.0).row() == "PGG"
 
 
 class TestClassicalRecovery:

@@ -84,6 +84,8 @@ class TestSolveSteinPG:
     def test_rejects_invalid_parameters(self):
         with pytest.raises(ValueError):
             steinsolve.solve_stein_pg(-1.0, 1.0, 1.0, funcs.constant(1.0))
+        with pytest.raises(ValueError, match="deriv"):
+            steinsolve.SteinSolution(1.0, 1.0, 1.0, object())
 
     def test_bounded_solution(self):
         sol = steinsolve.solve_stein_pg(2.0, 0.5, 1.0, funcs.Sinusoid())
@@ -272,6 +274,17 @@ class TestBatchedSweep:
         assert abs(res) < 1e-8
         assert calls == []  # the residual reads the rows value(x) kept
 
+    def test_value_is_the_f_the_residual_reads(self):
+        # value and the residual took x^{-s} through two numpy paths, whose bits differed
+        # at integer s: 13 of these 201 values were off the residual's f in the last bit
+        sol = steinsolve.solve_stein_pg(1.0, 1.0, 1.0, funcs.Sinusoid())
+        for x in np.linspace(30.0, 50.0, 201):
+            f = sol.value(x)
+            rows = sol._derivatives(np.array([x]), 2)
+            assert f == rows[0, 0]
+            rows[:] = 0.0  # a copy: the kept rows do not change
+            assert sol.value(x) == f
+
     def test_bessel_rows_take_one_call_per_kind(self, monkeypatch):
         calls = []
         for name in ("bessel_i", "bessel_k"):
@@ -371,7 +384,12 @@ class TestResidual:
         # J_K leaves the residual at rounding level; the tail form takes J_K apart
         sol = steinsolve.solve_stein_pg(2.0, 0.5, 1.0, funcs.Sinusoid())
         j_values = sol._j_values
-        sol._j_values = lambda xs: perturb(j_values(xs))
+
+        def perturbed(xs):
+            j, bessel = j_values(xs)
+            return perturb(j), bessel
+
+        sol._j_values = perturbed
         for x in (0.05, 0.1, 0.7, 1.0, 3.0, 10.0, 20.0):
             assert abs(steinsolve.stein_residual(sol, x)) <= 1e-10
         gaps = [abs(sol.value(x) - sol.value_tail_form(x)) for x in (0.1, 1.0, 10.0)]
@@ -525,5 +543,7 @@ class TestOriginRoute:
         # derivative(0.09, 1) raised "origin series does not converge" here
         sol = steinsolve.solve_stein_pg(1.4, 2.45, 1.0, funcs.BoundedRational(pole))
         xs = np.array([0.09])
-        assert sol.derivative(0.09, 1) == sol._combine(xs, 1)[1, 0]
+        (ji, jk), bessel = sol._j_values(xs)
+        ipre, kpre = steinsolve._prefactors(sol._ladder, sol.s, xs, bessel)
+        assert sol.derivative(0.09, 1) == 2.0 * (ipre[1, 0] * jk[0] - kpre[1, 0] * ji[0])
         assert sol.derivative(0.09, 1) == pytest.approx(ref, rel=1e-9)

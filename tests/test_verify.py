@@ -403,6 +403,10 @@ class TestSuite:
             assert strip == [{**r.to_dict(), "test_id": None}
                              for r in verify.standard_suite(floats, samples=100_000, seed=3)]
 
+    def test_unknown_suite_raises(self):
+        with pytest.raises(ValueError, match="unknown suite"):
+            verify.standard_suite(XYZ, suites=("bogus",))
+
     @pytest.mark.parametrize("spec", [XYZ, ProductSpec(gamma_shapes=(2.0,), lam=1.0, q=0.5)],
                              ids=lambda s: s.describe())
     def test_moment_suite_is_the_recursion_check(self, spec):
