@@ -388,6 +388,12 @@ def density(spec: ProductSpec) -> DensityEvaluator:
     params = MeijerGParams([(v - shift) / h for v in rhs.roots],
                            [(v - shift) / h for v in lhs.roots])
     kappa = float(rhs.coeff) / float(lhs.coeff) * h ** (len(rhs.roots) - len(lhs.roots))
+    if not 0 < kappa < math.inf:
+        raise NumericalError(f"density argument scale {kappa:g} is past the double range "
+                             f"({spec.describe()})")
+    # a shape rounded so that a Gamma(v + 1/h) of the constant (``_log_g_mellin``) has a pole
+    if any(v + 1.0 / h == math.floor(v + 1.0 / h) <= 0 for v in params.a + params.b):
+        raise NumericalError(f"density constant has a Gamma factor at a pole ({spec.describe()})")
     return DensityEvaluator(
         spec=spec, g_params=params, arg_coeff=kappa, power=float(h),
         log_const=-_log_g_mellin(params, kappa, h, spec.symmetric, 1.0))

@@ -157,45 +157,41 @@ class BoundedRational:
         return self.deriv(x, 0)
 
 
-class BesselPowerComb:
-    """sum_i c_i x^{alpha_i} Phi_{nu_i}(rate * x^power) with Phi in {K, I}.
+def bessel_ladder(alpha: float, nu: float, sign: float, rate: float, power: float,
+                  k_max: int) -> np.ndarray:
+    """L[k, j], k, j <= k_max: order k of x^alpha Phi_nu(rate x^power), Phi = I (sign +1)
+    or K (sign -1), is x^{alpha-k} sum_j L[k, j] x^{j power} Phi_{nu+j}.  By the one-sided
+    recurrences Phi'_nu = sign Phi_{nu+1} + (nu/z) Phi_nu (DLMF 10.29.2), L[k+1, j] =
+    (alpha - k + (nu + 2j) power) L[k, j] + sign rate power L[k, j-1], alpha and nu unrounded."""
+    ladder = np.zeros((k_max + 1, k_max + 1))
+    ladder[0, 0] = 1.0
+    shift = (nu + 2.0 * np.arange(k_max + 1)) * power
+    for k in range(k_max):
+        ladder[k + 1] = (alpha - k + shift) * ladder[k]
+        ladder[k + 1, 1:] += sign * rate * power * ladder[k, :-1]
+    return ladder
 
-    Closed under differentiation through the one-sided recurrences
-    I'_nu = I_{nu+1} + (nu/z) I_nu and K'_nu = -K_{nu+1} + (nu/z) K_nu
-    (DLMF 10.29.2): order k needs Phi_nu, ..., Phi_{nu+k} only, so exact
-    derivatives of the Stein solver's homogeneous solutions are available
-    to any order.
-    """
+
+def ladder_sum(ladder: np.ndarray, alpha: float, power: float, x: np.ndarray, rows) -> np.ndarray:
+    """Orders k < len(rows) of x^alpha Phi_nu(rate x^power), shape lead + (len(rows),) +
+    x.shape, from ``bessel_ladder`` tables ladder[..., k, j] (lead = ladder.shape[:-2])
+    and rows[j] = Phi_{nu+j}(rate x^power), shape lead + x.shape."""
+    order, lead = len(rows), ladder.shape[:-2]
+    u, tail = x**power, (1,) * x.ndim
+    total = sum(ladder[..., :order, j].reshape(lead + (order,) + tail)
+                * np.expand_dims(u**j * rows[j], len(lead)) for j in range(order))
+    return x ** (alpha - np.arange(order)).reshape((order,) + tail) * total
+
+
+class BesselPowerComb:
+    """sum_i c_i x^{alpha_i} Phi_{nu_i}(rate * x^power) with Phi in {K, I}, differentiated
+    to any order by ``bessel_ladder`` and summed by ``ladder_sum``."""
 
     max_order = math.inf
 
     def __init__(self, terms, rate: float, power: float = 1.0):
         # terms: iterable of (coeff, alpha, nu, kind) with kind "k" or "i"
-        self.rate = rate
-        self.power = power
-        self._levels = [self._merge(terms)]
-
-    @staticmethod
-    def _merge(terms):
-        out: dict[tuple, float] = {}
-        for c, alpha, nu, kind in terms:
-            key = (round(alpha, 12), round(nu, 12), kind)
-            out[key] = out.get(key, 0.0) + c
-        return [(c, a, n, k) for (a, n, k), c in out.items() if c != 0.0]
-
-    def _differentiate(self, terms):
-        # (x^a Phi_nu(z))' = (a + nu power) x^{a-1} Phi_nu +- rate power x^{a+power-1} Phi_{nu+1}
-        new = []
-        for c, alpha, nu, kind in terms:
-            new.append((c * (alpha + nu * self.power), alpha - 1.0, nu, kind))
-            sign = -1.0 if kind == "k" else 1.0
-            new.append((sign * c * self.rate * self.power, alpha + self.power - 1.0, nu + 1.0, kind))
-        return self._merge(new)
-
-    def _terms(self, k: int):
-        while len(self._levels) <= k:
-            self._levels.append(self._differentiate(self._levels[-1]))
-        return self._levels[k]
+        self.terms, self.rate, self.power = list(terms), rate, power
 
     def deriv(self, x, k: int = 0):
         """k-th derivative at x: one Bessel call per kind for all the orders it needs."""
@@ -203,15 +199,15 @@ class BesselPowerComb:
 
         xs = np.asarray(x, dtype=float)
         arg = self.rate * xs**self.power
-        terms, rows = self._terms(k), {}
-        for kind, fn in (("i", bessel_i), ("k", bessel_k)):
-            nus = sorted({nu for _, _, nu, kd in terms if kd == kind})
-            if nus:
-                vals = fn(np.reshape(nus, (-1,) + (1,) * arg.ndim), arg)
-                rows.update(((nu, kind), row) for nu, row in zip(nus, vals))
         out = np.zeros_like(xs)
-        for c, alpha, nu, kind in terms:
-            out = out + c * xs**alpha * rows[nu, kind]
+        for kind, fn, sign in (("i", bessel_i, 1.0), ("k", bessel_k, -1.0)):
+            terms = [t for t in self.terms if t[3] == kind]
+            if terms:
+                nus = np.add.outer([t[2] for t in terms], np.arange(k + 1.0))
+                rows = fn(nus.reshape(nus.shape + (1,) * arg.ndim), arg)
+                for (c, alpha, nu, _), row in zip(terms, rows):
+                    ladder = bessel_ladder(alpha, nu, sign, self.rate, self.power, k)
+                    out = out + c * ladder_sum(ladder, alpha, self.power, xs, row)[k]
         return out if np.ndim(x) else float(out)
 
     def __call__(self, x):

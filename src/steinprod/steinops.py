@@ -136,19 +136,28 @@ def stein_sides(spec: ProductSpec) -> tuple[ThetaOp, ThetaOp]:
     s^2 x^{-1} B_{a-1} B_{r-1} T_0^N B_r B_a - lam^{2n} x B_{a+b} B_{a+b-1}
     (B_a B_r x^{-1} = x^{-1} B_{a-1} B_{r-1}); without one it is
     B_a B_r - (q lam^q)^n x^q B_{a+b}.  The density's G-function rows are
-    these roots halved (N >= 1) or shifted by -1 (N = 0).
+    these roots halved (N >= 1) or shifted by -1 (N = 0).  A coefficient that
+    underflows to 0 or overflows raises ``NumericalError``.
     """
     a = [p[0] for p in spec.beta_pairs]
     ab = [p[0] + p[1] for p in spec.beta_pairs]
     r = list(spec.gamma_shapes)
+    q = 1 if spec.q == 1 else spec.q
+    try:
+        rate = (spec.lam ** (2 * spec.n) if spec.N else (q * spec.lam**q) ** spec.n) if spec.n else 1
+        scale = spec.sigma**2 if spec.N else 1
+    except OverflowError:
+        rate = scale = math.inf
+    if not (0 < rate < math.inf and 0 < scale < math.inf):
+        from .specfun import NumericalError
+
+        raise NumericalError(f"a Stein operator coefficient underflows to 0 or overflows a double "
+                             f"({spec.describe()})")
     if spec.N:
         left = a + [v - 1 for v in a] + r + [v - 1 for v in r] + [0] * spec.N
-        return (ThetaOp(spec.sigma**2, -1, tuple(left)),
-                ThetaOp(spec.lam ** (2 * spec.n) if spec.n else 1, 1,
-                        tuple(ab + [v - 1 for v in ab])))
-    q = 1 if spec.q == 1 else spec.q
-    return (ThetaOp(1, 0, tuple(a + r)),
-            ThetaOp((q * spec.lam**q) ** spec.n if spec.n else 1, q, tuple(ab)))
+        return (ThetaOp(scale, -1, tuple(left)),
+                ThetaOp(rate, 1, tuple(ab + [v - 1 for v in ab])))
+    return (ThetaOp(1, 0, tuple(a + r)), ThetaOp(rate, q, tuple(ab)))
 
 
 @dataclass

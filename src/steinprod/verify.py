@@ -319,9 +319,10 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
 
 
 def sampler_density_ks(spec: ProductSpec, samples: int, seed: int) -> VerificationReport:
-    """Kolmogorov-Smirnov distance between draws and the CDF of ``dist.NumericCdf``."""
-    w = dist.sample(spec, samples, seed)
+    """Kolmogorov-Smirnov distance between draws and the CDF of ``dist.NumericCdf``,
+    built first, so a spec without a density fails before any draw."""
     cdf = dist.NumericCdf(spec)
+    w = dist.sample(spec, samples, seed)
     d = ks_statistic(w, cdf)
     crit = 1.63 / math.sqrt(samples)  # asymptotic 1% critical value
     return VerificationReport(

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from steinprod import dist, steinsolve
+from steinprod.funcs import ladder_sum
 from steinprod.opalg import PolyDiffOp, compose_chain, falling, make_an
 from steinprod.specfun import MeijerGParams
 
@@ -108,8 +109,8 @@ def homogeneous_residual(r1: float, r2: float, lam: float, x: float) -> tuple[fl
     s, delta, xs = 0.5 * (r1 + r2), abs(r1 - r2), np.array([float(x)])
     nu, z = delta + np.array(steinsolve._LADDER)[:, None], 2.0 * lam * np.sqrt(xs)
     rows = np.stack([bessel_i(nu, z), bessel_k(nu, z)], axis=1)  # rows[j] = (I_{d+j}, K_{d+j})
-    w, w1, w2 = steinsolve._prefactors(steinsolve._ladder(s, delta, lam), s, xs,
-                                       rows).transpose(1, 0, 2)
+    w, w1, w2 = ladder_sum(steinsolve._ladder(s, delta, lam), -s, 0.5, xs,
+                           rows).transpose(1, 0, 2)
     val = x * x * w2 + (1.0 + r1 + r2) * x * w1 + (r1 * r2 - lam**2 * x) * w
     return float(val[1, 0]), float(val[0, 0])
 

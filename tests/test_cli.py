@@ -28,6 +28,9 @@ def spec_file(tmp_path):
 
 PN1 = {"version": 1, "normal": {"count": 1, "sigma": 1.0}}
 TINY_RATE = {"version": 1, "gamma": {"shapes": [1.0], "lambda": 1e-200}}
+TINY_RATE2 = {"version": 1, "gamma": {"shapes": [1.4, 2.0], "lambda": 1e-200}}
+BIG_RATE2 = {"version": 1, "gamma": {"shapes": [1.4, 2.0], "lambda": 1e200}}
+TINY_SHAPE = {"version": 1, "gamma": {"shapes": [1e-300, 2.0], "lambda": 1.0}}
 XYZ = {"version": 1, "beta": [[1.3, 0.6]],
        "gamma": {"shapes": [1.4], "lambda": 1.0},
        "normal": {"count": 1, "sigma": 1.0}}
@@ -367,6 +370,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: E|W|^(s-1) at s = ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command, payload, message", [
+        # lam^2 underflows to 0: the operator lost its -lam^2 x side and the density's
+        # constant took log(0); lam^2 = 1e400 overflows
+        *((c, TINY_RATE2, "coefficient underflows to 0 or overflows") for c in (
+            ["density", "--grid", "1:2:2"], ["operator"], ["verify", "--suite", "adjoint"],
+            ["verify", "--suite", "ks"], ["verify", "--suite", "mellin"],
+            ["verify", "--suite", "moment"])),
+        *((c, BIG_RATE2, "coefficient underflows to 0 or overflows") for c in (
+            ["density", "--grid", "1:2:2"], ["operator"], ["verify", "--suite", "moment"])),
+        # r - 1 rounds onto -1, a pole of the density constant's Gamma(r - 1 + 1)
+        (["density", "--grid", "1:2:2"], TINY_SHAPE, "Gamma factor at a pole"),
+        (["density", "--grid", "0.1:0.5:2"], {"version": 1, "beta": [[1e-300, 1.0]]},
+         "Gamma factor at a pole"),
+        # lam / sigma^2 underflows to 0
+        (["density", "--grid", "1:2:2"], {"version": 1, "gamma": {"shapes": [1.4], "lambda": 1e-100},
+                                          "normal": {"count": 1, "sigma": 1e150}},
+         "argument scale 0 is past"),
+    ], ids=["tiny-rate2-density", "tiny-rate2-operator", "tiny-rate2-adjoint", "tiny-rate2-ks",
+            "tiny-rate2-mellin", "tiny-rate2-moment", "big-rate2-density", "big-rate2-operator",
+            "big-rate2-moment", "tiny-shape-density", "tiny-beta-density", "tiny-scale-density"])
+    def test_parameter_past_the_double_range_is_two(self, spec_file, capsys, command, payload,
+                                                    message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command[0], "--spec", spec_file(payload), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and message in err
+        assert err.count("\n") == 1
 
     def test_unknown_test_function(self, capsys):
         rc = main(["stein-solve", "--r1", "1", "--r2", "1", "--lam", "1",

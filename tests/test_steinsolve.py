@@ -40,7 +40,11 @@ class TestHomogeneousSystem:
             assert abs(rk) < 1e-8 * max(1.0, abs(wk) * scale)
             assert abs(ri) < 1e-8 * max(1.0, abs(wi) * scale)
 
-    @pytest.mark.parametrize("r1,r2,lam", CASES + [(0.676, 0.824, 3.819), (2.9, 0.6, 0.7)])
+    @pytest.mark.parametrize("r1,r2,lam", CASES + [
+        (0.676, 0.824, 3.819), (2.9, 0.6, 0.7),
+        # shapes that are not short decimals: terms merged at 12 decimals read 2e-12 and 3e-12
+        (0.821425506922999, 1.7481946561002875, 3.819),
+        (2.003745894058394, 0.5717225209298613, 2.8199503338087974)])
     def test_prefactor_derivatives_match_mpmath(self, r1, r2, lam):
         s, d = 0.5 * (r1 + r2), abs(r1 - r2)
         refs = {"i": lambda t: t ** -s * mp.besseli(d, 2 * lam * mp.sqrt(t)),
@@ -56,7 +60,7 @@ class TestHomogeneousSystem:
                 z = 2 * lam * np.sqrt(xs)
                 rows = [np.stack([specfun.bessel_i(d + j, z), specfun.bessel_k(d + j, z)])
                         for j in range(k + 1)]
-                table = steinsolve._prefactors(steinsolve._ladder(s, d, lam), s, np.array(xs), rows)
+                table = funcs.ladder_sum(steinsolve._ladder(s, d, lam), -s, 0.5, np.array(xs), rows)
                 np.testing.assert_allclose(table[m, k], ref, rtol=1e-13, atol=0)
 
 
@@ -255,6 +259,12 @@ class TestBatchedSweep:
         assert vals.shape == (3,)
         assert vals[1] == sol.value(40.0)
         assert isinstance(sol(2.0), float) and sol(2.0) == vals[2]
+        # a scalar is shape () on both sides of the switch, with the one-point call's bits
+        for x in (0.05, 0.0, np.float64(0.05), 2.0):
+            one = np.array([float(x)])
+            assert np.shape(sol.values(x)) == () and sol.values(x) == sol.values(one)[0]
+            res = steinsolve.stein_residuals(sol, x)
+            assert np.shape(res) == () and res == steinsolve.stein_residuals(sol, one)[0]
 
     def test_residual_evaluates_each_bessel_order_once(self, monkeypatch):
         sol = steinsolve.solve_stein_pg(2.0, 0.5, 1.0, funcs.exp_decay(1.0))
@@ -292,8 +302,17 @@ class TestBatchedSweep:
             monkeypatch.setattr(specfun, name, lambda nu, z, _fn=fn, _n=name:
                                 calls.append((_n, np.unique(nu).tolist())) or _fn(nu, z))
         comb = funcs.BesselPowerComb([(1.0, -1.25, 1.5, "k"), (0.3, -1.25, 1.5, "i")], 2.0, 0.5)
-        comb.deriv(np.array([0.03, 0.7, 4.0]), 3)
+        xs = (0.03, 0.7, 4.0)
+        got = comb.deriv(np.array(xs), 3)
         assert calls == [("bessel_i", [1.5, 2.5, 3.5, 4.5]), ("bessel_k", [1.5, 2.5, 3.5, 4.5])]
+
+        def ref(t):
+            z = 2 * mp.sqrt(t)
+            return t ** mp.mpf(-1.25) * (mp.besselk(1.5, z) + mp.mpf(0.3) * mp.besseli(1.5, z))
+
+        with mp.workdps(30):
+            want = [float(mp.diff(ref, mp.mpf(x), 3)) for x in xs]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         calls.clear()
         homogeneous_residual(2.0, 0.5, 1.0, 1.7)
         assert calls == [("bessel_i", [1.5, 2.5, 3.5]), ("bessel_k", [1.5, 2.5, 3.5])]
@@ -544,6 +563,6 @@ class TestOriginRoute:
         sol = steinsolve.solve_stein_pg(1.4, 2.45, 1.0, funcs.BoundedRational(pole))
         xs = np.array([0.09])
         (ji, jk), bessel = sol._j_values(xs)
-        ipre, kpre = steinsolve._prefactors(sol._ladder, sol.s, xs, bessel)
+        ipre, kpre = funcs.ladder_sum(sol._ladder, -sol.s, 0.5, xs, bessel)
         assert sol.derivative(0.09, 1) == 2.0 * (ipre[1, 0] * jk[0] - kpre[1, 0] * ji[0])
         assert sol.derivative(0.09, 1) == pytest.approx(ref, rel=1e-9)
