@@ -19,7 +19,7 @@ generalised-gamma product (power q) h = q, b = (r - 1)/q and
 kappa = lam^{qn}, and every other product h = 1.
 
 ``NumericCdf`` takes the distribution function from the survival function,
-one more G-function.
+the density evaluator of the survival rows.
 
 The characteristic function conditions on a normal factor: W = sigma Z U, so
 phi(t) = E exp(-a U^2), a = (sigma t)^2 / 2, one positive integral against
@@ -57,11 +57,13 @@ _LN_TINY = -1022 * _LN2  # log of the smallest normal double
 SAMPLE_BLOCK = 2**15  # draws per seeded block; a multiple of verify.MC_CHUNK
 
 
-def _blocks(count: int, seed: int) -> list:
+def _blocks(spec: ProductSpec, count: int, seed: int) -> list:
     """(seed sequence, size) of each block: child i of ``SeedSequence(seed)`` draws
-    block i, ``SAMPLE_BLOCK`` values and the rest in the last block."""
+    block i, ``SAMPLE_BLOCK`` values and the rest in the last block.  A spec that
+    ``stein_sides`` rejects (a rate whose powers leave the doubles) draws no block."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    stein_sides(spec)
     full, rest = divmod(count, SAMPLE_BLOCK)
     sizes = [SAMPLE_BLOCK] * full + [rest] * (rest > 0)
     return list(zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes))
@@ -73,23 +75,27 @@ def _draw(spec: ProductSpec, seq: np.random.SeedSequence, size: int) -> np.ndarr
     Generalised-gamma factors use V = (lam^{1-q} U)^{1/q} with
     U ~ Gamma(r/q, lam), which has the target density.  The rate, the scale and
     q are taken as floats, so an exact-rational spec draws the float spec's bits.
+    A block with a draw past the double range raises ``NumericalError``.
     """
     rng = np.random.Generator(np.random.PCG64(seq))
     w = np.ones(size)
-    for a, b in spec.beta_pairs:
-        w *= rng.beta(a, b, size)
-    if spec.n:
-        lam, q = float(spec.lam), float(spec.q)
-    for r in spec.gamma_shapes:
-        if q == 1:
-            w *= rng.gamma(r, 1.0, size) / lam
-        else:
-            u = rng.gamma(r / q, 1.0, size) / lam
-            w *= (lam ** (1.0 - q) * u) ** (1.0 / q)
-    for _ in range(spec.normal_count):
-        w *= rng.standard_normal(size)
-    if spec.normal_count:
-        w *= float(spec.sigma)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite draw raises below
+        for a, b in spec.beta_pairs:
+            w *= rng.beta(a, b, size)
+        if spec.n:
+            lam, q = float(spec.lam), float(spec.q)
+        for r in spec.gamma_shapes:
+            if q == 1:
+                w *= rng.gamma(r, 1.0, size) / lam
+            else:
+                u = rng.gamma(r / q, 1.0, size) / lam
+                w *= (lam ** (1.0 - q) * u) ** (1.0 / q)
+        for _ in range(spec.normal_count):
+            w *= rng.standard_normal(size)
+        if spec.normal_count:
+            w *= float(spec.sigma)
+    if not np.isfinite(w).all():
+        raise NumericalError(f"a draw is past the double range ({spec.describe()})")
     return w
 
 
@@ -100,7 +106,7 @@ def sample(spec: ProductSpec, count: int, seed: int) -> np.ndarray:
     own ``SeedSequence(seed).spawn`` child, and are the blocks of
     ``sample_blocks`` put end to end.
     """
-    blocks = _blocks(count, seed)
+    blocks = _blocks(spec, count, seed)
     out = np.empty(count)
     for i, (seq, size) in enumerate(blocks):
         out[i * SAMPLE_BLOCK:i * SAMPLE_BLOCK + size] = _draw(spec, seq, size)
@@ -118,7 +124,7 @@ def sample_blocks(spec: ProductSpec, count: int, seed: int) -> Iterator[np.ndarr
     """
     from concurrent.futures import ThreadPoolExecutor  # on first use: `import steinprod` loads none
 
-    blocks = _blocks(count, seed)
+    blocks = _blocks(spec, count, seed)
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="steinprod-sample")
     try:
         ahead = pool.submit(_draw, spec, *blocks[0])
@@ -161,12 +167,7 @@ class MellinTransform:
 
     def __call__(self, s: float) -> float:
         """M(s), typed when it is past the double range."""
-        log_value = self.log_value(s)
-        try:
-            return math.exp(log_value)
-        except OverflowError:
-            raise NumericalError(f"E|W|^(s-1) at s = {s:.6g} is exp({log_value:.6g}), past the "
-                                 f"double range ({self.spec.describe()})") from None
+        return _exp_const(self.log_value(s), self.spec, f"E|W|^(s-1) at s = {s:.6g}:")
 
 
 def mellin(spec: ProductSpec) -> MellinTransform:
@@ -236,18 +237,17 @@ class ClosedForm:
 
 @dataclass
 class DensityEvaluator:
-    """Density K G(kappa |x|^h | a; b) of a product: ``batch`` is the one evaluation path.
+    """K G(kappa |x|^h | a; b), a product's density or (``NumericCdf.survival``) its mass
+    beyond |x|: ``batch`` is the one evaluation path.
 
-    ``density`` reads every field off the Stein operator's theta-form sides:
-    the rows ``g_params``, kappa = ``arg_coeff`` and the ``power``
-    h = j_R - j_L, the difference of the sides' x-powers (2 with a normal
-    factor, q for generalised gammas, 1 otherwise); M(1) = 1 fixes
-    K = exp(``log_const``).  The
-    support is the line when ``spec.symmetric`` (a normal factor), x > 0
-    otherwise.  ``batch`` evaluates the ``closed`` form in logs, if any, and
-    the reduced G-function in one ``meijer_g_batch`` call at every other
-    point; x = 0 takes the exact limit, NaN stays NaN and an argument past
-    the float range gives the limit 0.  A scalar call is a batch of one.
+    ``density`` reads every field off the Stein operator's theta-form sides: the rows
+    ``g_params``, kappa = ``arg_coeff`` and the ``power`` h = j_R - j_L, the difference
+    of the sides' x-powers (2 with a normal factor, q for generalised gammas, 1
+    otherwise); M(1) = 1 fixes K = exp(``log_const``).  The support is the line when
+    ``spec.symmetric`` (a normal factor), x > 0 otherwise.  ``batch`` evaluates the
+    ``closed`` form in logs, if any, and the reduced G-function in one ``meijer_g_batch``
+    call at every other point; x = 0 takes the exact limit, NaN stays NaN and an
+    argument past the float range gives the limit 0.  A scalar call is a batch of one.
     """
 
     spec: ProductSpec
@@ -313,8 +313,11 @@ class DensityEvaluator:
                 raise NumericalError(
                     f"G argument underflows to 0 at x in [{lost.min():.3g}, {lost.max():.3g}]"
                     f" ({self.spec.describe()})")
-            vals[rest] = _times_const(self.log_const, meijer_g_batch(self.reduced, y, self.tol),
-                                      self.spec)
+            g = meijer_g_batch(self.reduced, y, self.tol)
+            # K g, in logs where K is below the normal doubles (else a silent 0 for a finite g)
+            with np.errstate(divide="ignore"):  # g = 0 gives 0; ``const`` raises past the doubles
+                vals[rest] = (self.const * g if self.log_const >= _LN_TINY
+                              else np.sign(g) * np.exp(self.log_const + np.log(np.abs(g))))
         out[live] = vals
         if np.any(zero := ax == 0):
             out[zero] = self._at_zero()
@@ -355,30 +358,25 @@ class DensityEvaluator:
 
     def mass_cut(self, tol: float) -> float:
         """x beyond which the mass of p is below about 1e-3 tol: ``tail_cut(38)``, doubled
-        until x p(x), read off G's leading asymptote, is below 1e-3 tol."""
+        until x p(x), read off ``log_asymptote``, is below 1e-3 tol."""
         x_tail = self.tail_cut(38.0)
-        while self.reduced.q > self.reduced.p and self.log_const + math.log(x_tail) + float(
-                _log_asymptotic_g(self.reduced, self.argument(x_tail))) > math.log(1e-3 * tol):
+        while self.reduced.q > self.reduced.p and math.log(x_tail) + float(
+                self.log_asymptote(x_tail)) > math.log(1e-3 * tol):
             x_tail *= 2.0
         return x_tail
 
+    def log_asymptote(self, x):
+        """log of K times G's leading large-argument term at kappa |x|^h (q > p)."""
+        return self.log_const + _log_asymptotic_g(self.reduced, self.argument(x))
 
-def _exp_const(log_value: float, spec: ProductSpec) -> float:
-    """exp(log_value) for a density constant, typed when it overflows."""
+
+def _exp_const(log_value: float, spec: ProductSpec, what: str = "density constant") -> float:
+    """exp(log_value) for a density constant (or ``what``), typed when it overflows."""
     try:
         return math.exp(log_value)
     except OverflowError:
-        raise NumericalError(f"density constant exp({log_value:.6g}) overflows a double "
+        raise NumericalError(f"{what} exp({log_value:.6g}) overflows a double "
                              f"({spec.describe()})") from None
-
-
-def _times_const(log_const: float, g: np.ndarray, spec: ProductSpec) -> np.ndarray:
-    """K g for K = exp(log_const): in logs where K is below the normal doubles,
-    whose product with a finite g would be a silent 0; typed where K overflows."""
-    if log_const >= _LN_TINY:
-        return _exp_const(log_const, spec) * g
-    with np.errstate(divide="ignore"):  # g = 0 gives 0
-        return np.sign(g) * np.exp(log_const + np.log(np.abs(g)))
 
 
 def density(spec: ProductSpec) -> DensityEvaluator:
@@ -469,17 +467,21 @@ def char_function_closed(spec: ProductSpec, t: float) -> float:
 
 
 def tail_asymptotic(spec: ProductSpec, x):
-    """Leading tail behaviour of the density for |x| large (N >= 1); an array in one pass.
-    x = 0, where the asymptote has no value, is a ValueError."""
+    """Leading tail behaviour of the density for |x| large (N >= 1), exp(``log_asymptote``)
+    in one pass; x = 0, where the asymptote has no value, is a ValueError."""
     if spec.N < 1:
         raise ValueError("tail asymptotics implemented for symmetric products")
     ev = density(spec)
     xs = np.atleast_1d(x)
-    y = ev.argument(xs)
-    if np.any(y == 0):
+    if np.any(zero := ev.argument(xs) == 0):
         raise ValueError(f"the tail asymptote has no value at x = 0, nor where the G argument "
-                         f"underflows to 0 (x = {xs[y == 0][0]:.3g})")
-    out = ev.const * np.exp(_log_asymptotic_g(ev.g_params, y))
+                         f"underflows to 0 (x = {xs[zero][0]:.3g})")
+    _exp_const(ev.log_const, spec)  # K past the largest double raises, as in ``batch``
+    with np.errstate(over="ignore"):
+        out = np.exp(logs := ev.log_asymptote(xs))  # 0 below the smallest double
+    if np.any(big := out == math.inf):
+        raise NumericalError(f"the tail asymptote exp({logs[big].max():.6g}) overflows a double "
+                             f"({spec.describe()})")
     return out if np.ndim(x) else float(out[0])
 
 
@@ -488,33 +490,31 @@ def tail_asymptotic(spec: ProductSpec, x):
 # ---------------------------------------------------------------------------
 
 class NumericCdf:
-    """Cumulative distribution function from the survival function, a Meijer G.
+    """Cumulative distribution function from the survival function, the density
+    evaluator of the survival rows.
 
-    For the density K G(k |x|^h | A; B), the mass beyond |x| (P(W > x) on
-    x > 0, P(|W| > |x|) on the line) is
-    (w K / (h k^{1/h})) G(k |x|^h | A+1/h, 1; B+1/h, 0), w = 2 on the line
-    and 1 otherwise.  It comes from M[int_x^inf f](s) = M[f](s+1) / s and is
-    evaluated in one ``meijer_g_batch`` call.
+    For the density K G(k |x|^h | A; B), the mass beyond |x| (P(W > x) on x > 0,
+    P(|W| > |x|) on the line) is (w K / (h k^{1/h})) G(k |x|^h | A+1/h, 1; B+1/h, 0),
+    w = 2 on the line and 1 otherwise, from M[int_x^inf f](s) = M[f](s+1) / s.
+    ``survival.batch`` takes its closed forms, limits and K in logs from the density's.
     """
 
     def __init__(self, spec: ProductSpec):
         self.ev = ev = density(spec)
         shift = 1.0 / ev.power
-        self.params = reduce_params(MeijerGParams(
-            [v + shift for v in ev.reduced.a] + [1.0], [v + shift for v in ev.reduced.b] + [0.0]))
-        self.log_const = (ev.log_const + math.log((1 + spec.symmetric) / ev.power)
-                          - shift * math.log(ev.arg_coeff))
+        self.survival = DensityEvaluator(spec, MeijerGParams(
+            [v + shift for v in ev.reduced.a] + [1.0], [v + shift for v in ev.reduced.b] + [0.0]),
+            log_const=(ev.log_const + math.log((1 + spec.symmetric) / ev.power)
+                       - shift * math.log(ev.arg_coeff)),
+            arg_coeff=ev.arg_coeff, power=ev.power)
 
     def __call__(self, x) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         if not self.ev.spec.symmetric:
             xs = np.maximum(xs, 0.0)  # left of a positive support is its left end
-        y = self.ev.argument(xs)  # 0 at (or underflowing to) x = 0
-        tail = np.where(y == 0, 1.0, 0.0)  # mass beyond |x|: P(W > x) or P(|W| > |x|)
-        tail[np.isnan(y)] = np.nan
-        live = (y > 0) & (y < math.inf)
-        g = meijer_g_batch(self.params, y[live], self.ev.tol)
-        tail[live] = _times_const(self.log_const, g, self.ev.spec)
+        tail = np.ones_like(xs)  # mass beyond |x|: 1 where the G argument is (or underflows to) 0
+        live = self.ev.argument(xs) != 0
+        tail[live] = self.survival.batch(xs[live])
         share = 0.5 if self.ev.spec.symmetric else 1.0  # of that mass on the side of x
         out = np.where(xs < 0, share * tail, 1.0 - share * tail)
         return out if np.ndim(x) else float(out[0])

@@ -384,21 +384,30 @@ class TestExitCodes:
         (["density", "--grid", "1:2:2"], TINY_SHAPE, "Gamma factor at a pole"),
         (["density", "--grid", "0.1:0.5:2"], {"version": 1, "beta": [[1e-300, 1.0]]},
          "Gamma factor at a pole"),
+        # the sampler rejects those rates before any draw (it printed inf or 0 draws), and
+        # three gammas at lam = 1e-107 (lam^3 a subnormal) fail on a block with an inf draw
+        *((["sample", "--count", "3"], payload, "coefficient underflows to 0 or overflows")
+          for payload in (TINY_RATE2, BIG_RATE2, {"version": 1, "gamma": {
+              "shapes": [1.4, 2.0, 1.1], "lambda": 1e-110}})),
+        (["sample", "--count", "3"], {"version": 1, "gamma": {"shapes": [1.4, 2.0, 1.1],
+                                                              "lambda": 1e-107}},
+         "a draw is past the double range"),
         # lam / sigma^2 underflows to 0
         (["density", "--grid", "1:2:2"], {"version": 1, "gamma": {"shapes": [1.4], "lambda": 1e-100},
                                           "normal": {"count": 1, "sigma": 1e150}},
          "argument scale 0 is past"),
     ], ids=["tiny-rate2-density", "tiny-rate2-operator", "tiny-rate2-adjoint", "tiny-rate2-ks",
             "tiny-rate2-mellin", "tiny-rate2-moment", "big-rate2-density", "big-rate2-operator",
-            "big-rate2-moment", "tiny-shape-density", "tiny-beta-density", "tiny-scale-density"])
+            "big-rate2-moment", "tiny-shape-density", "tiny-beta-density", "tiny-rate2-sample",
+            "big-rate2-sample", "tiny-rate3-sample", "small-rate3-sample", "tiny-scale-density"])
     def test_parameter_past_the_double_range_is_two(self, spec_file, capsys, command, payload,
                                                     message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([command[0], "--spec", spec_file(payload), *command[1:]]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("numerical failure: ") and message in err
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and out == ""
 
     def test_unknown_test_function(self, capsys):
         rc = main(["stein-solve", "--r1", "1", "--r2", "1", "--lam", "1",

@@ -126,6 +126,24 @@ class TestSampler:
                 got.append(block)
         assert len(got) == 1 and threading.active_count() == baseline
 
+    @pytest.mark.parametrize("shapes, lam, message", [
+        ((1.4, 2.0), 1e-200, "coefficient underflows"),  # lam^4 underflows to 0
+        ((1.4, 2.0), 1e200, "coefficient underflows"),   # lam^4 overflows
+        ((1.4, 2.0, 1.1), 1e-110, "coefficient underflows"),  # lam^3 is below the subnormals
+        # lam^3 = 1e-321 is a subnormal, but the draws, about 1e321, are past the doubles
+        ((1.4, 2.0, 1.1), 1e-107, "a draw is past the double range"),
+    ])
+    def test_rate_past_the_double_range_raises(self, shapes, lam, message):
+        # the parent printed inf (with an overflow warning) or 0 draws
+        spec = ProductSpec(gamma_shapes=shapes, lam=lam)
+        baseline = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for draw in (dist.sample, lambda *a: list(dist.sample_blocks(*a))):
+                with pytest.raises(NumericalError, match=message):
+                    draw(spec, 3, 1)
+        assert threading.active_count() == baseline
+
     @pytest.mark.parametrize("exact,floats", [
         (ProductSpec(beta_pairs=((F(13, 10), F(6, 10)),), normal_count=1, sigma=F(3, 2)),
          ProductSpec(beta_pairs=((1.3, 0.6),), normal_count=1, sigma=1.5)),
@@ -677,6 +695,27 @@ class TestTails:
             with pytest.raises(ValueError, match="x = 0"):
                 dist.tail_asymptotic(spec, x)
 
+    def test_constant_below_the_doubles_in_logs(self):
+        # K = e^-1204 underflows to 0 and the asymptote overflows: the parent read 0 * inf = nan
+        # past x = 56; exp(log K + log asym) is 0 only below the smallest double (x = 30)
+        spec = ProductSpec(gamma_shapes=(300.0,), lam=1.0, normal_count=1, sigma=1.0)
+        ev = dist.density(spec)
+        xs = np.array([30.0, 165.0, 300.0, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dist.tail_asymptotic(spec, xs)
+        sig, alpha = 2 * spec.n + spec.N, tail_alpha(spec)
+        with mp.workdps(40):
+            for x, value in zip(xs, got):
+                y = mp.mpf(ev.arg_coeff) * mp.mpf(x) ** 2
+                ref = mp.exp(ev.log_const + (sig - 1) / 2 * mp.log(2 * mp.pi) - mp.log(sig) / 2
+                             + alpha / 2 * mp.log(ev.arg_coeff) + alpha * mp.log(x)
+                             - sig * mp.cbrt(y))
+                if x == 30.0:
+                    assert ref < 5e-324 and value == 0.0
+                else:  # terms of size 1200 in the log sum round at about 1.4e-13 relative
+                    assert value == pytest.approx(float(ref), rel=2e-13)
+
     def test_alpha_special_cases(self):
         assert tail_alpha(PN1) == pytest.approx(0.0)
         assert tail_alpha(PN2) == pytest.approx(-0.5)
@@ -722,6 +761,17 @@ class TestNumericCdf:
                 tail = (mp.exp(ev.log_const) / mp.sqrt(ev.arg_coeff)
                         * mp.meijerg([[], a], [b, []], ev.arg_coeff * mp.mpf(x) ** 2))
             assert cdf(x) == pytest.approx(float(tail / 2), abs=1e-12)
+
+    def test_closed_survival_rows(self):
+        # the survival rows of gamma(1) gamma(200) reduce to a K-Bessel closed form,
+        # P(W > x) = 2 x^100 K_200(2 sqrt x) / Gamma(200): the parent's G engine raised
+        # "batch step-halving did not converge" at every x in [100, 1000]
+        cdf = dist.NumericCdf(ProductSpec(gamma_shapes=(1.0, 200.0), lam=1.0))
+        xs = [100.0, 200.0, 300.0, 1000.0]
+        with mp.workdps(30):
+            ref = [float(1 - 2 * mp.mpf(x) ** 100 * mp.besselk(200, 2 * mp.sqrt(x)) / mp.gamma(200))
+                   for x in xs]
+        np.testing.assert_allclose(cdf(xs), ref, rtol=0, atol=1e-12)
 
     def test_gamma_cdf(self):
         cdf = dist.NumericCdf(ProductSpec(gamma_shapes=(2.0,), lam=1.0))
