@@ -1,56 +1,28 @@
 """Solution of the two-gamma product Stein equation and derivative bounds.
 
-For Y a product of two gammas with shapes r1, r2 and rate lam, the Stein
-equation
+For Y a product of two gammas with shapes r1, r2 and rate lam, the Stein equation
+x^2 f'' + (1 + r1 + r2) x f' + (r1 r2 - lam^2 x) f = h(x) - E h(Y) =: h~(x) is solved by
+variation of parameters on x^{-s} K_d(z), x^{-s} I_{|d|}(z), z = 2 lam sqrt(x),
+s = (r1+r2)/2, d = r1-r2, read in the two-sided form
 
-    x^2 f'' + (1 + r1 + r2) x f' + (r1 r2 - lam^2 x) f = h(x) - E h(Y)
+    f(x) = -(2 / x^s) [ K_d(z) J_I(x) + I_{|d|}(z) T_K(x) ],
+    J_I(x) = int_0^x t^{s-1} I_{|d|}(2 lam sqrt t) h~(t) dt,   T_K(x) = int_x^inf (same, K_d),
 
-is solved by variation of parameters on the fundamental system
-w1 = x^{-s} K_d(2 lam sqrt(x)), w2 = x^{-s} I_{|d|}(2 lam sqrt(x)) with
-s = (r1+r2)/2, d = r1-r2 and Wronskian x^{-1-2s}/2:
-
-    f(x) = (2 / x^s) [ I_{|d|}(2 lam sqrt(x)) J_K(x)
-                       - K_d(2 lam sqrt(x)) J_I(x) ],
-    J_P(x) = int_0^x t^{s-1} P(2 lam sqrt(t)) (h(t) - E h(Y)) dt.
-
-An equivalent form replaces J_K by minus its tail integral (the full
-integral vanishes because t^{s-1} K_d(2 lam sqrt(t)) is proportional to
-the density of Y); both are implemented and compared.  Derivatives of f
-are taken analytically: the J-derivative contributions collapse through
-the Wronskian, leaving only Bessel-prefactor derivatives: orders d, d+1,
-d+2 of each kind and the one-sided recurrence's table (``_ladder``, two
-``funcs.bessel_ladder`` tables), summed by ``funcs.ladder_sum``.  So
-the Stein residual checks the prefactors' Bessel orders but not J: with J_I and J_K
-both replaced by 1.5 J + 0.3 (on r = (2, 0.5), lam = 1, h = sin), f(0.5)
-moves from -0.227 to -0.189 while the residual stays below 1e-13.  What sees
-J is the gap between the two forms: 23, 0.61 and 2.5 at x = 0.1, 1 and 10
-under that change, and 9.1e-8 at x = 1 when J_K alone is scaled by 1 + 1e-6.
-
-Values, derivatives, residuals and bounds read one routine for f, f' and f''
-(``SteinSolution._derivatives``): up to the switch min(0.1, 1/(4 lam^2)) the
-Taylor series at 0, x = 0 included, at every point where its last term is
-below rounding, and the Bessel form elsewhere.  The tail form stays on the
-Bessel route as the independent check.  Every route has one domain
-(``SteinSolution._domain``), x >= 0 with 2 lam sqrt(x) <= 600, past which the
-Bessel pair overflows and each raises ``NumericalError`` naming the x.
-
-J_I and J_K are read off one table per solution: the accepted leaves of
-the adaptive rule in u = sqrt(t) on fixed cells (``SteinSolution._grow``),
-with J at each leaf start.  J at a point is that plus one 16-node panel;
-the panels of a call share one I and one K call with an array of orders, which also
-gives the orders d, d+1 and d+2 at the points.  f, f' and f'' at the last points are
-kept, so ``value(x)``, ``derivative(x, k)`` and ``stein_residual`` at one x read one
-computation and the residual after a value makes no Bessel call; the tail form takes
-its own J and prefactors.  E h(Y) (``expect_pg``) is one call of
-``dist._density_integral``, the integral of the normalisation and the cf.
-
-Differentiated k times, the equation is that of shapes r + k for f^{(k)} with right-hand
-side h^{(k)} + k lam^2 f^{(k-1)} and no constant, so the sup-norm estimates of f, f', f''
-(``estimate_derivative_bounds``) read one solution's derivatives.
+as t^{s-1} K_d is proportional to the density of Y.  J_I grows like e^z and T_K decays
+like e^{-z}, so nothing cancels (the forward form, J_K from 0, does once z passes 20).
+Derivatives differentiate the prefactors (``_ladder``, ``funcs.ladder_sum``): the J
+terms collapse through the Wronskian and leave h~ / x^2 in f''.  So the residual does
+not check J_I or T_K; the gap to ``value_tail_form`` does.  The solution is one table of
+Chebyshev cells of f, f', f'' (``SteinSolution._extend``), each a function of the cell
+alone; a point in built cells takes no Bessel or quadrature call.  Up to min(0.1, 1/(4
+lam^2)), where f'' loses about 1/x^2 to I/K cancellation, the Taylor series at 0 is read
+instead (``_derivatives``).  One domain, x >= 0 with z <= 600 (``_domain``).  As f^{(k)}
+solves the equation of shapes r + k, ``estimate_derivative_bounds`` reads one solution.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 import numpy as np
@@ -59,29 +31,55 @@ from . import quad
 from .funcs import bessel_ladder, ladder_sum
 from .steinops import ProductSpec
 from .dist import _density_integral, density
+from . import specfun
 from .specfun import NumericalError
 
 _Z_CAP = 600.0  # 2 lam sqrt(x) at the edge of the solution's domain
+# base cells' edges in z: 0, 2^-12 to 32, every 8 to the cap, 640; and each one's T_K top
+_Z_EDGES = np.r_[0.0, np.ldexp(1.0, np.arange(-12, 6)), np.arange(40.0, _Z_CAP + 1.0, 8.0), 640.0]
+_TOPS = np.minimum(np.searchsorted(_Z_EDGES, _Z_EDGES[1:] + 40.0), _Z_EDGES.size - 1)
+_IN_DOMAIN = _Z_EDGES.size - 2  # base cells up to the cap
+_NODES, _CHOP, _NOISE = 32, 1e-11, 1e-9  # Chebyshev nodes per cell; see ``SteinSolution._level``
+_MAX_HALVINGS, _MAX_CELLS = 30, 1 << 16
 _LADDER = (0.0, 1.0, 2.0)  # the orders d + j that f, f' and f'' need
 _SERIES_TERMS = 60  # terms of the origin series of f^{(k)}
 _FACTORIALS = np.array([math.factorial(j) for j in range(_SERIES_TERMS)], dtype=float)
 
 
+@functools.cache  # on first use: numpy.polynomial is not loaded at import
+def _chebyshev() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First-kind nodes t_j on [-1, 1], ascending; the map from values at them to
+    Chebyshev coefficients; and the map to int_{-1}^{t_j} (rows j) and int_{-1}^{1}."""
+    from numpy.polynomial import chebyshev as cheb
+
+    t = -np.cos(np.pi * (np.arange(_NODES) + 0.5) / _NODES)
+    fit = 2.0 / _NODES * cheb.chebvander(t, _NODES - 1).T
+    fit[0] *= 0.5
+    area = cheb.chebvander(np.r_[t, 1.0], _NODES) @ cheb.chebint(np.eye(_NODES), lbnd=-1)
+    return t, fit, area @ fit
+
+
+def _nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    return 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _chebyshev()[0]
+
+
+def _apply(mat: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """mat on the last axis of vals; not BLAS, whose rows' bits depend on their place in the
+    batch."""
+    return np.einsum("...j,kj->...k", vals, mat)
+
+
 def expect_pg(r1: float, r2: float, lam: float, h, tol: float = 1e-11) -> float:
     """E h(Y) for Y ~ two-gamma product: ``dist._density_integral`` of h against Y's
-    K-Bessel density p, the routine of the normalisation and the cf.
-
-    It stops at the density's ``mass_cut(tol)``, where x p(x), read off the asymptote
-    p ~ x^{s - 3/4} exp(-2 lam sqrt(x)), is below 1e-3 tol, and so is the mass P(Y > x)
-    beyond it; for a test function bounded by 1 the dropped part of E h is smaller still.
-    """
+    K-Bessel density p, up to ``mass_cut(tol)``, past which x p(x) and P(Y > x) are below
+    1e-3 tol (so is the dropped part of E h for |h| <= 1)."""
     ev = density(ProductSpec(gamma_shapes=(r1, r2), lam=lam))
     return _density_integral(ev, lambda x: h.deriv(x, 0) * ev.batch(x), math.inf, tol)
 
 
 @dataclass
 class SteinSolution:
-    """Solved Stein equation with its table of the cumulative integrals J_I, J_K."""
+    """Solved Stein equation with its table of Chebyshev cells of f, f', f''."""
 
     r1: float
     r2: float
@@ -101,98 +99,124 @@ class SteinSolution:
         self.s = 0.5 * (self.r1 + self.r2)
         self.delta = abs(self.r1 - self.r2)
         self._ladder = _ladder(self.s, self.delta, self.lam)
-        # J table (see _grow): cell edges; leaf starts and the top; J at each of those
-        self._cells = np.append(np.ldexp(1.0, np.arange(-12, 10)), _Z_CAP) / (2.0 * self.lam)
-        self._edge, self._j0 = np.zeros(1), np.zeros((2, 1))
-        # the last points asked for (shape and bytes) and f, f', f'' there (``_derivatives``)
-        self._key, self._rows = None, np.zeros((3, 0))
+        self._nodes = []  # node data per base cell built (``_build``), None once in the cells
+        self._j = [0.0]  # e^{-z} J_I at the bottom of each base cell with cells of f, and next
+        # the cells of f: edges in z and the coefficients of f, f', f'', shape (cell, 3, node)
+        self._lo, self._hi, self._cells = np.zeros(0), np.zeros(0), np.zeros((0, 3, _NODES))
         self._coef = None  # the origin series' coefficients (``_origin_series``)
-
-    # -- centred test function ------------------------------------------------
 
     def h_tilde(self, x):
         return self.h.deriv(x, 0) - self.e_h
 
-    # -- cumulative integrals --------------------------------------------------
+    def _kernel(self, u, bessel, scale):
+        """The J_I (bessel_i) or T_K (bessel_k) integrand in u = sqrt(t), times scale."""
+        z = 2.0 * self.lam * u
+        return 2.0 * u ** (2.0 * self.s - 1.0) * self.h_tilde(u * u) * bessel(self.delta, z) * scale
 
-    def _weight(self, u):
-        """Common factor of the J integrands in u = sqrt(t)."""
-        return 2.0 * u ** (2.0 * self.s - 1.0) * self.h_tilde(u * u)
+    def _build(self, stop: int) -> None:
+        """Node data of the base cells len(self._nodes) to stop, each halved level by level
+        until ``_level`` passes.  J_I over the first cell, which every cell above carries,
+        is ``quad.adaptive`` in w = (z / z_1)^(1/2), where its power of u at 0 is milder."""
+        base = np.arange(len(self._nodes), stop)
+        lo, hi, done = _Z_EDGES[base], _Z_EDGES[base + 1], []
+        for depth in range(_MAX_HALVINGS + 1):
+            if lo.size > _MAX_CELLS:
+                raise NumericalError(f"{lo.size} cells do not resolve h past 2 lam sqrt(x) = "
+                                     f"{lo.min():.6g}")
+            ok, h, pair, a = (np.concatenate(p) for p in zip(*(  # 1024 cells per call at most
+                self._level(lo[k:k + 1024], hi[k:k + 1024], depth == _MAX_HALVINGS)
+                for k in range(0, lo.size, 1024))))
+            done.append((base[ok], lo[ok], hi[ok], h[ok], pair[ok], a[ok]))
+            mid = 0.5 * (lo + hi)[~ok]
+            lo, hi, base = np.r_[lo[~ok], mid], np.r_[mid, hi[~ok]], np.tile(base[~ok], 2)
+            if not lo.size:
+                break
+        order = np.argsort(np.concatenate([part[1] for part in done]))
+        base, lo, hi, h, pair, a = (np.concatenate(p)[order] for p in zip(*done))
+        if base[0] == 0:  # J_I over the first cell, whose integrand is a power of u at 0
+            u1, up = hi[0] / (2.0 * self.lam), hi[0] / self.lam * math.exp(-hi[0])  # du = 2 u1 w dw
+            a[0, 0, -1] = quad.adaptive(lambda w: self._kernel(u1 * w * w, specfun.bessel_i, up * w),
+                                        0.0, 1.0, self.tol * 0.005, 1e-11)
+        a[:, 1, :-1] = a[:, 1, -1:] - a[:, 1, :-1]  # K: from each node to the cell's top
+        for b in range(len(self._nodes), stop):
+            self._nodes.append(tuple(p[base == b] for p in (lo, hi, h, pair, a)))
 
-    def _kernels(self, u, order=0.0):
-        """(I_{d+order}, K_{d+order}) at 2 lam u, ``order`` a scalar or an array like u:
-        one bessel_i and one bessel_k call."""
-        from .specfun import bessel_i, bessel_k
+    def _level(self, lo: np.ndarray, hi: np.ndarray, last: bool) -> tuple:
+        """Cells [lo, hi] in z: resolved where the last four Chebyshev coefficients of both
+        integrands (I e^{-hi}, K e^{lo}) are below 1e-11 e^{-dz} or eps x e^{-dz} of the largest
+        or level off below 1e-9, tested on 2 u^{2s-1} h~ first so that only the others (and the
+        cells kept anyway) take a Bessel call; h~, (I_d e^{-lo}, K_d e^{hi}) and the integrals."""
+        _, fit, area = _chebyshev()
+        z, u, span = _nodes(lo, hi), _nodes(lo, hi) / (2.0 * self.lam), np.exp(lo - hi)[:, None]
+        floor = np.maximum(_CHOP, 2.2e-16 * (0.5 * hi[:, None] / self.lam) ** 2)
 
-        arg, nu = 2.0 * self.lam * u, self.delta + order
-        return np.stack([bessel_i(nu, arg), bessel_k(nu, arg)])
+        def resolved(g, scale):
+            c = np.abs(_apply(fit, g))
+            peak, tail = c.max(axis=-1), c[..., -4:].max(axis=-1)
+            noise = (tail <= _NOISE * peak) & (tail >= 0.1 * c[..., -12:-4].max(axis=-1))
+            return ((tail <= floor * scale * peak) | noise).all(axis=1)
 
-    def _grow(self, u_max: float) -> None:
-        """Extend the table over whole cells up to the first cell edge >= u_max.
+        h = self.h_tilde(u * u)
+        w = 2.0 * u ** (2.0 * self.s - 1.0) * h
+        keep = (lo == 0.0) | last  # the first cell is never halved, nor a cell at the depth limit
+        ok, pair = keep | resolved(w[:, None], 1.0), np.zeros((lo.size, 2, _NODES))
+        pair[ok] = np.stack([specfun.bessel_i(self.delta, z[ok]) * np.exp(-lo[ok])[:, None],
+                             specfun.bessel_k(self.delta, z[ok]) * np.exp(hi[ok])[:, None]], 1)
+        g = (w * span)[:, None] * pair
+        if not (finite := np.isfinite(g).all(axis=(1, 2))).all():
+            raise NumericalError(f"non-finite integrand from 2 lam sqrt(x) = {lo[~finite].min():.6g}")
+        ok &= keep | resolved(g, span)
+        return ok, h, pair, ((hi - lo) / (4.0 * self.lam))[:, None, None] * _apply(area, g)
 
-        Cells end where z = 2 lam u is 2^k (k >= -12) or the cap 600, the
-        edge of the domain (``_domain``).  Octaves of z keep a cell's Bessel
-        arguments in one octave of the Bessel tables, so its leaves do not
-        depend on the cells that share its call; the running sum goes on
-        sequentially.
-        """
-        top, cells = self._edge[-1], self._cells
-        edges = np.r_[top, cells[(cells > top) & (cells <= cells[np.searchsorted(cells, u_max)])]]
-        _, lo, leaf = (np.concatenate(part, axis=-1) for part in zip(*quad._accepted(
-            lambda u: self._weight(u) * self._kernels(u), edges[:-1], edges[1:], self.tol * 0.005, 1e-11)))
-        order = np.argsort(lo)
-        self._edge = np.concatenate([self._edge[:-1], lo[order], edges[-1:]])
-        carried = np.cumsum(np.concatenate([self._j0[:, -1:], leaf[:, order]], axis=1), axis=1)
-        self._j0 = np.concatenate([self._j0[:, :-1], carried], axis=1)
+    def _extend(self, stop: int) -> None:
+        """Cells of f for the base cells len(self._j) - 1 to stop and on while their T_K top
+        (``_TOPS``) is built: e^{-hi} J_I carried up, e^{lo} T_K down from the top, and the
+        two-sided form differentiated at the nodes (order d + 1 in one more Bessel call per
+        kind, d + 2 by recurrence), f, f' and f'' each interpolated from its own values."""
+        if len(self._nodes) < _TOPS[stop - 1]:
+            self._build(int(_TOPS[stop - 1]))
+        new = range(len(self._j) - 1, min(np.searchsorted(_TOPS, len(self._nodes), "right"), _IN_DOMAIN))
+        lo, hi, h, zero = (np.concatenate([self._nodes[b][k] for b in new]) for k in range(4))
+        z, ji, tk, zero = _nodes(lo, hi), [], [], zero.swapaxes(0, 1)
+        one = np.stack([specfun.bessel_i(self.delta + 1.0, z) * np.exp(-lo)[:, None],
+                        specfun.bessel_k(self.delta + 1.0, z) * np.exp(hi)[:, None]])
+        for b in new:
+            z0, z1, (lo_b, hi_b, _, _, a) = _Z_EDGES[b], _Z_EDGES[b + 1], self._nodes[b]
+            tail = np.concatenate([np.exp(z0 - lo_c) * a_c[:, 1, -1]
+                                   for lo_c, _, _, _, a_c in self._nodes[b:_TOPS[b]]])
+            tail = np.r_[np.cumsum(tail[::-1])[::-1], 0.0]  # e^{z0} T_K at each cell's bottom
+            steps = np.cumsum(np.exp(hi_b - z1) * a[:, 0, -1])
+            j_lo = np.exp(z1 - hi_b) * (np.exp(z0 - z1) * self._j[b] + np.r_[0.0, steps[:-1]])
+            ji.append(j_lo[:, None] + a[:, 0, :-1])
+            tk.append((np.exp(lo_b - z0) * tail[1:lo_b.size + 1])[:, None] + a[:, 1, :-1])
+            self._j.append(np.exp(z0 - z1) * self._j[b] + steps[-1])
+        two = zero - 2.0 * (self.delta + 1.0) / z * np.array([1.0, -1.0])[:, None, None] * one
+        x = (z / (2.0 * self.lam)) ** 2
+        ipre, kpre = ladder_sum(self._ladder, -self.s, 0.5, x, [zero, one, two])
+        f = -2.0 * (kpre * np.concatenate(ji) + ipre * np.concatenate(tk))
+        f[2] += h / (x * x)
+        self._lo, self._hi = np.r_[self._lo, lo], np.r_[self._hi, hi]
+        self._cells = np.concatenate([self._cells, _apply(_chebyshev()[1], f.swapaxes(0, 1))])
+        for b in new:
+            self._nodes[b] = None
 
-    def _j_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(J_I, J_K) at every x, shape (2, n): J at the start of the point's leaf plus
-        one Gauss-Legendre panel from there; and the Bessel rows (I_{d+j}, K_{d+j}) at
-        2 lam sqrt(x) for j = 0, 1, 2, shape (3, 2, n), which join the panels' Bessel
-        calls (256 points a call)."""
-        u = np.sqrt(xs)
-        u_max = float(np.fmax.reduce(u, initial=0.0))
-        if u_max > self._edge[-1]:
-            self._grow(u_max)
-        leaf = np.searchsorted(self._edge, u, side="right") - 1
-        start = self._edge[leaf]
-        j = self._j0[:, leaf]
-        node, w = quad.gauss_legendre(quad.GL_ORDER)
-        own = np.empty((3, 2, u.size))
-        for lo in range(0, u.size, quad._CHUNK_PANELS):
-            sl = slice(lo, lo + quad._CHUNK_PANELS)
-            part = u[sl] > start[sl]  # no panel for a point at its leaf start
-            a, b = start[sl][part], u[sl][part]
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            nodes = (mid[:, None] + half[:, None] * node).ravel()
-            m = u[sl].size  # order d at the nodes and the points, then d + 1 and d + 2
-            kern = self._kernels(np.concatenate((nodes, u[sl], u[sl], u[sl])),
-                                 np.repeat(_LADDER, (nodes.size + m, m, m)))
-            own[:, :, sl] = kern[:, nodes.size:].reshape(2, 3, m).swapaxes(0, 1)
-            vals = (self._weight(nodes) * kern[:, :nodes.size]).reshape(2, -1, quad.GL_ORDER)
-            j[:, sl][:, part] += half * np.sum(w * vals, axis=-1)
-        return j, own
-
-    def _j_tail_k(self, x: float) -> float:
-        """int_x^infty of the K-kernel integrand (pen-form ingredient)."""
-        from .specfun import bessel_k
-
-        def integrand(v):
-            return self._weight(v) * bessel_k(self.delta, 2.0 * self.lam * v)
-
-        u = math.sqrt(x)
-        u_top = u + (62.0 + abs(2.0 * self.s - 1.0) * 10.0) / (2.0 * self.lam)
-        return quad.adaptive(integrand, u, u_top, tol=self.tol * 0.05, rtol=1e-11)
-
-    # -- solution values ---------------------------------------------------------
+    def _read(self, x: np.ndarray) -> np.ndarray:
+        """f, f', f'' at x > 0 in the domain, shape (3, n), the cells extended to the largest
+        x first: each point's Chebyshev sum, T_k = cos(k arccos t), in a row of its own."""
+        z = 2.0 * self.lam * np.sqrt(x)
+        stop = min(int(np.searchsorted(_Z_EDGES, np.fmax.reduce(z, initial=0.0), "right")), _IN_DOMAIN)
+        if stop >= len(self._j):
+            self._extend(stop)
+        i = np.searchsorted(self._lo, z, side="right") - 1
+        lo, hi = self._lo[i], self._hi[i]
+        theta = np.arccos(np.clip((2.0 * z - lo - hi) / (hi - lo), -1.0, 1.0))
+        return (self._cells[i] * np.cos(theta[:, None, None] * np.arange(_NODES))).sum(axis=-1).T
 
     def _domain(self, xs: np.ndarray) -> None:
-        """The solution's domain, x >= 0 with 2 lam sqrt(x) <= 600 (the J table's top),
-        checked for every route: past it the growing/decaying Bessel pair overflows.
-        NaN passes."""
+        """The domain of every route, x >= 0 with 2 lam sqrt(x) <= 600 (the cells' cap); NaN passes."""
         if np.any(xs < 0):
             raise ValueError("x must be nonnegative")
-        past = np.sqrt(xs) > self._cells[-1]
+        past = np.sqrt(xs) > _Z_CAP / (2.0 * self.lam)
         if past.any():
             x = np.format_float_scientific(xs[past].flat[0], trim="-")
             raise NumericalError(f"x = {x} is past the solution's domain 2 lam sqrt(x) <= {_Z_CAP:g}")
@@ -205,51 +229,38 @@ class SteinSolution:
         return float(self.values(np.array([float(x)]))[0])
 
     def value_tail_form(self, x: float) -> float:
-        """f with J_K as minus its tail integral, from its own J and prefactors: the check
-        of ``value`` that the residual cannot make."""
-        xs = np.array([float(x)])
-        self._domain(xs)
-        (ji, _), bessel = self._j_values(xs)
-        ipre, kpre = ladder_sum(self._ladder, -self.s, 0.5, xs, bessel[:1])[:, 0, 0]
-        return float(-2.0 * kpre * ji[0] - 2.0 * ipre * self._j_tail_k(x))
+        """f in the two-sided form from J_I and T_K integrated at x alone, each by
+        ``quad.adaptive`` in u with its kernel scaled by e^{-+z} at x, so its tolerance is
+        relative to that scale: the check of the cells that the residual cannot make."""
+        self._domain(np.array([float(x)]))
+        u = math.sqrt(x)
+        z, tol = 2.0 * self.lam * u, self.tol * 0.05
+        top = u + (62.0 + abs(2.0 * self.s - 1.0) * 10.0) / (2.0 * self.lam)
+        ji = quad.adaptive(lambda v: self._kernel(v, specfun.bessel_i, math.exp(-z)), 0.0, u, tol, 1e-11)
+        tk = quad.adaptive(lambda v: self._kernel(v, specfun.bessel_k, math.exp(z)), u, top, tol, 1e-11)
+        return -2.0 * x ** -self.s * (specfun.bessel_k(self.delta, z) * math.exp(z) * ji
+                                      + specfun.bessel_i(self.delta, z) * math.exp(-z) * tk)
 
     def _derivatives(self, xs: np.ndarray, order: int) -> np.ndarray:
-        """f, ..., f^{(order)} at xs in the domain, shape (order + 1,) + xs.shape: a copy of
-        the f, f' and f'' rows that one rule gives once per point set and keeps for the last.
-        Up to the switch min(0.1, 1/(4 lam^2)), where the Bessel form of f'' loses about
-        1/x^2 to I/K cancellation and that of f divides J's error by x^s, they are the
-        Taylor series at 0 (``_origin_series``) at every point where its last term is
-        below rounding; at x = 0 that is the first coefficient of each.  Everywhere else
-        they are 2 (I-prefactor J_K - K-prefactor J_I) differentiated (``_j_values``,
-        ``ladder_sum``), with h-tilde / x^2 in f'', where the J-kernel terms leave it.
-        Points outside the domain raise (``_domain``); a 0-d xs gives 0-d rows."""
+        """f, ..., f^{(order)} at xs in the domain (``_domain``), shape (order + 1,) + xs.shape:
+        up to the switch min(0.1, 1/(4 lam^2)) the Taylor series at 0 (``_origin_series``)
+        wherever its last term is below rounding, x = 0 included; the cells elsewhere."""
         if order > 2:
             raise ValueError("orders above two need the equation itself")
-        key = (xs.shape, xs.tobytes())
-        if key != self._key:
-            self._domain(xs)
-            flat = xs.ravel()
-            rows = np.empty((3, flat.size))
-            series = flat <= min(0.1, 0.25 / self.lam**2)
-            if series.any():
-                rows[:, series], series[series] = self._origin_series(flat[series])
-            if not series.all():
-                x = flat[~series]
-                (ji, jk), bessel = self._j_values(x)
-                ipre, kpre = ladder_sum(self._ladder, -self.s, 0.5, x, bessel)
-                rows[:, ~series] = 2.0 * (ipre * jk - kpre * ji)
-                rows[2, ~series] += self.h_tilde(x) / (x * x)
-            self._key, self._rows = key, rows.reshape((3,) + xs.shape)
-        return self._rows[:order + 1].copy()
+        self._domain(xs)
+        flat = xs.ravel()
+        rows = np.empty((3, flat.size))
+        series = flat <= min(0.1, 0.25 / self.lam**2)
+        if series.any():
+            rows[:, series], series[series] = self._origin_series(flat[series])
+        if not series.all():
+            rows[:, ~series] = self._read(flat[~series])
+        return rows[:order + 1].reshape((order + 1,) + xs.shape)
 
     def _origin_series(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f, f' and f'' at xs from the bounded solution's Taylor series at 0, shape (3, n),
-        and where its last term is below rounding in all three.  Differentiated j times,
-        (r1 + j)(r2 + j) f^{(j)}(0) = h^{(j)}(0) - [j = 0] E h + j lam^2 f^{(j-1)}(0)
-        is the equation at x = 0, where the x f^{(j+1)} and x^2 f^{(j+2)} terms vanish; the
-        coefficients of f, f' and f'' are built on first use.  Each point's terms are summed
-        along a row of its own, so its bits do not depend on the points that share the call.
-        """
+        """f, f', f'' at xs from the Taylor series at 0, shape (3, n), and where its last term
+        is below rounding in all three: (r1 + j)(r2 + j) f^{(j)}(0) = h^{(j)}(0) - [j = 0] E h
+        + j lam^2 f^{(j-1)}(0), the equation differentiated j times at x = 0."""
         if self._coef is None:
             if getattr(self.h, "max_order", 0) < _SERIES_TERMS + 1:
                 raise ValueError("test function does not supply enough derivatives")
@@ -275,12 +286,8 @@ class SteinSolution:
 
 def solve_stein_pg(r1: float, r2: float, lam: float, h,
                    tol: float = 1e-10) -> SteinSolution:
-    """Unique bounded solution of the two-gamma product Stein equation.
-
-    Test functions that grow along the positive axis are rejected (the
-    bounded-solution theory requires bounded h); the probe compares far
-    and mid-range magnitudes.
-    """
+    """Unique bounded solution of the two-gamma product Stein equation.  Test functions
+    that grow along the positive axis (far against mid-range magnitudes) are rejected."""
     probe = np.abs(np.asarray(h.deriv(np.array([0.5, 1.0, 5.0, 1e3, 1e6]), 0)))
     near = max(float(np.max(probe[:3])), 1e-12)
     if float(np.max(probe[3:])) > 1e3 * near:
@@ -289,13 +296,9 @@ def solve_stein_pg(r1: float, r2: float, lam: float, h,
 
 
 def stein_residuals(sol: SteinSolution, xs) -> np.ndarray:
-    """x^2 f'' + (1+r1+r2) x f' + (r1 r2 - lam^2 x) f - (h(x) - E h) at every x.
-
-    The J terms cancel through the Wronskian, so this checks the Bessel
-    prefactors only and stays at rounding level for any J; an error in J
-    shows in ``value(x) - value_tail_form(x)`` instead.  Each residual has
-    the bits of the point alone.
-    """
+    """x^2 f'' + (1+r1+r2) x f' + (r1 r2 - lam^2 x) f - (h(x) - E h) at every x, each with
+    the point's bits alone.  The J terms cancel through the Wronskian, so it checks the
+    prefactors only; errors in J_I or T_K show in ``value(x) - value_tail_form(x)``."""
     x = np.asarray(xs, dtype=float)
     f, f1, f2 = sol._derivatives(x, 2)
     return (x * x * f2 + (1.0 + sol.r1 + sol.r2) * x * f1
@@ -316,12 +319,8 @@ def _ladder(s: float, delta: float, lam: float) -> np.ndarray:
 def estimate_derivative_bounds(r1: float, r2: float, lam: float, h,
                                k_max: int,
                                grid: np.ndarray | None = None) -> list[float]:
-    """Empirical sup-norm estimates of f, f', ..., f^{(k_max)}, k_max <= 2, over the grid.
-
-    They read one solution at tol 1e-8 (``SteinSolution._derivatives``, which covers
-    x = 0).  Points past 2 lam sqrt(x) = 600 raise ``NumericalError``.  Estimates, not
-    certified bounds.
-    """
+    """Empirical sup-norm estimates of f, ..., f^{(k_max)}, k_max <= 2, over the grid, from
+    one solution at tol 1e-8 (``SteinSolution._derivatives``); estimates, not bounds."""
     if getattr(h, "max_order", 0) < k_max:
         raise ValueError("test function does not supply enough derivatives")
     grid = np.geomspace(1e-3, 1e2, 400) if grid is None else np.asarray(grid, dtype=float)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import dist, funcs
-from .opalg import stirling2
+from .opalg import ThetaOp
 from .specfun import meijer_g_batch
 from .steinops import ProductSpec, adjoint_sides, build_stein, reduce_order, stein_sides
 
@@ -218,13 +218,12 @@ def adjoint_residual_scan(spec: ProductSpec, grid,
                           tolerance: float | None = None) -> VerificationReport:
     """max |A* p| / max |p| over the grid for the density-annihilating ODE.
 
-    p = K G(z) at z = kappa |x|^h, and theta = x d/dx acts on it as h z d/dz,
-    so theta^i p / K = h^i sum_k S(i, k) z^k G^(k)(z) with Stirling numbers
-    of the second kind and every G^(k) exact from ``meijer_g_batch``; K
-    cancels in the ratio.  Each side x^j P(theta) of ``adjoint_sides`` is a
-    sum of terms c_i h^i S(i, k) x^j z^k G^(k).  Their cancellation ratio
-    R = max sum |terms| / max |p| scales the G engine's error ``ev.tol``:
-    where ev.tol * R exceeds the tolerance the scan cannot resolve a
+    p = K G(z) at z = kappa |x|^h, and theta_x = x d/dx acts on it as h theta_z, so a
+    side c x^j prod_i (theta_x + r_i) of ``adjoint_sides`` is x^j times
+    ThetaOp(c h^n, 0, r / h) in z, whose expansion sum_k b_k z^k D^k reads the rows
+    z^k G^(k)(z), every G^(k) exact from ``meijer_g_batch``; K cancels in the ratio.
+    The cancellation ratio R = max sum |terms| / max |p| scales the G engine's error
+    ``ev.tol``: where ev.tol * R exceeds the tolerance the scan cannot resolve a
     residual that small, and the report says "unresolved" and fails.
     """
     grid = np.asarray(grid, dtype=float)
@@ -239,13 +238,12 @@ def adjoint_residual_scan(spec: ProductSpec, grid,
                    for k in range(order + 1)])
     residuals, magnitudes = np.zeros_like(grid), np.zeros_like(grid)
     for sign, side in zip((1.0, -1.0), sides):
-        weights = np.zeros((len(side.roots) + 1, order + 1))  # c_i h^i S(i, k)
-        for i, c in enumerate(side.theta_coeffs()):
-            for k in range(i + 1):
-                weights[i, k] = float(c) * ev.power**i * stirling2(i, k)
-        terms = weights[:, :, None] * zg * grid ** float(side.xpow)
-        residuals += sign * terms.sum(axis=(0, 1))
-        magnitudes += np.abs(terms).sum(axis=(0, 1))
+        in_z = ThetaOp(float(side.coeff) * ev.power ** len(side.roots), 0,
+                       tuple(float(r) / ev.power for r in side.roots)).expand().terms
+        b = np.array([float(in_z.get((k, k), 0.0)) for k in range(order + 1)])
+        terms = b[:, None] * zg * grid ** float(side.xpow)
+        residuals += sign * terms.sum(axis=0)
+        magnitudes += np.abs(terms).sum(axis=0)
     tol = tolerance if tolerance is not None else (1e-8 if ev.closed else 1e-4)
     p_max = np.max(np.abs(zg[0]))
     worst = float(np.max(np.abs(residuals)) / p_max)

@@ -4,13 +4,15 @@ Each is a second route to a quantity the library computes another way: a
 termwise operator comparison, the exact action on monomials, composition
 identities, the Leibniz-expanded adjoint, the G parameter shift, the
 homogeneous Stein residual, the stage mean-zero gap and the derivative
-sups of the Stein solution, the closed tail constants and the Gamma
+sups of the Stein solution, the Stein solution in the scaled two-sided
+form by scipy quadrature, the closed tail constants and the Gamma
 duplication formula.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -159,6 +161,66 @@ def derivative_sups(r1: float, r2: float, lam: float, h, grid) -> tuple[list[flo
     rows = np.stack([sol.values(far), richardson(sol.values, far, 0.05 * far),
                      richardson(lambda x: sol._derivatives(x, 1)[1], far, 0.05 * far)])
     return np.max(np.abs(np.concatenate([series, rows], axis=1)), axis=1).tolist(), gap
+
+
+def two_sided_reference(r1: float, r2: float, lam: float, h, e_h: float, x: float) -> np.ndarray:
+    """(f, f', f'')(x) from f = -2 x^{-s} [(e^z K_d(z)) (e^{-z} J_I(x)) + (e^{-z} I_d(z)) (e^z T_K(x))],
+    z = 2 lam sqrt(x), J_I = int_0^x t^{s-1} I_d h-tilde dt and T_K = int_x^inf t^{s-1}
+    K_d h-tilde dt: every kernel scaled at the point (scipy ``ive``/``kve``), each integral
+    taken in t by scipy ``quad`` at epsrel 1e-13 over the window where its scaled kernel
+    exceeds e^{-80}; a ``Sinusoid`` h goes to quad's sine and cosine weights (QUADPACK
+    QAWO).  The derivatives differentiate only the prefactors x^{-s} P_d(z), by
+    P' = (P_{d-1} + P_{d+1}) / 2 for I (minus that for K) and the Bessel equation, and
+    add h-tilde / x^2 to f''."""
+    import scipy.integrate as integrate
+    import scipy.special as sp
+
+    from steinprod.funcs import Sinusoid
+
+    s, d, u = 0.5 * (r1 + r2), abs(r1 - r2), math.sqrt(x)
+    z, reach = 2.0 * lam * u, 80.0 / (2.0 * lam)
+
+    def kernel(scaled, sign):  # t^{s-1} e^{-+z} P(2 lam sqrt t), P scaled at t
+        return lambda t: t ** (s - 1.0) * scaled(d, 2.0 * lam * math.sqrt(t)) * math.exp(
+            sign * (2.0 * lam * math.sqrt(t) - z))
+
+    def integral(k, a, b):
+        opts = dict(epsabs=0.0, epsrel=1e-13, limit=2000)
+        if a == 0.0 and b > 1.0:  # QAWO evaluates its ends, and t^{s-1} may be singular at 0
+            return integral(k, 0.0, 1.0) + integral(k, 1.0, b)
+        if isinstance(h, Sinusoid) and a > 0.0:  # amp sin(omega t + phase) - E h
+            sin = integrate.quad(k, a, b, weight="sin", wvar=h.omega, **opts)[0]
+            cos = integrate.quad(k, a, b, weight="cos", wvar=h.omega, **opts)[0]
+            rest = -e_h * integrate.quad(k, a, b, **opts)[0]
+            return h.amp * (math.cos(h.phase) * sin + math.sin(h.phase) * cos) + rest
+        return integrate.quad(lambda t: k(t) * (float(h.deriv(t, 0)) - e_h), a, b, **opts)[0]
+
+    with warnings.catch_warnings():  # epsrel 1e-13 is at rounding, where QUADPACK warns
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        ji = integral(kernel(sp.ive, 1.0), max(u - reach, 0.0) ** 2, x)
+        tk = integral(kernel(sp.kve, -1.0), x, (u + reach) ** 2)
+    dz, ddz = z / (2.0 * x), -z / (4.0 * x * x)  # z'(x), z''(x)
+    f = np.zeros(3)
+    for p, sign, weight in ((sp.kve, -1.0, ji), (sp.ive, 1.0, tk)):
+        p0 = p(d, z)
+        p1 = sign * 0.5 * (p(d - 1.0, z) + p(d + 1.0, z))
+        p2 = (1.0 + d * d / (z * z)) * p0 - p1 / z
+        f += -2.0 * weight * x ** -s * np.array([
+            p0, -s / x * p0 + dz * p1,
+            s * (s + 1.0) / (x * x) * p0 - 2.0 * s / x * dz * p1 + ddz * p1 + dz * dz * p2])
+    f[2] += (float(h.deriv(x, 0)) - e_h) / (x * x)
+    return f
+
+
+def two_sided_sups(r1: float, r2: float, lam: float, h, grid) -> list[float]:
+    """Grid sups of |f|, |f'|, |f''|: ``origin_series`` up to the switch min(0.1, 1/(4 lam^2))
+    and ``two_sided_reference`` past it, both with E h from ``steinsolve.expect_pg``."""
+    e_h = steinsolve.expect_pg(r1, r2, lam, h)
+    grid = np.asarray(grid, dtype=float)
+    near, far = grid[grid <= min(0.1, 0.25 / lam**2)], grid[grid > min(0.1, 0.25 / lam**2)]
+    rows = [origin_series(r1, r2, lam, h, e_h, near, 2)]
+    rows.append(np.array([two_sided_reference(r1, r2, lam, h, e_h, x) for x in far]).T.reshape(3, -1))
+    return np.max(np.abs(np.concatenate(rows, axis=1)), axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import scipy.stats as st
 from steinprod import cli, dist, funcs, quad, specfun, steinsolve
 from steinprod.steinops import ProductSpec
 
-from oracles import derivative_sups, homogeneous_residual, origin_series, stage_mean_zero_gap
+from oracles import (derivative_sups, homogeneous_residual, origin_series, stage_mean_zero_gap,
+                     two_sided_reference, two_sided_sups)
 
 CASES = [(1.0, 1.0, 1.0), (2.0, 0.5, 1.0), (1.5, 1.5, 2.0)]
 
@@ -239,18 +240,19 @@ class TestBatchedSweep:
     def test_points_inside_the_table_need_no_adaptive_call(self, monkeypatch):
         sol = steinsolve.solve_stein_pg(1.0, 1.0, 1.0, funcs.Sinusoid())
         sol.value(50.0)
-        calls, accepted = [], quad._accepted
-        monkeypatch.setattr(quad, "_accepted", lambda *a: calls.append(a) or accepted(*a))
+        calls, adaptive = [], quad.adaptive
+        monkeypatch.setattr(quad, "adaptive", lambda *a, **k: calls.append(a) or adaptive(*a, **k))
         for x in np.geomspace(0.01, 49.0, 39):
             sol.value(x)
         assert not calls
 
     def test_table_stays_small_for_oscillating_h(self):
-        # up to x = 65536: at rtol 1e-12 the accept test sat at the roundoff floor of
-        # the oscillating, e^{2u}-sized I-kernel sums and took 134k leaves (11 s)
+        # up to x = 50000 sin(x) turns about 8000 times, in 4092 cells of 32 nodes; a cell is
+        # resolved at the rounding of x = u^2 itself (eps x), since halving towards a fixed
+        # 1e-12 of the largest coefficient, below that rounding, never ends
         sol = steinsolve.solve_stein_pg(1.0, 1.0, 1.0, funcs.Sinusoid())
         sol.value(5e4)
-        assert sol._edge.size < 20_000
+        assert sol._lo.size < 5_000
 
     def test_call_shapes(self):
         sol = steinsolve.solve_stein_pg(1.0, 1.0, 1.0, funcs.exp_decay(1.0))
@@ -266,23 +268,19 @@ class TestBatchedSweep:
             res = steinsolve.stein_residuals(sol, x)
             assert np.shape(res) == () and res == steinsolve.stein_residuals(sol, one)[0]
 
-    def test_residual_evaluates_each_bessel_order_once(self, monkeypatch):
+    def test_points_inside_built_cells_make_no_bessel_call(self, monkeypatch):
         sol = steinsolve.solve_stein_pg(2.0, 0.5, 1.0, funcs.exp_decay(1.0))
-        sol.value(2.0)  # grows the J table past x
+        sol.value(2.0)  # builds the cells past x
         x = 1.7
         calls = []
         for name in ("bessel_i", "bessel_k"):
             fn = getattr(specfun, name)
             monkeypatch.setattr(specfun, name, lambda nu, z, _fn=fn, _n=name:
-                                calls.append((_n, np.size(z), sorted(np.unique(nu)))) or _fn(nu, z))
-        sol.value(x)
-        # one call per kind: order d = 1.5 at the 16 panel nodes and at x, and the
-        # one-sided ladder's d + 1 and d + 2 at x
-        assert calls == [("bessel_i", 19, [1.5, 2.5, 3.5]), ("bessel_k", 19, [1.5, 2.5, 3.5])]
-        calls.clear()
+                                calls.append((_n, np.size(z))) or _fn(nu, z))
+        f = sol.value(x)
         res = steinsolve.stein_residual(sol, x)
         assert abs(res) < 1e-8
-        assert calls == []  # the residual reads the rows value(x) kept
+        assert calls == [] and f == sol.value(x)  # a Chebyshev sum of the cell's f, f', f''
 
     def test_value_is_the_f_the_residual_reads(self):
         # value and the residual took x^{-s} through two numpy paths, whose bits differed
@@ -399,20 +397,69 @@ class TestResidual:
     @pytest.mark.parametrize("perturb", [lambda j: 1.5 * j + 0.3,
                                          lambda j: j * np.array([[1.0], [1.0 + 1e-6]])])
     def test_residual_cannot_see_j_but_the_tail_form_gap_can(self, perturb):
-        # the J-derivative terms cancel through the Wronskian, so a wrong J_I or
-        # J_K leaves the residual at rounding level; the tail form takes J_K apart
+        # the J-derivative terms cancel through the Wronskian, so wrong integrals J_I or
+        # T_K in the cells leave the residual at rounding level; the tail form, which
+        # integrates both at the point, takes them apart
         sol = steinsolve.solve_stein_pg(2.0, 0.5, 1.0, funcs.Sinusoid())
-        j_values = sol._j_values
+        level = sol._level
 
-        def perturbed(xs):
-            j, bessel = j_values(xs)
-            return perturb(j), bessel
+        def perturbed(lo, hi, last):
+            ok, h, pair, integrals = level(lo, hi, last)
+            return ok, h, pair, perturb(integrals)
 
-        sol._j_values = perturbed
+        sol._level = perturbed
         for x in (0.05, 0.1, 0.7, 1.0, 3.0, 10.0, 20.0):
             assert abs(steinsolve.stein_residual(sol, x)) <= 1e-10
         gaps = [abs(sol.value(x) - sol.value_tail_form(x)) for x in (0.1, 1.0, 10.0)]
         assert max(gaps) > 1e-8
+
+
+class TestTwoSidedReference:
+    """The cells against the scaled two-sided form integrated at each point by scipy."""
+
+    @pytest.mark.parametrize("r1,r2,lam,name,refs", [
+        # the forward form read f(700) = 1.5e5 and f(1000) = 3.0e9 with exit 0
+        (1.0, 1.0, 1.0, "exp", {100.0: 5.963473592019336e-03, 400.0: 1.490868405807985e-03,
+                                700.0: 8.519248033188487e-04, 1000.0: 5.963473623231941e-04}),
+        # the forward form was 3.4e-6 and 0.25 off, the tail form's panels 0.47 and 0.18
+        (1.5, 1.5, 2.0, "sin", {50.0: 1.925791127367697e-03, 100.0: 9.628425297792012e-04}),
+    ])
+    def test_far_points_and_the_tail_form(self, r1, r2, lam, name, refs):
+        sol = steinsolve.solve_stein_pg(r1, r2, lam, cli.BUILTIN_TEST_FUNCTIONS[name]())
+        xs = np.array(list(refs))
+        want = np.array(list(refs.values()))
+        np.testing.assert_allclose(sol.values(xs), want, rtol=1e-8, atol=0)
+        np.testing.assert_allclose([sol.value_tail_form(x) for x in xs], want, rtol=1e-8, atol=0)
+        for x, ref in refs.items():
+            assert two_sided_reference(r1, r2, lam, sol.h, sol.e_h, x)[0] == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("r1,r2,name", [(1.0, 1.0, "sin"), (1.4, 2.45, "exp")])
+    def test_points_just_past_the_switch_at_small_lam(self, r1, r2, name):
+        # lam = 0.05: the switch is x = 0.1, 2 lam sqrt(x) = 0.032, inside the octave cells
+        # near 0; a first cell reaching 2 lam sqrt(x) = 1/16 read f' 19 and f'' 9e9 times off
+        sol = steinsolve.solve_stein_pg(r1, r2, 0.05, cli.BUILTIN_TEST_FUNCTIONS[name]())
+        xs = np.array([0.12, 0.2, 0.38])
+        ref = np.array([two_sided_reference(r1, r2, 0.05, sol.h, sol.e_h, x) for x in xs]).T
+        np.testing.assert_allclose(sol._derivatives(xs, 2), ref, rtol=1e-8, atol=0)
+
+    def test_seeded_draws_up_to_the_domain_edge(self):
+        # 60 draws, h cycling through the five built-ins, at the points 2 lam sqrt(x) = 0.5
+        # (where not below the series switch), 3, 20, 120 and 600, the domain's edge
+        rng = np.random.default_rng(47)
+        makers = list(cli.BUILTIN_TEST_FUNCTIONS.values())
+        for i in range(60):
+            r1, r2 = rng.uniform(0.5, 3.0, 2)
+            lam = rng.uniform(0.5, 4.0)
+            sol = steinsolve.solve_stein_pg(r1, r2, lam, makers[i % len(makers)]())
+            xs = (np.array([0.5, 3.0, 20.0, 120.0, 600.0]) / (2.0 * lam)) ** 2
+            xs = xs[xs > min(0.1, 0.25 / lam**2)]
+            got = sol.values(xs)
+            for x, f in zip(xs, got):
+                ref = two_sided_reference(r1, r2, lam, sol.h, sol.e_h, x)[0]
+                if i % len(makers) == 0:  # h constant: f is 0
+                    assert abs(f) <= 1e-12, (i, x)
+                else:
+                    assert abs(f - ref) <= 1e-8 * abs(ref), (r1, r2, lam, i, x, f, ref)
 
 
 class TestDerivativeBounds:
@@ -449,6 +496,15 @@ class TestDerivativeBounds:
         sups = steinsolve.estimate_derivative_bounds(r1, r2, lam, h, 2, grid)
         np.testing.assert_allclose(sups, ref, rtol=1e-9, atol=0)
         assert series_gap <= 5e-13  # values read the same series
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 3.0, 4.0])
+    def test_default_grid_matches_the_two_sided_scan(self, lam):
+        # the forward form read sup|f| = 3.0e7 at lam = 3 and 4.6e15 at lam = 4 (0.40 and
+        # 0.34 at lam = 1 and 2): the default grid ends at x = 100, 2 lam sqrt(x) = 80
+        h = funcs.exp_decay(1.0)
+        ref = two_sided_sups(1.0, 1.0, lam, h, np.geomspace(1e-3, 1e2, 400))
+        sups = steinsolve.estimate_derivative_bounds(1.0, 1.0, lam, h, 2)
+        np.testing.assert_allclose(sups, ref, rtol=1e-8, atol=0)
 
     def test_origin_takes_the_recurrence_values(self):
         # (r1 + j)(r2 + j) f^{(j)}(0) = h^{(j)}(0) - [j = 0] E h + j lam^2 f^{(j-1)}(0)
@@ -539,12 +595,11 @@ class TestOriginRoute:
         # poles at -0.1 and -0.01: points past the series' radius take the Bessel form
         (1.4, 2.45, 1.0, funcs.BoundedRational(0.1)),
         (1.4, 2.45, 1.0, funcs.BoundedRational(0.01)),
-        # the Bessel form's f'' carries the table's J error over x^2: 2.9e-9 off the series
-        # at the switch 0.1 here, and 1.5e-6 at lam = 3.819, where the switch is 0.0171
-        pytest.param(0.55, 2.9, 1.0, funcs.Sinusoid(), marks=pytest.mark.xfail(
-            strict=True, reason="J error over x^2 in the Bessel form's f'' (ROADMAP item 1)")),
-        pytest.param(0.676, 0.824, 3.819, funcs.Sinusoid(), marks=pytest.mark.xfail(
-            strict=True, reason="J error over x^2 in the Bessel form's f'' (ROADMAP item 1)")),
+        # the forward form's f'' carried the table's J error over x^2: 2.9e-9 off the series
+        # at the switch 0.1 here, and 1.5e-6 at lam = 3.819, where the switch is 0.0171; the
+        # cells' two-sided form meets it within 6e-12 on both
+        (0.55, 2.9, 1.0, funcs.Sinusoid()),
+        (0.676, 0.824, 3.819, funcs.Sinusoid()),
         # E h reads 0.947749 against the Tricomi-U value 0.970836, and the series'
         # f(0) = (h(0) - E h) / (r1 r2) carries that error over r1 = 0.05
         pytest.param(0.05, 1.0, 1.0, funcs.exp_decay(1.0), marks=pytest.mark.xfail(
@@ -561,8 +616,5 @@ class TestOriginRoute:
     def test_points_past_the_series_radius_take_the_bessel_form(self, pole, ref):
         # derivative(0.09, 1) raised "origin series does not converge" here
         sol = steinsolve.solve_stein_pg(1.4, 2.45, 1.0, funcs.BoundedRational(pole))
-        xs = np.array([0.09])
-        (ji, jk), bessel = sol._j_values(xs)
-        ipre, kpre = funcs.ladder_sum(sol._ladder, -sol.s, 0.5, xs, bessel)
-        assert sol.derivative(0.09, 1) == 2.0 * (ipre[1, 0] * jk[0] - kpre[1, 0] * ji[0])
+        assert sol.derivative(0.09, 1) == sol._read(np.array([0.09]))[1, 0]
         assert sol.derivative(0.09, 1) == pytest.approx(ref, rel=1e-9)
