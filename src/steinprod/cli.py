@@ -179,6 +179,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_gfunc(args) -> int:
+    if not np.isfinite(args.x):  # as parse_grid's ends
+        raise SpecError(f"--x must be finite, got {args.x}")
     params = MeijerGParams(args.a or [], args.b)
     val = meijer_g(params, args.x, tol=args.tolerance)
     print(f"{val:.15g}")

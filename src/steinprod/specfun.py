@@ -33,14 +33,17 @@ the Mellin-Barnes integrand by s (s+1) ... (s+d-1) = Gamma(s+d) / Gamma(s),
 so it is G with 0 added to the upper and d to the lower parameters, times
 (-1)^d z^{-d}.
 
-Log-gamma is Lanczos' approximation as one rational function N(z)/D(z),
-by Horner in 1/z.  Bessel functions use the defining integral K_nu(x) = int exp(-x cosh t)
-cosh(nu t) dt (spectrally accurate trapezoid, uniform in nu) and the
-ascending series for I_nu, with large-argument asymptotic expansions
-beyond 30 (1 + |nu|); the switchover is cross-validated in the tests.
-The trapezoid nodes and the series length are set per octave of x and
-cached, so a point's value and cost do not depend on the rest of its batch.
-The order may be an array like x: one call groups the points by (order,
+Log-gamma is Lanczos' approximation as one rational function N(z)/D(z), by Horner
+in 1/z.  Bessel functions use the defining integral K_nu(x) = int exp(-x cosh t)
+cosh(nu t) dt (spectrally accurate trapezoid, uniform in nu) and the ascending series
+for I_nu, with large-argument asymptotic expansions beyond 30 (1 + |nu|); the
+switchover is cross-validated in the tests.  Each forms its values one way, scaled as
+in Amos (ACM TOMS 12 (1986)) so that a value leaves the doubles only where it does
+itself: a trapezoid term is exp(ln(cosh(nu t) h) - (x 2^-e)(2^e cosh t)), and the
+series' lead (x/2)^nu / Gamma(nu + 1) is one power (x / 2g)^nu, g = Gamma(nu + 1)^{1/nu}
+from logs.  The trapezoid nodes and the series length are set per octave 2^e <= x <
+2^{e+1} and cached, so a point's value and cost do not depend on the rest of its
+batch.  The order may be an array like x: one stable sort groups the points by (order,
 octave), and each element has the bits of its scalar-order call.
 """
 
@@ -184,50 +187,34 @@ def _bessel_switch(nu):
 
 
 def _orders(nu, x) -> tuple:
-    """(orders, flat x, result shape): a scalar order stays 0-d, an array order is
-    broadcast against x and flattened with it."""
+    """(orders, x, result shape): the orders broadcast against x, both flattened."""
     arr, nu = np.asarray(x, dtype=float), np.asarray(nu, dtype=float)
-    if nu.ndim == 0:
-        return nu, arr.ravel(), arr.shape
     if nu.shape != arr.shape:
-        nu, arr = np.broadcast_arrays(nu, arr)
+        nu, arr = (np.full(arr.shape, nu), arr) if nu.ndim == 0 else np.broadcast_arrays(nu, arr)
     return nu.ravel(), arr.ravel(), arr.shape
 
 
-def _run_starts(nu: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Where a new run of equal (order, key) starts, after the first."""
-    change = key[1:] != key[:-1]
-    if nu.ndim:
-        change |= nu[1:] != nu[:-1]  # NaN orders stay apart
-    return np.flatnonzero(change) + 1
-
-
 def _blocks(nu: np.ndarray, key: np.ndarray):
-    """(order, key, index) for runs of points of one (order, key), in blocks of at most
-    256 (a negative key's run in one).  Points that would make more than 9 runs are
-    sorted first, so that each (order, key) is one run."""
+    """(order, key, index) for the points of one (order, key), in blocks of at most 256
+    (a negative key's run in one): one stable sort by order, then key, makes each a run."""
     if not key.size:
         return
-    rows, starts = None, _run_starts(nu, key)
-    if starts.size > 8:
-        rows = np.argsort(key, kind="stable") if nu.ndim == 0 else np.lexsort((key, nu))
-        nu, key = (nu if nu.ndim == 0 else nu[rows]), key[rows]
-        starts = _run_starts(nu, key)
-    starts = [0, *starts.tolist(), key.size]
-    for lo, hi in zip(starts, starts[1:]):
-        order, k = float(nu if nu.ndim == 0 else nu[lo]), int(key[lo])
+    rows = np.lexsort((key, nu))
+    nu, key = nu[rows], key[rows]
+    starts = [0, *(np.flatnonzero((key[1:] != key[:-1]) | (nu[1:] != nu[:-1])) + 1).tolist()]
+    bounds = [*starts, key.size]  # NaN orders stay apart
+    for lo, hi, order, k in zip(bounds, bounds[1:], nu[starts].tolist(), key[starts].tolist()):
         step = _BLOCK if k >= 0 else hi - lo
         for at in range(lo, hi, step):
-            end = min(at + step, hi)
-            yield order, k, slice(at, end) if rows is None else rows[at:end]
+            yield order, k, rows[at:min(at + step, hi)]
 
 
 def _bessel(nu: np.ndarray, x: np.ndarray, near_block, far_route) -> np.ndarray:
     """near_block(order, e, .) on each block of points 2^e <= x < 2^{e+1} of one order below
     30 (1 + |order|), far_route(order, .) on the others of each order.
 
-    ``nu`` is 0-d or like x.  The orders reach the routes as Python floats and the
-    routes work point by point, so an element has the bits of its scalar-order call.
+    The orders reach the routes as Python floats and the routes work point by point,
+    so an element has the bits of its scalar-order call.
     """
     near = x < _bessel_switch(nu)  # NaN and inf go far
     key = np.where(near, np.frexp(x)[1] + 2047, -1)  # octave e + 2048 (e >= -1074) below it
@@ -248,9 +235,9 @@ def _bessel_asym_sums(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 @functools.lru_cache(maxsize=256)  # one table per (|nu|, octave), built once
-def _k_nodes(anu: float, e: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(cosh t, weights cosh(|nu| t) h, False) of the K_nu trapezoid on the octave [2^e, 2^{e+1}),
-    or (2^e cosh t, log weights, True) where cosh t or cosh(|nu| t) would overflow.
+def _k_nodes(anu: float, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """(2^e cosh t, ln(cosh(|nu| t) h)): the nodes and log weights of the K_nu trapezoid
+    on the octave [2^e, 2^{e+1}), finite at every order and octave, subnormal ones included.
 
     The octave's smallest argument sets t_max, where exp(-x cosh t + |nu| t)
     has fallen below e^{-52}, and its largest sets the step h.
@@ -265,25 +252,22 @@ def _k_nodes(anu: float, e: int) -> tuple[np.ndarray, np.ndarray, bool]:
         t_max = t_new + 0.25
     h = min(0.05, 0.35 / math.sqrt(max(1.0, xmax)))
     t = np.arange(0.0, t_max + h, h)
-    ends = np.where(t == 0.0, 0.5 * h, h)  # trapezoid weights
-    with np.errstate(over="ignore"):
-        nodes, w = np.cosh(t), np.cosh(anu * t) * ends
-    if in_logs := max(nodes[-1], w[-1]) == math.inf:  # then 2^e cosh t and the log weights
-        nodes = 0.5 * (np.exp(t + e * _LN2) + np.exp(e * _LN2 - t))
-        w = anu * t + np.log1p(np.exp(-2.0 * anu * t)) - _LN2 + np.log(ends)
+    cosh = np.cosh(t)  # 2^e cosh t exactly where cosh t is a double, else e^t / 2
+    nodes = np.where(cosh < math.inf, np.ldexp(cosh, e), np.exp(t + (e - 1) * _LN2))
+    w = anu * t + (np.log1p(np.exp(-2.0 * anu * t)) - _LN2 + np.log(np.where(t, h, 0.5 * h)))
     nodes.flags.writeable = w.flags.writeable = False  # shared by every later call
-    return nodes, w, in_logs
+    return nodes, w
 
 
 def _k_quadrature(nu: float, e: int, x: np.ndarray) -> np.ndarray:
-    """K_nu on one octave's points by trapezoidal quadrature of the defining integral."""
-    nodes, w, in_logs = _k_nodes(nu, e)
-    if in_logs:  # x cosh t = (x 2^-e) (2^e cosh t); a sum past the float range is inf
-        with np.errstate(over="ignore"):
-            return np.exp(w - np.ldexp(x, -e)[:, None] * nodes).sum(axis=1)
-    table = -x[:, None] * nodes  # exp in place: one block-sized temporary, not two
-    # not BLAS: a gemv row's bits depend on its place in the batch
-    return np.einsum("ij,j->i", np.exp(table, out=table), w)
+    """K_nu on one octave's points by trapezoidal quadrature of the defining integral.
+
+    Each term is one exp(ln(cosh(|nu| t) h) - (x 2^-e) (2^e cosh t)): a double wherever
+    the term itself is, so near the integrand's peak no factor is subnormal or infinite."""
+    nodes, log_w = _k_nodes(nu, e)
+    table = np.ldexp(x, -e)[:, None] * nodes
+    np.subtract(log_w, table, out=table)  # in place, as the exp: one block-sized temporary
+    return np.exp(table, out=table).sum(axis=1)
 
 
 def _k_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
@@ -296,22 +280,31 @@ def bessel_k(nu, x) -> "float | np.ndarray":
     ``nu`` is a scalar or an array broadcast against x, as in ``scipy.special.kv``;
     one call checks, splits and routes every (order, argument) pair, and each element
     has the bits of its scalar-order call.  K_{-nu} = K_nu.  The defining-integral
-    trapezoid below 30 (1 + |nu|), its nodes cached per (|nu|, octave of x); the
-    exponential asymptotic expansion above.  NaN gives NaN and inf gives 0.
+    trapezoid below 30 (1 + |nu|), its nodes and log weights cached per (|nu|, octave
+    of x) and each term formed as one exponential; the exponential asymptotic expansion
+    above.  A K past the float range is inf; NaN gives NaN and inf gives 0.
     """
     nu, flat, shape = _orders(nu, x)
     if (flat <= 0).any():
         raise ValueError("bessel_k requires x > 0")
-    out = _bessel(np.abs(nu), flat, _k_quadrature, _k_asymptotic)
+    with np.errstate(over="ignore"):  # a K past the float range is inf
+        out = _bessel(np.abs(nu), flat, _k_quadrature, _k_asymptotic)
     return float(out[0]) if not shape else out.reshape(shape)
 
 
 @functools.lru_cache(maxsize=256)  # one table per (nu, octave), built once
-def _i_ratios(nu: float, e: int) -> np.ndarray:
-    """Ratios 1 / (k (nu + k)) of consecutive ascending-series terms, per (x/2)^2, up to
-    the count (at most 399) after which the terms of the octave's top 2^{e+1} have
-    fallen below 1e-18 of their largest; smaller arguments have smaller ratios."""
-    log_h2 = 2.0 * e * math.log(2.0)  # ((2^{e+1}) / 2)^2
+def _i_ratios(nu: float, e: int) -> tuple[float, float, np.ndarray]:
+    """(sign, g, ratios) of the ascending series on the octave [2^e, 2^{e+1}).  Its lead
+    (x/2)^nu / Gamma(z), z = nu + 1, is sign (x / 2g)^nu: one power, past the doubles only
+    where the lead is.  g = |z| exp(-c / nu), c = nu ln|z| - ln|Gamma(z)|, which from z = 10
+    on, a small difference of large terms, is Stirling's series.  The ratios 1 / (k (nu + k))
+    of consecutive terms, per (x/2)^2, run up to the count (at most 399) after which the
+    terms of the octave's top 2^{e+1} have fallen below 1e-18 of their largest."""
+    z = nu + 1.0
+    lg, sign = _loggamma_signed(z)
+    c = nu * math.log(abs(z)) - lg if z < 10.0 else z - 0.5 * math.log(z) - _LOG_SQRT_2PI - sum(
+        b / (2 * k * (2 * k - 1) * z ** (2 * k - 1)) for k, b in enumerate(_BERNOULLI_2K, 1))
+    log_h2 = 2.0 * e * _LN2  # ((2^{e+1}) / 2)^2
     n, log_term, log_peak = 0, 0.0, 0.0
     while n < 399 and log_term > log_peak - 41.5:  # e^{-41.5} < 1e-18
         n += 1
@@ -320,17 +313,17 @@ def _i_ratios(nu: float, e: int) -> np.ndarray:
     k = np.arange(1.0, n + 1.0)
     ratio = 1.0 / (k * (nu + k))
     ratio.flags.writeable = False  # shared by every later call
-    return ratio
+    return sign, abs(z) * math.exp(-c / nu) if nu else 1.0, ratio
 
 
 def _i_series(nu: float, e: int, x: np.ndarray) -> np.ndarray:
     """I_nu on one octave's points, x >= 0, by the ascending series: one row of terms
     per point, whose length, and so whose sum, is set by the octave alone."""
+    sign, g, ratio = _i_ratios(nu, e)
     half = 0.5 * x
-    terms = (half * half)[:, None] * _i_ratios(nu, e)
+    terms = (half * half)[:, None] * ratio
     total = np.cumprod(terms, axis=1, out=terms).sum(axis=1)  # in place, as K's exp
-    lg, sign = _loggamma_signed(nu + 1.0)
-    return sign * math.exp(-lg) * half**nu * (1.0 + total)
+    return sign * (half / g) ** nu * (1.0 + total)  # 0^0 = 1: I_0(0) = 1
 
 
 def _i_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
@@ -356,7 +349,8 @@ def bessel_i(nu, x) -> "float | np.ndarray":
         nu = np.where(negative & (nu == np.round(nu)), -nu, nu)
         if ((nu < 0) & (flat == 0)).any():
             raise ValueError("bessel_i diverges at x = 0 for negative order")
-    out = _bessel(nu, flat, _i_series, _i_asymptotic)
+    with np.errstate(over="ignore"):  # an I past the float range is inf
+        out = _bessel(nu, flat, _i_series, _i_asymptotic)
     return float(out[0]) if not shape else out.reshape(shape)
 
 
@@ -784,7 +778,7 @@ def meijer_g_batch(params: MeijerGParams, zs, tol: float = 1e-10,
     grids are cached per (params, abscissa, tol) across calls, except
     arguments (inf included) where the leading asymptote shows that G
     underflows: they give 0.  NaN gives NaN, and a finite z whose G is
-    past the float range raises ``NumericalError``.  When q = p
+    past the float range raises ``NumericalError``; tol must be in (0, inf).  When q = p
     arguments up to 0.3 take the series and the rest Norlund's expansion,
     as do series points whose residues cancel; G vanishes from 1 on:
     closing the contour to the right encloses no pole.
@@ -792,6 +786,8 @@ def meijer_g_batch(params: MeijerGParams, zs, tol: float = 1e-10,
     zs = np.asarray(zs, dtype=float)
     if np.any(zs <= 0):
         raise ValueError("arguments must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if deriv:
         # P(s) = s (s+1) ... (s+deriv-1) = Gamma(s + deriv) / Gamma(s)
         params = MeijerGParams(params.a + (0.0,), params.b + (float(deriv),))

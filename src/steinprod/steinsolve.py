@@ -41,7 +41,6 @@ _TOPS = np.minimum(np.searchsorted(_Z_EDGES, _Z_EDGES[1:] + 40.0), _Z_EDGES.size
 _IN_DOMAIN = _Z_EDGES.size - 2  # base cells up to the cap
 _NODES, _CHOP, _NOISE = 32, 1e-11, 1e-9  # Chebyshev nodes per cell; see ``SteinSolution._level``
 _MAX_HALVINGS, _MAX_CELLS = 30, 1 << 16
-_LADDER = (0.0, 1.0, 2.0)  # the orders d + j that f, f' and f'' need
 _SERIES_TERMS = 60  # terms of the origin series of f^{(k)}
 _FACTORIALS = np.array([math.factorial(j) for j in range(_SERIES_TERMS)], dtype=float)
 

@@ -109,7 +109,7 @@ def homogeneous_residual(r1: float, r2: float, lam: float, x: float) -> tuple[fl
     from steinprod.specfun import bessel_i, bessel_k
 
     s, delta, xs = 0.5 * (r1 + r2), abs(r1 - r2), np.array([float(x)])
-    nu, z = delta + np.array(steinsolve._LADDER)[:, None], 2.0 * lam * np.sqrt(xs)
+    nu, z = delta + np.arange(3.0)[:, None], 2.0 * lam * np.sqrt(xs)  # orders d, d+1, d+2
     rows = np.stack([bessel_i(nu, z), bessel_k(nu, z)], axis=1)  # rows[j] = (I_{d+j}, K_{d+j})
     w, w1, w2 = ladder_sum(steinsolve._ladder(s, delta, lam), -s, 0.5, xs,
                            rows).transpose(1, 0, 2)

@@ -251,7 +251,13 @@ class TestExitCodes:
         (["sample", "--count", "0"], XYZ, "count must be >= 1"),
         (["operator"], [1, 2], "must contain a JSON object"),
         (["gfunc", "--a", "1", "2", "--b", "1", "--x", "0.5"], None, "need q >= p"),
-    ], ids=["sample-count-0", "spec-list", "gfunc-p-above-q"])
+        # a bad tolerance ran the contour to "did not converge" or "does not decay" (exit 2),
+        # and x = nan printed nan (exit 0)
+        (["gfunc", "--b", "1", "--x", "1", "--tolerance", "-1"], None, "tolerance must be"),
+        (["gfunc", "--b", "1", "--x", "1", "--tolerance", "nan"], None, "tolerance must be"),
+        (["gfunc", "--b", "1", "--x", "nan"], None, "--x must be finite"),
+    ], ids=["sample-count-0", "spec-list", "gfunc-p-above-q", "gfunc-negative-tolerance",
+            "gfunc-nan-tolerance", "gfunc-nan-x"])
     def test_rejected_input_is_one(self, spec_file, capsys, argv, payload, message):
         spec = [] if payload is None else ["--spec", spec_file(payload)]
         assert main([*argv, *spec]) == 1

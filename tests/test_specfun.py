@@ -224,6 +224,31 @@ class TestBessel:
         with pytest.raises(ValueError):
             bessel_k([0.5, 1.5], [1.0, -1.0])
 
+    def test_seeded_sweep_against_mpmath(self):
+        # 48 orders: 40 log-uniform in [0.05, 250] and 0, 1, 2, 10, 60, -0.5, -1.3, -7.7; each
+        # at 25 log-uniform x in [1e-12, min(700, 30 (1 + |nu|))].  Against 40 digits, every
+        # value inside the doubles is finite and nonzero, I within 2e-13 and K within 1e-13.
+        # The lead exp(-ln Gamma(nu + 1)) (x/2)^nu gave 0, inf or NaN at 18 I values
+        rng = np.random.default_rng(4)
+        orders = np.r_[np.exp(rng.uniform(math.log(0.05), math.log(250.0), 40)),
+                       0.0, 1.0, 2.0, 10.0, 60.0, -0.5, -1.3, -7.7]
+        xs = np.concatenate([np.exp(rng.uniform(math.log(1e-12), math.log(min(
+            700.0, float(specfun._bessel_switch(nu)))), 25)) for nu in orders])
+        nus = np.repeat(orders, 25)
+        for f, ref_f, rtol in ((bessel_i, mp.besseli, 2e-13), (bessel_k, mp.besselk, 1e-13)):
+            with mp.workdps(40):
+                ref = np.array([float(ref_f(nu, x)) for nu, x in zip(nus, xs)])
+            inside = (np.abs(ref) >= np.finfo(float).tiny) & (np.abs(ref) <= np.finfo(float).max)
+            got = f(nus, xs)[inside]
+            assert np.isfinite(got).all() and (got != 0.0).all()
+            np.testing.assert_allclose(got, ref[inside], rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("nu, x, ref", [(200.0, 30.0, 6.39994862872884e-140),
+                                            (150.0, 230.6, 1.0210490790527e78)])
+    def test_large_order_series_lead(self, nu, x, ref):
+        # (x/2)^nu and 1 / Gamma(nu + 1) leave the doubles apart: these read 0.0 and inf
+        assert bessel_i(nu, x) == pytest.approx(ref, rel=2e-13, abs=0.0)
+
 
 EXP = MeijerGParams([], [0.0])
 
@@ -444,6 +469,11 @@ class TestMeijerG:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=r"not a finite double.*z in \[1, 1\]"):
                 meijer_g_batch(MeijerGParams([], [0.0, 199.0]), [1.0])
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            meijer_g_batch(EXP, [1.0], tol)
 
     def test_underflowing_arguments_give_zero(self):
         # a leading asymptote below e^-760 gives 0 without the contour, z = inf included;
