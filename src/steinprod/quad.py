@@ -1,9 +1,9 @@
 """Quadrature helpers: Gauss-Legendre panels, adaptivity, tanh-sinh.
 
 These are deliberately small: panel Gauss-Legendre with interval halving
-covers the smooth integrands, and tanh-sinh handles integrable endpoint
-singularities (power or logarithmic) that the product densities exhibit
-at the origin.
+covers the smooth integrands, one interval of one real integrand at a time,
+and tanh-sinh handles integrable endpoint singularities (power or
+logarithmic) that the product densities exhibit at the origin.
 """
 
 from __future__ import annotations
@@ -39,70 +39,46 @@ _CHUNK_PANELS = 256
 
 
 def _gl_panels(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre values of many panels, shape (..., panels).
-
-    The integrand sees one flat node array per chunk; a result of shape
-    (c, nodes) gives c components per panel.
-    """
+    """Gauss-Legendre values of the panels [lo, hi]: one flat node array per chunk."""
     x, w = gauss_legendre(GL_ORDER)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     parts = []
     for start in range(0, lo.size, _CHUNK_PANELS):
         sl = slice(start, start + _CHUNK_PANELS)
         nodes = (mid[sl, None] + half[sl, None] * x).ravel()
-        vals = np.asarray(f(nodes), dtype=float)
-        vals = np.broadcast_to(vals, vals.shape[:-1] + nodes.shape)
-        vals = vals.reshape(vals.shape[:-1] + (-1, GL_ORDER))
-        parts.append(half[sl] * np.sum(w * vals, axis=-1))
-    return np.concatenate(parts, axis=-1)
+        vals = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
+        parts.append(half[sl] * np.sum(w * vals.reshape(-1, GL_ORDER), axis=-1))
+    return np.concatenate(parts)
 
 
-def _accepted(f: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, rtol: float):
-    """Level-wise halving of the panels [lo, hi], accept test as in ``adaptive``: yields
-    each level's accepted panels as (index of their interval, lo, value (..., panels)).
-    A panel whose value or halves are not finite is never accepted, so it raises at once."""
-    owner = np.arange(lo.size)
-    whole = _gl_panels(f, lo, hi)
-    for depth in range(_MAX_DEPTH, -1, -1):
-        if not lo.size:
-            return
-        mid = 0.5 * (lo + hi)
-        halves = _gl_panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
-        left, right = np.split(halves, 2, axis=-1)
-        both = left + right
-        if not (finite := np.isfinite(whole) & np.isfinite(both)).all():
-            bad = ~np.all(finite.reshape(-1, lo.size), axis=0)
-            raise NumericalError(f"non-finite integrand on [{lo[bad].min():.6g}, {hi[bad].max():.6g}]")
-        ok = np.abs(both - whole) <= np.maximum(tol, rtol * np.abs(whole))
-        done = np.all(ok.reshape(-1, lo.size), axis=0) | (depth <= 0)
-        yield owner[done], lo[done], both[..., done]
-        keep = ~done
-        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
-        whole = np.concatenate([left[..., keep], right[..., keep]], axis=-1)
-        owner = np.concatenate([owner[keep], owner[keep]])
-
-
-def adaptive(f: Callable, a, b, tol: float = 1e-10, rtol: float = 1e-12):
-    """Adaptive Gauss-Legendre by interval halving, one level at a time.
+def adaptive(f: Callable, a: float, b: float, tol: float = 1e-10, rtol: float = 1e-12) -> float:
+    """Adaptive Gauss-Legendre of one real integrand on [a, b], halving one level at a time.
 
     A panel is split until the halving correction |left + right - whole|
     is below max(tol, rtol * |whole|), or _MAX_DEPTH halvings are reached;
     the relative term keeps large-magnitude integrands from recursing
     into roundoff noise.  A panel with a non-finite value raises
-    ``NumericalError`` naming its interval instead of being halved.
-    ``a`` and ``b`` may be arrays of interval ends: the pending panels of
-    every interval share one integrand call per level (chunked at
-    _CHUNK_PANELS panels).  An integrand returning shape
-    (c, n) is integrated per component, and a panel is accepted only when
-    every component passes; the result then has a leading axis c.
+    ``NumericalError`` naming its interval instead of being halved.  The
+    pending panels of a level share one integrand call (chunked at
+    _CHUNK_PANELS panels), and the accepted panels are summed one after another.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    levels = list(_accepted(f, lo.ravel(), hi.ravel(), tol, rtol))
-    total = np.zeros(levels[0][2].shape[:-1] + (lo.size,))
-    for owner, _, value in levels:
-        np.add.at(total, (..., owner), value)
-    total = total.reshape(total.shape[:-1] + lo.shape)
-    return float(total) if total.ndim == 0 else total
+    lo, hi = np.array([float(a)]), np.array([float(b)])
+    whole = _gl_panels(f, lo, hi)
+    accepted = [np.zeros(1)]
+    for depth in range(_MAX_DEPTH, -1, -1):
+        if not lo.size:
+            break
+        mid = 0.5 * (lo + hi)
+        halves = _gl_panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = np.split(halves, 2)
+        both = left + right
+        if not (finite := np.isfinite(whole) & np.isfinite(both)).all():
+            raise NumericalError(f"non-finite integrand on [{lo[~finite].min():.6g}, {hi[~finite].max():.6g}]")
+        keep = (np.abs(both - whole) > np.maximum(tol, rtol * np.abs(whole))) & (depth > 0)
+        accepted.append(both[~keep])
+        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
+        whole = np.concatenate([left[keep], right[keep]])
+    return float(np.cumsum(np.concatenate(accepted))[-1])
 
 
 def tanh_sinh(f: Callable, a: float, b: float, tol: float = 1e-12) -> float:

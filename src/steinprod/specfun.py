@@ -239,8 +239,9 @@ def _k_nodes(anu: float, e: int) -> tuple[np.ndarray, np.ndarray]:
     """(2^e cosh t, ln(cosh(|nu| t) h)): the nodes and log weights of the K_nu trapezoid
     on the octave [2^e, 2^{e+1}), finite at every order and octave, subnormal ones included.
 
-    The octave's smallest argument sets t_max, where exp(-x cosh t + |nu| t)
-    has fallen below e^{-52}, and its largest sets the step h.
+    The octave's smallest argument sets t_max, where exp(-x cosh t + |nu| t) has fallen
+    below e^{-52}, and its largest the step h = min(0.05, 0.35 (x^2 + nu^2)^{-1/4}): the
+    peak of exp(-x cosh t) cosh(nu t) has width about (x^2 + nu^2)^{-1/4}.
     """
     xmin, xmax = math.ldexp(1.0, e), math.ldexp(1.0, e + 1)
     t_max = 3.0
@@ -250,7 +251,7 @@ def _k_nodes(anu: float, e: int) -> tuple[np.ndarray, np.ndarray]:
         if t_new <= t_max:
             break
         t_max = t_new + 0.25
-    h = min(0.05, 0.35 / math.sqrt(max(1.0, xmax)))
+    h = min(0.05, 0.35 / math.sqrt(math.hypot(xmax, anu)))
     t = np.arange(0.0, t_max + h, h)
     cosh = np.cosh(t)  # 2^e cosh t exactly where cosh t is a double, else e^t / 2
     nodes = np.where(cosh < math.inf, np.ldexp(cosh, e), np.exp(t + (e - 1) * _LN2))
@@ -479,7 +480,8 @@ _SERIES_MAX_CANCELLATION = 1e6
 _RESIDUE_KMAX = 4000  # residues per cluster at most
 
 
-def _residue_table(params: MeijerGParams, ln_top: float):
+@functools.lru_cache(maxsize=64)  # one table per parameter set, built once
+def _residue_table(params: MeijerGParams):
     """(powers, logmags, table): residue coefficients of z^power (ln z)^j.
 
     At each candidate pole s0 = -min(cluster) - k the integrand
@@ -487,9 +489,10 @@ def _residue_table(params: MeijerGParams, ln_top: float):
     p = (numerator poles) - (denominator poles), and its residue is the
     e^{p-1} coefficient of the Laurent-expanded Gamma products times
     z^{-s0} e^{-e ln z}: a polynomial sum_j c_j (ln z)^j whose coefficients
-    do not depend on z.  The table is cut by the per-term test at ln_top.
+    do not depend on z.  The table is cut by the per-term test at ``_series_top``.
     """
     a, b = params.a, params.b
+    ln_top = math.log(_series_top(params))
     powers, logmags, coeffs = [], [], []
     max_abs_term = 0.0
     for cl in _cluster_b(b):
@@ -535,28 +538,16 @@ def _residue_table(params: MeijerGParams, ln_top: float):
     return np.array(powers), np.array(logmags), table
 
 
-@functools.lru_cache(maxsize=64)
-def _residue_slot(params: MeijerGParams) -> list:
-    """[ln z the table was cut at, residue table] of one parameter set."""
-    return [-math.inf, None]
-
-
 def _meijer_g_series(params: MeijerGParams, zs) -> np.ndarray:
     """Sum of left residues; converges for all z > 0 when q > p, z < 1 when q = p.
 
-    The residue table, cached per parameter set, is cut at max(z, 0.04)
-    (0.3 when q = p) and rebuilt only when a larger z arrives.  Each
-    argument is summed on its own, by Horner in ln z.  A sum that cancels
-    by more than _SERIES_MAX_CANCELLATION is returned as nan.
+    The residue table, cached per parameter set, is cut at the series' top
+    argument, 0.04 (0.3 when q = p).  Each argument is summed on its own,
+    by Horner in ln z.  A sum that cancels by more than
+    _SERIES_MAX_CANCELLATION is returned as nan.
     """
     lnz = np.log(np.asarray(zs, dtype=float))
-    top = _series_top(params)
-    ln_top = max(float(np.max(lnz)), math.log(top))
-    cut, rows = slot = _residue_slot(params)
-    if ln_top > cut:
-        rows = _residue_table(params, ln_top)
-        slot[:] = ln_top, rows
-    powers, logmags, table = rows
+    powers, logmags, table = _residue_table(params)
     out, scale = np.empty(len(lnz)), np.empty(len(lnz))
     for lo in range(0, len(lnz), 256):  # (argument, residue) arrays of 256 rows at most
         ln = lnz[lo:lo + 256, None]
@@ -778,16 +769,19 @@ def meijer_g_batch(params: MeijerGParams, zs, tol: float = 1e-10,
     grids are cached per (params, abscissa, tol) across calls, except
     arguments (inf included) where the leading asymptote shows that G
     underflows: they give 0.  NaN gives NaN, and a finite z whose G is
-    past the float range raises ``NumericalError``; tol must be in (0, inf).  When q = p
-    arguments up to 0.3 take the series and the rest Norlund's expansion,
-    as do series points whose residues cancel; G vanishes from 1 on:
-    closing the contour to the right encloses no pole.
+    past the float range raises ``NumericalError``; tol must be in (0, inf) and
+    deriv a non-negative integer.  When q = p arguments up to 0.3 take the
+    series and the rest Norlund's expansion, as do series points whose
+    residues cancel; G vanishes from 1 on: closing the contour to the right
+    encloses no pole.
     """
     zs = np.asarray(zs, dtype=float)
     if np.any(zs <= 0):
         raise ValueError("arguments must be positive")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if not (isinstance(deriv, (int, np.integer)) and deriv >= 0):
+        raise ValueError(f"deriv must be a non-negative integer, got {deriv!r}")
     if deriv:
         # P(s) = s (s+1) ... (s+deriv-1) = Gamma(s + deriv) / Gamma(s)
         params = MeijerGParams(params.a + (0.0,), params.b + (float(deriv),))

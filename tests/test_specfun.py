@@ -136,6 +136,13 @@ class TestBessel:
                 assert bessel_k(nu, x) == pytest.approx(sp.kv(nu, x), rel=1e-12)
                 assert bessel_i(nu, x) == pytest.approx(sp.iv(nu, x), rel=1e-12)
 
+    def test_k_large_order_against_mpmath(self):
+        # the trapezoid step set by x alone ignored the order: K_300 was 1.6e-11 off at 24.49
+        xs = np.array([20.9, 22.9, 24.49, 28.28, 40.0, 100.0, 300.0])
+        with mp.workdps(40):
+            ref = [float(mp.besselk(300, x)) for x in xs]
+        np.testing.assert_allclose(bessel_k(300.0, xs), ref, rtol=2e-13, atol=0)
+
     def test_k_symmetric_in_order(self):
         assert bessel_k(-1.7, 2.0) == bessel_k(1.7, 2.0)
 
@@ -475,6 +482,16 @@ class TestMeijerG:
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             meijer_g_batch(EXP, [1.0], tol)
 
+    @pytest.mark.parametrize("deriv", [-1, 0.5, 1.0, "1", None])
+    def test_deriv_must_be_a_non_negative_integer(self, deriv):
+        # -1 gave G(z | a, 0; b, -1) times -z, which is no derivative, with no error
+        with pytest.raises(ValueError, match="deriv must be a non-negative integer"):
+            meijer_g_batch(EXP, [1.0], 1e-10, deriv)
+        with pytest.raises(ValueError, match="deriv must be a non-negative integer"):
+            meijer_g(EXP, 1.0, 1e-10, deriv)
+        # an integer of numpy's own type is an order like any other
+        assert meijer_g(EXP, 1.0, 1e-10, np.int64(1)) == meijer_g(EXP, 1.0, 1e-10, 1)
+
     def test_underflowing_arguments_give_zero(self):
         # a leading asymptote below e^-760 gives 0 without the contour, z = inf included;
         # just inside the range the contour still runs
@@ -489,7 +506,7 @@ class TestCaches:
     @pytest.fixture(autouse=True)
     def cold_caches(self):
         specfun._ContourGrid.cache_clear()
-        specfun._residue_slot.cache_clear()
+        specfun._residue_table.cache_clear()
         specfun._k_nodes.cache_clear()
         specfun._i_ratios.cache_clear()
 
@@ -519,18 +536,17 @@ class TestCaches:
         assert sum(lg_points) == 12 * 2**built
         assert value[0] == pytest.approx(math.exp(-1.5e-4), abs=1e-10)  # the default tol
 
-    def test_residue_table_reused(self, monkeypatch):
-        builds = []
-        real = specfun._residue_table
-        monkeypatch.setattr(specfun, "_residue_table",
-                            lambda *args: builds.append(args[1]) or real(*args))
+    def test_residue_table_reused(self):
+        # one table per parameter set, cut at the series' top argument 0.04: every series
+        # point of every later call, direct or through meijer_g_batch, reads it
         params = MeijerGParams([0.9], [0.0, 0.0, 0.0, 0.25])
         small = _meijer_g_series(params, [1e-6, 1e-3])
         np.testing.assert_array_equal(_meijer_g_series(params, [1e-6, 1e-3]), small)
         _meijer_g_series(params, [0.02, 0.04])
-        assert builds == [math.log(0.04)]  # cut at 0.04 at least: no rebuild up to it
-        _meijer_g_series(params, [0.3])
-        assert builds == [math.log(0.04), math.log(0.3)]
+        meijer_g_batch(params, [1e-5, 0.03, 0.5])
+        assert specfun._residue_table.cache_info().misses == 1
+        _meijer_g_series(MeijerGParams([], [0.0, 0.0]), [0.01])
+        assert specfun._residue_table.cache_info().misses == 2
 
     def test_contour_errors_name_the_evaluation(self):
         with pytest.raises(NumericalError, match=r"did not converge: a = \(\), b = \(0.0,\), "
