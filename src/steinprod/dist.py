@@ -399,26 +399,27 @@ def density(spec: ProductSpec) -> DensityEvaluator:
 
 def _density_integral(ev: DensityEvaluator, f, reach: float, tol: float) -> float:
     """int f over the support of p = ``ev`` (the line when symmetric) for f = w p, with an
-    even weight |w| <= 1 that is below e^{-38} beyond ``reach``.  The head (G argument
-    below 0.5) is tanh-sinh in u = sqrt(x), which turns an x^alpha singularity at 0 into
-    2 u^{2 alpha + 1}; the body is tanh-sinh in x on a compact support (q = p, singular at
-    the cut too), else one adaptive rule in u with leaves to tol / (100 n), n the e-folds
-    of exp(-sigma z^{1/sigma}) from head to cut, as an oscillating weight's leaf errors add."""
+    even weight |w| <= 1 that is below e^{-38} beyond ``reach``.  The head, up to where the
+    G argument is 0.5, is ``quad.tanh_sinh`` from p's power-law end, x^{h b_min} at 0; it
+    starts where that argument is the smallest normal double (eps^2 x_head below a tiny
+    reach), as the G route raises where it underflows.  On a compact support (q = p) the
+    body is ``quad.tanh_sinh`` down from the cut, where G(y) ~ (1 - y)^{psi - 1} with
+    psi = sum a - sum b; else one adaptive rule in u = sqrt(x) with leaves to tol / (100 n),
+    n the e-folds of exp(-sigma z^{1/sigma}) from head to cut, as an oscillating weight's
+    leaf errors add."""
     # cut at the reach too, or a first adaptive panel could miss all of the weight's mass
     x_tail = min(ev.mass_cut(tol), reach)
     x_head = min((0.5 / ev.arg_coeff) ** (1.0 / ev.power), 0.5 * x_tail)
-
-    def in_u(u):
-        return 2.0 * u * f(u * u)
-
-    total = quad.tanh_sinh(in_u, 0.0, math.sqrt(x_head), tol=tol * 0.1)
-    sigma = ev.reduced.q - ev.reduced.p
-    if sigma == 0:
-        total += quad.tanh_sinh(f, x_head, x_tail, tol=tol * 0.1)
+    x_low = min(math.exp((_LN_TINY - math.log(ev.arg_coeff)) / ev.power), 2.0**-104 * x_head)
+    total = quad.tanh_sinh(f, x_low, x_head, ev.small_x_exponent()[0], tol * 0.1)
+    rows = ev.reduced
+    if (sigma := rows.q - rows.p) == 0:
+        total -= quad.tanh_sinh(f, x_tail, x_head, sum(rows.a) - sum(rows.b) - 1.0, tol * 0.1)
     else:
         z_head, z_tail = ev.argument(np.array([x_head, x_tail])) ** (1.0 / sigma)
         n = max(1, math.ceil(sigma * (z_tail - z_head)))
-        total += quad.adaptive(in_u, math.sqrt(x_head), math.sqrt(x_tail), tol=tol * 0.01 / n)
+        total += quad.adaptive(lambda u: 2.0 * u * f(u * u), math.sqrt(x_head), math.sqrt(x_tail),
+                               tol=tol * 0.01 / n)
     return 2.0 * total if ev.spec.symmetric else total
 
 

@@ -10,6 +10,7 @@ s = (r1+r2)/2, d = r1-r2, read in the two-sided form
 
 as t^{s-1} K_d is proportional to the density of Y.  J_I grows like e^z and T_K decays
 like e^{-z}, so nothing cancels (the forward form, J_K from 0, does once z passes 20).
+J_I's integrand is t^{max(r1, r2) - 1} at 0, the end ``quad.tanh_sinh`` integrates from.
 Derivatives differentiate the prefactors (``_ladder``, ``funcs.ladder_sum``): the J
 terms collapse through the Wronskian and leave h~ / x^2 in f''.  So the residual does
 not check J_I or T_K; the gap to ``value_tail_form`` does.  The solution is one table of
@@ -107,15 +108,15 @@ class SteinSolution:
     def h_tilde(self, x):
         return self.h.deriv(x, 0) - self.e_h
 
-    def _kernel(self, u, bessel, scale):
-        """The J_I (bessel_i) or T_K (bessel_k) integrand in u = sqrt(t), times scale."""
-        z = 2.0 * self.lam * u
-        return 2.0 * u ** (2.0 * self.s - 1.0) * self.h_tilde(u * u) * bessel(self.delta, z) * scale
+    def _kernel(self, t, bessel, scale):
+        """The J_I (bessel_i) or T_K (bessel_k) integrand t^{s-1} P_d(2 lam sqrt t) h~(t) times scale."""
+        z = 2.0 * self.lam * np.sqrt(t)
+        return t ** (self.s - 1.0) * self.h_tilde(t) * bessel(self.delta, z) * scale
 
     def _build(self, stop: int) -> None:
         """Node data of the base cells len(self._nodes) to stop, each halved level by level
         until ``_level`` passes.  J_I over the first cell, which every cell above carries,
-        is ``quad.adaptive`` in w = (z / z_1)^(1/2), where its power of u at 0 is milder."""
+        is ``quad.tanh_sinh`` from its t^{max(r1, r2) - 1} end at 0."""
         base = np.arange(len(self._nodes), stop)
         lo, hi, done = _Z_EDGES[base], _Z_EDGES[base + 1], []
         for depth in range(_MAX_HALVINGS + 1):
@@ -132,10 +133,10 @@ class SteinSolution:
                 break
         order = np.argsort(np.concatenate([part[1] for part in done]))
         base, lo, hi, h, pair, a = (np.concatenate(p)[order] for p in zip(*done))
-        if base[0] == 0:  # J_I over the first cell, whose integrand is a power of u at 0
-            u1, up = hi[0] / (2.0 * self.lam), hi[0] / self.lam * math.exp(-hi[0])  # du = 2 u1 w dw
-            a[0, 0, -1] = quad.adaptive(lambda w: self._kernel(u1 * w * w, specfun.bessel_i, up * w),
-                                        0.0, 1.0, self.tol * 0.005, 1e-11)
+        if base[0] == 0:  # J_I over the first cell
+            a[0, 0, -1] = quad.tanh_sinh(lambda t: self._kernel(t, specfun.bessel_i, math.exp(-hi[0])),
+                                         0.0, (hi[0] / (2.0 * self.lam)) ** 2,
+                                         max(self.r1, self.r2) - 1.0, self.tol * 0.005)
         a[:, 1, :-1] = a[:, 1, -1:] - a[:, 1, :-1]  # K: from each node to the cell's top
         for b in range(len(self._nodes), stop):
             self._nodes.append(tuple(p[base == b] for p in (lo, hi, h, pair, a)))
@@ -228,15 +229,18 @@ class SteinSolution:
         return float(self.values(np.array([float(x)]))[0])
 
     def value_tail_form(self, x: float) -> float:
-        """f in the two-sided form from J_I and T_K integrated at x alone, each by
-        ``quad.adaptive`` in u with its kernel scaled by e^{-+z} at x, so its tolerance is
-        relative to that scale: the check of the cells that the residual cannot make."""
+        """f in the two-sided form from J_I and T_K integrated at x alone, J_I by
+        ``quad.tanh_sinh`` from its t^{max(r1, r2) - 1} end and T_K by ``quad.adaptive`` in
+        u = sqrt(t), each kernel scaled by e^{-+z} at x, so its tolerance is relative to that
+        scale: the check of the cells that the residual cannot make."""
         self._domain(np.array([float(x)]))
         u = math.sqrt(x)
         z, tol = 2.0 * self.lam * u, self.tol * 0.05
         top = u + (62.0 + abs(2.0 * self.s - 1.0) * 10.0) / (2.0 * self.lam)
-        ji = quad.adaptive(lambda v: self._kernel(v, specfun.bessel_i, math.exp(-z)), 0.0, u, tol, 1e-11)
-        tk = quad.adaptive(lambda v: self._kernel(v, specfun.bessel_k, math.exp(z)), u, top, tol, 1e-11)
+        ji = quad.tanh_sinh(lambda t: self._kernel(t, specfun.bessel_i, math.exp(-z)), 0.0, x,
+                            max(self.r1, self.r2) - 1.0, tol)
+        tk = quad.adaptive(lambda v: 2.0 * v * self._kernel(v * v, specfun.bessel_k, math.exp(z)),
+                           u, top, tol, 1e-11)
         return -2.0 * x ** -self.s * (specfun.bessel_k(self.delta, z) * math.exp(z) * ji
                                       + specfun.bessel_i(self.delta, z) * math.exp(-z) * tk)
 

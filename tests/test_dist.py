@@ -569,6 +569,8 @@ class TestCharFunction:
         """a = (sigma t)^2 / 2 leaves the doubles past t = 1.9e154; phi does not."""
         for t in (1e100, 1e200, 1e300):
             assert dist.char_function(PN2, t) == pytest.approx(1.0 / t, rel=1e-12)
+            # approx's default abs of 1e-12 holds any value this small: the scaled value too
+            assert t * dist.char_function(PN2, t) == pytest.approx(1.0, rel=1e-9)
         assert dist.char_function(XYZ, math.inf) == dist.char_function(PN2, -math.inf) == 0.0
         assert math.isnan(dist.char_function(XYZ, math.nan))
 
@@ -625,39 +627,34 @@ def _probe_specs() -> list:
     return specs
 
 
-# draws whose head singularity the u = sqrt(x) head does not resolve to 1e-9
-_PROBE_LOSS = {
-    35: "ROADMAP item 2: beta(0.286, 1.31) x^-0.71 head with N = 2; reads 1 - 1.9e-9",
-    43: "ROADMAP item 2: beta(0.178, 1.66) |x|^-0.82 head; reads 1 - 1.7e-6",
-}
-
-
 class TestTanhSinhEndpointLoss:
-    """Known loss: tanh-sinh nodes come no closer to an endpoint than about eps * half, so
-    the mass of an integrable endpoint singularity inside that gap is dropped.  The head in
-    u = sqrt(x) narrows the gap at 0 to about eps^2 in x."""
+    """Power-law ends of the density.  At 0 the head maps x = x_0 + (x_1 - x_0) v^k, k set by
+    the exponent, so tanh-sinh's nodes reach the singularity (draws 35 and 43, gamma(0.15)
+    and its cf were 1.9e-9 to 1.7e-6 off with the head in u = sqrt(x)).  At a compact
+    support's right end a node within an ulp of the cut rounds onto it, and the mass there
+    is lost by any rule that passes x to the density: ROADMAP item 2's by-parts half."""
 
     GAMMA = ProductSpec(gamma_shapes=(0.15,), lam=1.0)  # density ~ x^-0.85 at 0
 
-    @pytest.mark.parametrize("spec", [
-        pytest.param(spec, marks=pytest.mark.xfail(strict=True, reason=_PROBE_LOSS[i]))
-        if i in _PROBE_LOSS else spec for i, spec in enumerate(_probe_specs())
-    ], ids=[f"draw{i}" for i in range(60)])
+    @pytest.mark.parametrize("spec", _probe_specs(), ids=[f"draw{i}" for i in range(60)])
     def test_seeded_probe_normalization(self, spec):
         assert abs(1.0 - dist.normalization(spec)) <= 1e-9
 
-    @pytest.mark.xfail(strict=True, reason="tanh-sinh misses the u^-0.7 mass next to u = 0: "
-                                           "reads 1 - 1.1e-5")
     def test_small_gamma_shape_normalization(self):
         assert dist.normalization(self.GAMMA) == pytest.approx(1.0, abs=1e-7)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: tanh-sinh misses the beta(0.6, 0.2) "
-                                           "(1 - x)^-0.8 mass next to x = 1: reads 1 - 5.06e-4")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: nodes within an ulp of x = 1 round "
+                                           "onto the cut, and the beta(0.6, 0.2) (1 - x)^-0.8 "
+                                           "mass there is lost: reads 1 - 4.9e-4")
     def test_small_beta_shape_normalization(self):
         assert abs(1.0 - dist.normalization(ProductSpec(beta_pairs=((0.6, 0.2),)))) <= 1e-9
 
-    @pytest.mark.xfail(strict=True, reason="tanh-sinh misses the gamma(0.15) mass next to "
-                                           "u = 0: reads 1.1e-5 low at both t")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: nodes within an ulp of x = 1 round "
+                                           "onto the cut, and the beta(1, 0.3) (1 - x)^-0.7 "
+                                           "mass there is lost: reads 1 - 1.37e-5")
+    def test_beta_right_end_normalization(self):
+        assert abs(1.0 - dist.normalization(ProductSpec(beta_pairs=((1.0, 0.3),)))) <= 1e-9
+
     @pytest.mark.parametrize("t, ref", [(1e-4, 0.9999999991375), (0.5, 0.9837614998112)])
     def test_small_gamma_shape_char_function(self, t, ref):
         # 40-digit mpmath references, with u = v^(1/r) removing the singularity

@@ -1,4 +1,5 @@
-"""Level-wise adaptive Gauss-Legendre against the recursive halving rule."""
+"""Level-wise adaptive Gauss-Legendre against the recursive halving rule, and tanh-sinh
+from a power-law end against closed forms."""
 
 import math
 import time
@@ -84,3 +85,34 @@ def test_non_finite_panels_raise_instead_of_halving():
         quad.adaptive(f, 0.0, 1.0)
     assert time.perf_counter() - start < 1.0
     assert sum(calls) == 3 * 16  # the panel and its two halves
+
+
+@pytest.mark.parametrize("e", [-0.95, -0.9, -0.5, 0.0, 2.3])
+def test_tanh_sinh_power_and_log_ends(e):
+    # int_0^1 x^e = 1 / (1 + e) and int_0^1 x^e ln x = -1 / (1 + e)^2; tanh-sinh in x itself,
+    # with no node nearer 0 than about eps, read x^-0.95 15% low, x^-0.9 2.2% and x^-0.5 5.6e-9
+    power = quad.tanh_sinh(lambda x: x**e, 0.0, 1.0, e, 1e-14)
+    log = quad.tanh_sinh(lambda x: x**e * np.log(x), 0.0, 1.0, e, 1e-14)
+    assert power == pytest.approx(1.0 / (1.0 + e), rel=1e-13, abs=0.0)
+    assert log == pytest.approx(-1.0 / (1.0 + e) ** 2, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("e", [-0.5, 2.3])
+def test_tanh_sinh_reversed_interval(e):
+    # the power-law end is a = 0 > b = -2: int_0^-2 |x|^e = -2^(1 + e) / (1 + e)
+    got = quad.tanh_sinh(lambda x: np.abs(x) ** e, 0.0, -2.0, e, 1e-14)
+    assert got == pytest.approx(-(2.0 ** (1.0 + e)) / (1.0 + e), rel=1e-13, abs=0.0)
+
+
+def test_tanh_sinh_drops_nodes_that_round_onto_the_end():
+    # e = -0.95 maps x = v^40, which underflows to 0 at the nodes nearest the end, where
+    # x^e is inf and the weight v^39 is 0: those nodes never reach f, and the sum is finite
+    seen = []
+
+    def f(x):
+        seen.append(x.min())
+        return x**-0.95
+
+    got = quad.tanh_sinh(f, 0.0, 1.0, -0.95, 1e-14)
+    assert min(seen) > 0.0
+    assert got == pytest.approx(20.0, rel=1e-13, abs=0.0)

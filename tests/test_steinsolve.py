@@ -124,6 +124,19 @@ class TestSolveSteinPG:
             for x in (0.1, 1.0, 10.0):
                 assert abs(sol.value(x) - sol.value_tail_form(x)) <= 1e-8, (r1, r2, i, x)
 
+    def test_value_and_tail_form_agree_at_small_shapes(self):
+        # 40 draws with shapes log-uniform in [0.2, 3] and lam in [0.3, 3]: J_I from its
+        # t^{max(r1, r2) - 1} end, in x ~ w^4 (the first cell) or u = sqrt(x) (the tail form),
+        # broke 1e-8 on 5 draws (up to 2.4e-5)
+        rng = np.random.default_rng(50)
+        makers = list(cli.BUILTIN_TEST_FUNCTIONS.values())
+        for i in range(40):
+            r1, r2 = np.round(np.exp(rng.uniform(math.log(0.2), math.log(3.0), 2)), 3)
+            lam = round(float(np.exp(rng.uniform(math.log(0.3), math.log(3.0)))), 3)
+            sol = steinsolve.solve_stein_pg(float(r1), float(r2), lam, makers[i % len(makers)]())
+            for x in (0.1, 1.0, 10.0):
+                assert abs(sol.value(x) - sol.value_tail_form(x)) <= 1e-10, (r1, r2, lam, i, x)
+
     def test_values_match_mpmath(self):
         # mpmath at 30 digits: the J integrals in u with breakpoints at sqrt(k pi),
         # E sin(Y) = int_0^inf e^-g g / (1 + g^2) dg
@@ -177,15 +190,6 @@ def _tricomi_draws() -> list:
     return rows
 
 
-# draws, each with a shape below 0.5, whose E e^{-tau W} is more than 1e-12 off: its relative
-# error, from the singular head of the density that the u = sqrt(x) tanh-sinh head misses
-_HEAD_LOSS = {0: 1.2e-12, 2: 2.4e-7, 3: 6.4e-12, 5: 3.1e-4, 6: 1.9e-12, 7: 6.2e-8, 8: 5.1e-9,
-              10: 4.9e-9, 11: 1.1e-4, 12: 9.4e-7, 14: 1.2e-3, 16: 2.4e-4, 17: 9.5e-5, 18: 6.1e-4,
-              20: 2.9e-10, 21: 3.0e-4, 22: 3.1e-10, 23: 3.1e-8, 24: 1.8e-4, 25: 1.6e-10,
-              26: 3.4e-4, 28: 2.6e-10, 30: 9.8e-5, 31: 9.9e-8, 32: 9.2e-8, 33: 1.7e-6, 34: 6.3e-4,
-              36: 5.5e-4}
-
-
 class TestExpectation:
     @pytest.mark.parametrize("r1,r2,lam", list(EXPECT_PG_FIXED_TAIL))
     def test_mass_cut_keeps_the_fixed_tail_values(self, r1, r2, lam):
@@ -209,11 +213,13 @@ class TestExpectation:
                    for a, b in ((0.0, math.sqrt(t)), (math.sqrt(t), 4.0 * math.sqrt(t) + 100.0)))
         assert mass < 1e-3 * tol
 
-    @pytest.mark.parametrize("r1, r2, lam, tau", [
-        pytest.param(*row, marks=pytest.mark.xfail(strict=True, reason=f"ROADMAP item 2: E h "
-                     f"misses mass at the density's singular end ({_HEAD_LOSS[i]:.1e} off)"))
-        if i in _HEAD_LOSS else row for i, row in enumerate(_tricomi_draws())
-    ], ids=[f"draw{i}" for i in range(40)])
+    def test_exp_decay_at_shapes_near_zero(self):
+        # E e^{-Y} for shapes (0.05, 0.05) is U(0.05, 1, 1) (40-digit mpmath); the head in
+        # u = sqrt(x) read 0.8885
+        got = steinsolve.expect_pg(0.05, 0.05, 1.0, funcs.exp_decay(1.0))
+        assert got == pytest.approx(0.99818426931661262, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("r1, r2, lam, tau", _tricomi_draws(), ids=[f"draw{i}" for i in range(40)])
     def test_exp_decay_matches_tricomi_u(self, r1, r2, lam, tau):
         # E e^{-tau W} = c^{r1} U(r1, r1 - r2 + 1, c), c = lam^2 / tau, for W the two-gamma product
         c = lam * lam / tau
@@ -272,10 +278,13 @@ class TestBatchedSweep:
             np.testing.assert_array_equal(sol.values(xs), [sol.value(x) for x in xs])
 
     def test_points_inside_the_table_need_no_adaptive_call(self, monkeypatch):
+        # neither quadrature rule: the first cell's J_I is quad.tanh_sinh, the rest quad.adaptive
         sol = steinsolve.solve_stein_pg(1.0, 1.0, 1.0, funcs.Sinusoid())
         sol.value(50.0)
-        calls, adaptive = [], quad.adaptive
-        monkeypatch.setattr(quad, "adaptive", lambda *a, **k: calls.append(a) or adaptive(*a, **k))
+        calls = []
+        for name in ("adaptive", "tanh_sinh"):
+            rule = getattr(quad, name)
+            monkeypatch.setattr(quad, name, lambda *a, _rule=rule, **k: calls.append(a) or _rule(*a, **k))
         for x in np.geomspace(0.01, 49.0, 39):
             sol.value(x)
         assert not calls
@@ -467,6 +476,17 @@ class TestTwoSidedReference:
         for x, ref in refs.items():
             assert two_sided_reference(r1, r2, lam, sol.h, sol.e_h, x)[0] == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("r1,r2,lam,name,x,route", [
+        # the first cell's J_I in x ~ w^4 read value 5.2e-4 off
+        (0.207, 0.208, 1.182, "gauss", 0.1, "value"),
+        # the tail form's J_I in u = sqrt(x) read 5.9e-8 off
+        (0.3, 0.3, 1.0, "exp", 0.5, "value_tail_form"),
+    ])
+    def test_small_shapes(self, r1, r2, lam, name, x, route):
+        sol = steinsolve.solve_stein_pg(r1, r2, lam, cli.BUILTIN_TEST_FUNCTIONS[name]())
+        ref = two_sided_reference(r1, r2, lam, sol.h, sol.e_h, x)[0]
+        assert getattr(sol, route)(x) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("r1,r2,name", [(1.0, 1.0, "sin"), (1.4, 2.45, "exp")])
     def test_points_just_past_the_switch_at_small_lam(self, r1, r2, name):
         # lam = 0.05: the switch is x = 0.1, 2 lam sqrt(x) = 0.032, inside the octave cells
@@ -634,10 +654,9 @@ class TestOriginRoute:
         # cells' two-sided form meets it within 6e-12 on both
         (0.55, 2.9, 1.0, funcs.Sinusoid()),
         (0.676, 0.824, 3.819, funcs.Sinusoid()),
-        # E h reads 0.947749 against the Tricomi-U value 0.970836, and the series'
-        # f(0) = (h(0) - E h) / (r1 r2) carries that error over r1 = 0.05
-        pytest.param(0.05, 1.0, 1.0, funcs.exp_decay(1.0), marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 2: E h misses mass at the density's singular end")),
+        # the series' f(0) = (h(0) - E h) / (r1 r2) carries E h's error over r1 = 0.05: E h
+        # read 0.947749 against the Tricomi-U value 0.970836 with the head in u = sqrt(x)
+        (0.05, 1.0, 1.0, funcs.exp_decay(1.0)),
     ])
     def test_series_and_bessel_forms_meet_at_the_switch(self, r1, r2, lam, h):
         sol = steinsolve.solve_stein_pg(r1, r2, lam, h)
