@@ -30,7 +30,9 @@ the Stein solver's E h (``steinsolve.expect_pg``, weight h).
 Evaluators reduce their parameters first.  Rows that reduce to G^{1,0}_{0,1}
 or G^{2,0}_{0,2} give one ``ClosedForm``, evaluated in logs;
 ``meijer_g_batch`` takes every other spec, pure betas included, and each
-point where the closed form leaves the float range.
+point where the closed form leaves the float range.  Near the origin G's left-residue
+series (Luke, 1969, ch. 5) is the one route: it takes each argument kappa |x|^h below
+the normal doubles at ln kappa + h ln|x|, and x = 0 as its limit.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import quad
 from .specfun import (MeijerGParams, NumericalError, _asymptotic_exponents, _log_asymptotic_g,
-                      _loggamma_signed, bessel_k, meijer_g_batch, reduce_params)
+                      _meijer_g_series, _residue_table, bessel_k, meijer_g_batch, reduce_params)
 from .steinops import ProductSpec, stein_sides
 
 _LN2 = math.log(2.0)
@@ -246,8 +248,10 @@ class DensityEvaluator:
     otherwise); M(1) = 1 fixes K = exp(``log_const``).  The support is the line when
     ``spec.symmetric`` (a normal factor), x > 0 otherwise.  ``batch`` evaluates the
     ``closed`` form in logs, if any, and the reduced G-function in one ``meijer_g_batch``
-    call at every other point; x = 0 takes the exact limit, NaN stays NaN and an
-    argument past the float range gives the limit 0.  A scalar call is a batch of one.
+    call at every other point, but for arguments below the normal doubles, which take the
+    residue series at ln kappa + h ln|x|.  x = 0 takes that series' limit, NaN stays NaN
+    and an argument past the float range gives the limit 0; a value past the doubles at
+    x != 0 raises ``NumericalError``.  A scalar call is a batch of one.
     """
 
     spec: ProductSpec
@@ -280,18 +284,9 @@ class DensityEvaluator:
         with np.errstate(over="ignore"):
             return self.arg_coeff * np.abs(x) ** self.power
 
-    # -- small-argument structure ------------------------------------------
-
-    def small_x_exponent(self) -> tuple[float, int]:
-        """(power of |x| as x -> 0, multiplicity of the minimal b-parameter)."""
-        b = self.reduced.b
-        bmin = min(b)
-        mult = sum(1 for v in b if abs(v - bmin) < 1e-12)
-        return self.power * bmin, mult
-
-    def diverges_at_zero(self) -> bool:
-        power, mult = self.small_x_exponent()
-        return power < 0 or (power == 0 and mult >= 2)
+    def small_x_exponent(self) -> float:
+        """The power h b_min of |x| in p as x -> 0, times a power of ln|x| at coincident b."""
+        return self.power * min(self.reduced.b)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -307,35 +302,39 @@ class DensityEvaluator:
             vals = np.exp(logs)  # 0 where the density is below the smallest double
         rest = np.flatnonzero(~((logs > -math.inf) & (vals < math.inf)))
         if rest.size:
-            y = y[live][rest]
-            if np.any(under := y == 0):
-                lost = xs[live][rest][under]
-                raise NumericalError(
-                    f"G argument underflows to 0 at x in [{lost.min():.3g}, {lost.max():.3g}]"
-                    f" ({self.spec.describe()})")
-            g = meijer_g_batch(self.reduced, y, self.tol)
-            # K g, in logs where K is below the normal doubles (else a silent 0 for a finite g)
-            with np.errstate(divide="ignore"):  # g = 0 gives 0; ``const`` raises past the doubles
+            y, ax_rest = y[live][rest], ax[live][rest]
+            low, g = y < np.finfo(float).tiny, np.empty(rest.size)  # below the normal doubles
+            g[~low] = meijer_g_batch(self.reduced, y[~low], self.tol)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+                g[low] = _meijer_g_series(self.reduced, math.log(self.arg_coeff)
+                                          + self.power * np.log(ax_rest[low]))
+                # K g, in logs where K is below the normal doubles (else a silent 0 for a
+                # finite g); g = 0 gives 0, and ``const`` raises past the doubles
                 vals[rest] = (self.const * g if self.log_const >= _LN_TINY
                               else np.sign(g) * np.exp(self.log_const + np.log(np.abs(g))))
+            if not np.isfinite(vals[rest]).all():
+                lost = ax_rest[~np.isfinite(vals[rest])]
+                raise NumericalError(f"the density is not a finite double at |x| in "
+                                     f"[{lost.min():.3g}, {lost.max():.3g}] ({self.spec.describe()})")
         out[live] = vals
         if np.any(zero := ax == 0):
             out[zero] = self._at_zero()
         return out
 
     def _at_zero(self) -> float:
-        if self.diverges_at_zero():
-            return math.inf
-        power, _ = self.small_x_exponent()
+        """The limit of the residue series at x = 0, from its leading nonzero row
+        K e^{logmag} z^power sum_j c_j (ln z)^j: 0 where power > 0, +-inf where power < 0 or
+        a (ln z)^j, j > 0, remains, and K c_0 e^{logmag}, in logs, where it is a constant."""
+        powers, logmags, table = _residue_table(self.reduced)
+        lead = min(np.flatnonzero(table.any(axis=1)), key=lambda i: powers[i])
+        c, power = table[lead], powers[lead]
+        j = np.flatnonzero(c)[-1]  # the highest power of ln z, which tends to -inf
+        if power < 0 or j:
+            return math.copysign(math.inf, c[j] * (-1.0) ** j)
         if power > 0:
             return 0.0
-        # simple pole at b_min = 0: the residue prod_{b != 0} Gamma(b) / prod Gamma(a)
-        if any(a <= 0 and a == round(a) for a in self.reduced.a):
-            return 0.0  # 1/Gamma vanishes at a nonpositive integer
-        up = [_loggamma_signed(v) for v in self.reduced.b if v != 0.0]
-        down = [_loggamma_signed(v) for v in self.reduced.a]
-        return math.prod(s for _, s in up + down) * _exp_const(
-            self.log_const + sum(lg for lg, _ in up) - sum(lg for lg, _ in down), self.spec)
+        return math.copysign(_exp_const(self.log_const + logmags[lead] + math.log(abs(c[0])),
+                                        self.spec, "density at x = 0"), c[0])
 
     def __call__(self, x: float) -> float:
         return float(self.batch([x])[0])
@@ -400,18 +399,16 @@ def density(spec: ProductSpec) -> DensityEvaluator:
 def _density_integral(ev: DensityEvaluator, f, reach: float, tol: float) -> float:
     """int f over the support of p = ``ev`` (the line when symmetric) for f = w p, with an
     even weight |w| <= 1 that is below e^{-38} beyond ``reach``.  The head, up to where the
-    G argument is 0.5, is ``quad.tanh_sinh`` from p's power-law end, x^{h b_min} at 0; it
-    starts where that argument is the smallest normal double (eps^2 x_head below a tiny
-    reach), as the G route raises where it underflows.  On a compact support (q = p) the
-    body is ``quad.tanh_sinh`` down from the cut, where G(y) ~ (1 - y)^{psi - 1} with
-    psi = sum a - sum b; else one adaptive rule in u = sqrt(x) with leaves to tol / (100 n),
-    n the e-folds of exp(-sigma z^{1/sigma}) from head to cut, as an oscillating weight's
-    leaf errors add."""
+    G argument is 0.5, is ``quad.tanh_sinh`` from p's power-law end, x^{h b_min} at 0, with
+    nodes down to the subnormals (``batch`` reads them off the residue series in ln z).  On a
+    compact support (q = p) the body is ``quad.tanh_sinh`` down from the cut, where G(y) ~
+    (1 - y)^{psi - 1} with psi = sum a - sum b; else one adaptive rule in u = sqrt(x) with
+    leaves to tol / (100 n), n the e-folds of exp(-sigma z^{1/sigma}) from head to cut, as
+    an oscillating weight's leaf errors add."""
     # cut at the reach too, or a first adaptive panel could miss all of the weight's mass
     x_tail = min(ev.mass_cut(tol), reach)
     x_head = min((0.5 / ev.arg_coeff) ** (1.0 / ev.power), 0.5 * x_tail)
-    x_low = min(math.exp((_LN_TINY - math.log(ev.arg_coeff)) / ev.power), 2.0**-104 * x_head)
-    total = quad.tanh_sinh(f, x_low, x_head, ev.small_x_exponent()[0], tol * 0.1)
+    total = quad.tanh_sinh(f, 0.0, x_head, ev.small_x_exponent(), tol * 0.1)
     rows = ev.reduced
     if (sigma := rows.q - rows.p) == 0:
         total -= quad.tanh_sinh(f, x_tail, x_head, sum(rows.a) - sum(rows.b) - 1.0, tol * 0.1)
@@ -477,7 +474,6 @@ def tail_asymptotic(spec: ProductSpec, x):
     if np.any(zero := ev.argument(xs) == 0):
         raise ValueError(f"the tail asymptote has no value at x = 0, nor where the G argument "
                          f"underflows to 0 (x = {xs[zero][0]:.3g})")
-    _exp_const(ev.log_const, spec)  # K past the largest double raises, as in ``batch``
     with np.errstate(over="ignore"):
         out = np.exp(logs := ev.log_asymptote(xs))  # 0 below the smallest double
     if np.any(big := out == math.inf):

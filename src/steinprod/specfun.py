@@ -299,15 +299,15 @@ def _i_ratios(nu: float, e: int) -> tuple[float, float, np.ndarray]:
     (x/2)^nu / Gamma(z), z = nu + 1, is sign (x / 2g)^nu: one power, past the doubles only
     where the lead is.  g = |z| exp(-c / nu), c = nu ln|z| - ln|Gamma(z)|, which from z = 10
     on, a small difference of large terms, is Stirling's series.  The ratios 1 / (k (nu + k))
-    of consecutive terms, per (x/2)^2, run up to the count (at most 399) after which the
-    terms of the octave's top 2^{e+1} have fallen below 1e-18 of their largest."""
+    of consecutive terms, per (x/2)^2, run up to the count after which the terms of the
+    octave's top 2^{e+1}, which peak near k = x/2, have fallen below 1e-18 of their largest."""
     z = nu + 1.0
     lg, sign = _loggamma_signed(z)
     c = nu * math.log(abs(z)) - lg if z < 10.0 else z - 0.5 * math.log(z) - _LOG_SQRT_2PI - sum(
         b / (2 * k * (2 * k - 1) * z ** (2 * k - 1)) for k, b in enumerate(_BERNOULLI_2K, 1))
     log_h2 = 2.0 * e * _LN2  # ((2^{e+1}) / 2)^2
     n, log_term, log_peak = 0, 0.0, 0.0
-    while n < 399 and log_term > log_peak - 41.5:  # e^{-41.5} < 1e-18
+    while log_term > log_peak - 41.5:  # e^{-41.5} < 1e-18
         n += 1
         log_term += log_h2 - math.log(abs(n * (nu + n)))
         log_peak = max(log_peak, log_term)
@@ -319,11 +319,14 @@ def _i_ratios(nu: float, e: int) -> tuple[float, float, np.ndarray]:
 
 def _i_series(nu: float, e: int, x: np.ndarray) -> np.ndarray:
     """I_nu on one octave's points, x >= 0, by the ascending series: one row of terms
-    per point, whose length, and so whose sum, is set by the octave alone."""
+    per point, whose length, and so whose sum, is set by the octave alone.  The rows go
+    in passes of at most _BLOCK x 400 terms, a memory bound: the length grows with x."""
     sign, g, ratio = _i_ratios(nu, e)
-    half = 0.5 * x
-    terms = (half * half)[:, None] * ratio
-    total = np.cumprod(terms, axis=1, out=terms).sum(axis=1)  # in place, as K's exp
+    half, total = 0.5 * x, np.empty_like(x)
+    step = max(1, _BLOCK * 400 // ratio.size)
+    for lo in range(0, x.size, step):
+        terms = (half[lo:lo + step] * half[lo:lo + step])[:, None] * ratio
+        total[lo:lo + step] = np.cumprod(terms, axis=1, out=terms).sum(axis=1)  # in place
     return sign * (half / g) ** nu * (1.0 + total)  # 0^0 = 1: I_0(0) = 1
 
 
@@ -494,7 +497,7 @@ def _residue_table(params: MeijerGParams):
     a, b = params.a, params.b
     ln_top = math.log(_series_top(params))
     powers, logmags, coeffs = [], [], []
-    max_abs_term = 0.0
+    max_log_term, log_cut = math.log(1e-300), math.log(1e-18)  # in logs: Gamma(b) may overflow
     for cl in _cluster_b(b):
         base = cl[-1]  # the smallest member: its pole s = -base is the rightmost
         # Gamma(v + s) at s = -base - k + e is Gamma(delta - (k - r) + e) with
@@ -522,10 +525,10 @@ def _residue_table(params: MeijerGParams):
             powers.append(base + k)
             logmags.append(logmag)
             coeffs.append(c)
-            poly = sum(cj * ln_top**j for j, cj in enumerate(c))
-            term = abs(poly) * np.exp(logmag + (base + k) * ln_top)
-            max_abs_term = max(max_abs_term, term)
-            if term < 1e-18 * max(1e-300, max_abs_term):
+            poly = abs(sum(cj * ln_top**j for j, cj in enumerate(c)))
+            log_term = (math.log(poly) if poly else -math.inf) + logmag + (base + k) * ln_top
+            max_log_term = max(max_log_term, log_term)
+            if log_term < max_log_term + log_cut:
                 small_run += 1
                 if small_run >= 3 and k > max(2, round(cl[0] - base)):
                     break
@@ -538,15 +541,15 @@ def _residue_table(params: MeijerGParams):
     return np.array(powers), np.array(logmags), table
 
 
-def _meijer_g_series(params: MeijerGParams, zs) -> np.ndarray:
-    """Sum of left residues; converges for all z > 0 when q > p, z < 1 when q = p.
+def _meijer_g_series(params: MeijerGParams, lnz) -> np.ndarray:
+    """Sum of left residues at ln z, so that z may be below the doubles; converges for all
+    z > 0 when q > p, z < 1 when q = p.
 
-    The residue table, cached per parameter set, is cut at the series' top
-    argument, 0.04 (0.3 when q = p).  Each argument is summed on its own,
-    by Horner in ln z.  A sum that cancels by more than
-    _SERIES_MAX_CANCELLATION is returned as nan.
+    The residue table, cached per parameter set, is cut at the series' top argument, 0.04
+    (0.3 when q = p).  Each argument is summed on its own, by Horner in ln z.  A sum that
+    cancels by more than _SERIES_MAX_CANCELLATION is returned as nan.
     """
-    lnz = np.log(np.asarray(zs, dtype=float))
+    lnz = np.asarray(lnz, dtype=float)
     powers, logmags, table = _residue_table(params)
     out, scale = np.empty(len(lnz)), np.empty(len(lnz))
     for lo in range(0, len(lnz), 256):  # (argument, residue) arrays of 256 rows at most
@@ -791,7 +794,7 @@ def meijer_g_batch(params: MeijerGParams, zs, tol: float = 1e-10,
     series = flat <= _series_top(params)
     with np.errstate(over="ignore", invalid="ignore"):  # a G past the float range raises below
         if np.any(series):
-            out[series] = _meijer_g_series(params, flat[series])
+            out[series] = _meijer_g_series(params, np.log(flat[series]))
         # q = p: Norlund's expansion takes the rest below 1, and the series points whose
         # residues cancel; q > p: the contour takes the rest and those series points
         if not sigma and len(idx := np.flatnonzero((flat < 1.0) & (np.isnan(out) | ~series))):

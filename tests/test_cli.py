@@ -450,12 +450,23 @@ class TestExitCodes:
     @pytest.mark.parametrize("payload, grid, message", [
         ({"version": 1, "beta": [[200.0, 150.0]]}, "0.2:0.8:3", "overflows"),
         ({"version": 1, "beta": [[0.5, 300.0]]}, "0.2:0.8:3", "overflows"),
-        (XYZ, "1e-170:2e-170:2", "underflows to 0 at x in"),
     ])
     def test_density_out_of_range_is_two(self, spec_file, capsys, payload, grid, message):
         rc = main(["density", "--spec", spec_file(payload), f"--grid={grid}"])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    def test_density_below_the_argument_underflow_is_the_origin_value(self, spec_file, capsys):
+        # kappa x^2 underflows to 0 (exit 2 while the G route raised there): the residue
+        # series in ln z gives the x = 0 value within 1e-12
+        path = spec_file(XYZ)
+        assert main(["density", "--spec", path, "--grid=0:1:2"]) == 0
+        at_zero = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        assert main(["density", "--spec", path, "--grid=1e-170:2e-170:2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            assert float(row.split(",")[1]) == pytest.approx(at_zero, rel=1e-12)
 
     def test_numerical_failure_is_two(self, spec_file, capsys, monkeypatch):
         def fail(ev, xs):

@@ -335,6 +335,37 @@ class TestDensities:
         assert ev(0.0) == pytest.approx(ref, rel=1e-12)
         assert ev.batch([0.0])[0] == pytest.approx(ref, rel=1e-12)
 
+    def test_underflowed_argument_takes_the_series(self):
+        # kappa x^2 is 0 at x = 1e-170: the residue series at ln kappa + 2 ln|x| gives the
+        # x = 0 limit within 1e-12, where the G route raised
+        ev = dist.density(XYZ)
+        assert ev.closed is None
+        at_zero = ev(0.0)
+        for x in (1e-150, 1e-170, -1e-170, 2e-170, 1e-300, 5e-324):
+            assert ev(x) == pytest.approx(at_zero, rel=1e-12)
+        values = ev.batch([-1e-170, 0.0, 2e-170, 0.5])
+        np.testing.assert_allclose(values[:3], at_zero, rtol=1e-12)
+        assert values[3] == ev(0.5)
+
+    @pytest.mark.parametrize("spec", [
+        XYZ,
+        ProductSpec(gamma_shapes=(0.3,), lam=1.0, normal_count=1, sigma=1.0),  # x^-0.7 at 0
+        ProductSpec(gamma_shapes=(2.5,), lam=1.0, normal_count=1, sigma=1.0),
+        PN2,  # a closed form with K_0 at argument 0: -ln x at 0
+    ], ids=ProductSpec.describe)
+    @pytest.mark.parametrize("x", [1e-170, 1e-300])
+    def test_argument_below_the_doubles_against_mpmath(self, spec, x):
+        # 30-digit mpmath G at the exact argument kappa x^2, which a double holds as 0
+        ev = dist.density(spec)
+        assert ev.argument(x) == 0.0
+        with mp.workdps(30):
+            y = mp.mpf(ev.arg_coeff) * mp.mpf(x) ** 2
+            ref = mp.exp(ev.log_const) * mp.meijerg([[], list(ev.reduced.a)],
+                                                    [list(ev.reduced.b), []], y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ev(x) == pytest.approx(float(ref), rel=1e-13)
+
     def test_positive_support_is_zero_left_of_origin(self):
         lam = 1.5
         ev = dist.density(ProductSpec(gamma_shapes=(1.0,), lam=lam))
@@ -414,11 +445,19 @@ class TestTypedFailures:
                 call()
 
     def test_constant_overflow_in_tails(self):
+        # K = e^1202.6 overflows, but the asymptote exp(log K + log asym) raises only where it
+        # does itself: e^992.7 at x = 2, e^-20.99 at x = 10 (x = 5, e^432, raised on K alone)
         spec = ProductSpec(beta_pairs=((0.5, 300.0),), normal_count=1, sigma=1.0)
         with pytest.raises(NumericalError, match="overflows"):
             tail_constant(spec)
         with pytest.raises(NumericalError, match="overflows"):
-            dist.tail_asymptotic(spec, 5.0)
+            dist.tail_asymptotic(spec, 2.0)
+        ev, sig, alpha = dist.density(spec), 2 * spec.n + spec.N, tail_alpha(spec)
+        with mp.workdps(40):
+            ref = mp.exp(ev.log_const + alpha / 2 * mp.log(ev.arg_coeff) + alpha * mp.log(10)
+                         - sig * ev.arg_coeff * 100)
+        assert float(ref) == pytest.approx(7.67783e-10, rel=1e-5)
+        assert dist.tail_asymptotic(spec, 10.0) == pytest.approx(float(ref), rel=1e-13)
 
     @pytest.mark.parametrize("spec, value", [
         (ProductSpec(beta_pairs=((1.0, 250.0),)), 250.0),            # b (1 - x)^(b - 1)
@@ -478,15 +517,6 @@ class TestTypedFailures:
         out = ev.batch([math.nan, 0.5])
         assert math.isnan(out[0]) and out[1] == ev(0.5)
         assert math.isnan(ev(math.nan)) and math.isnan(dist.NumericCdf(spec)(math.nan))
-
-    def test_underflowed_argument_names_x_range(self):
-        ev = dist.density(XYZ)
-        assert ev.closed is None
-        assert ev(1e-150) == pytest.approx(ev(0.0), rel=1e-12)
-        with pytest.raises(NumericalError, match=r"x in \[1e-170, 1e-170\]"):
-            ev(1e-170)
-        with pytest.raises(NumericalError, match=r"x in \[-1e-170, 2e-170\]"):
-            ev.batch([-1e-170, 0.0, 2e-170, 0.5])
 
 
 class TestCharFunction:
@@ -628,8 +658,8 @@ def _probe_specs() -> list:
 
 
 class TestTanhSinhEndpointLoss:
-    """Power-law ends of the density.  At 0 the head maps x = x_0 + (x_1 - x_0) v^k, k set by
-    the exponent, so tanh-sinh's nodes reach the singularity (draws 35 and 43, gamma(0.15)
+    """Power-law ends of the density.  At 0 the head maps x = x_1 v^k, k set by the
+    exponent, so tanh-sinh's nodes reach the singularity (draws 35 and 43, gamma(0.15)
     and its cf were 1.9e-9 to 1.7e-6 off with the head in u = sqrt(x)).  At a compact
     support's right end a node within an ulp of the cut rounds onto it, and the mass there
     is lost by any rule that passes x to the density: ROADMAP item 2's by-parts half."""
@@ -642,6 +672,15 @@ class TestTanhSinhEndpointLoss:
 
     def test_small_gamma_shape_normalization(self):
         assert dist.normalization(self.GAMMA) == pytest.approx(1.0, abs=1e-7)
+
+    @pytest.mark.parametrize("shape", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("normals", [0, 1])
+    def test_head_from_zero_normalization(self, shape, normals):
+        # the head runs from 0, below the x where kappa x^h leaves the doubles: gamma(0.05)
+        # N(0, 1) read 1 - 2.3e-8 with the head from there (x^0.05 of the mass at 1e-154)
+        spec = ProductSpec(gamma_shapes=(shape,), lam=1.0, normal_count=normals,
+                           sigma=1.0 if normals else None)
+        assert abs(1.0 - dist.normalization(spec)) <= 1e-10
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: nodes within an ulp of x = 1 round "
                                            "onto the cut, and the beta(0.6, 0.2) (1 - x)^-0.8 "

@@ -256,6 +256,32 @@ class TestBessel:
         # (x/2)^nu and 1 / Gamma(nu + 1) leave the doubles apart: these read 0.0 and inf
         assert bessel_i(nu, x) == pytest.approx(ref, rel=2e-13, abs=0.0)
 
+    def test_large_order_series_runs_past_the_peak(self):
+        # 400 seeded (nu, x): nu log-uniform in [20, 400], x uniform in [1, min(709,
+        # 30 (1 + nu))].  The series' terms peak near k = x/2, and a cap of 399 terms cut
+        # them short: 22 of the 397 values inside the doubles were more than 1e-13 off 40-digit
+        # mpmath, the worst 4.0e-7 at nu = 36.5, x = 700.7.  The octave's own 1e-18 test
+        # ends the series: within 9.4e-14, with at most 654 terms
+        rng = np.random.default_rng(1)
+        draws = []
+        for _ in range(400):
+            nu = math.exp(rng.uniform(math.log(20.0), math.log(400.0)))
+            draws.append((nu, rng.uniform(1.0, min(709.0, float(specfun._bessel_switch(nu))))))
+        nus, xs = np.array(draws).T
+        with mp.workdps(40):
+            ref = np.array([float(mp.besseli(nu, x)) for nu, x in draws])
+        inside = (ref >= np.finfo(float).tiny) & (ref <= np.finfo(float).max)
+        np.testing.assert_allclose(bessel_i(nus, xs)[inside], ref[inside], rtol=2e-13, atol=0)
+        assert bessel_i(60.0, 700.0) == pytest.approx(float(mp.besseli(60, 700)), rel=2e-13)
+        # I_2000 on [1100, 1700] takes rows of about 600 terms, summed in passes of fewer than
+        # 256 points: each value has the bits of its scalar call
+        xs = np.linspace(1100.0, 1700.0, 256)
+        assert specfun._i_ratios(2000.0, 10)[2].size > 400
+        np.testing.assert_array_equal(bessel_i(2000.0, xs), [bessel_i(2000.0, x) for x in xs])
+        with mp.workdps(40):
+            ref = [float(mp.besseli(2000, x)) for x in xs[::51]]
+        np.testing.assert_allclose(bessel_i(2000.0, xs[::51]), ref, rtol=2e-13, atol=0)
+
 
 EXP = MeijerGParams([], [0.0])
 
@@ -280,20 +306,20 @@ class TestMeijerG:
     def test_series_contour_overlap(self):
         params = MeijerGParams([], [0.35, 0.0, -0.2, 0.6])
         zs = np.array([0.01, 0.02, 0.04, 0.08])
-        vs = _meijer_g_series(params, zs)
+        vs = _meijer_g_series(params, np.log(zs))
         vc = _meijer_g_contour_batch(params, zs, 1e-12)
         np.testing.assert_allclose(vs, vc, rtol=1e-9, atol=1e-12)
 
     def test_double_pole_series(self):
         zs = np.array([1e-6, 1e-3, 0.03])
-        v = _meijer_g_series(MeijerGParams([], [0.0, 0.0]), zs)
+        v = _meijer_g_series(MeijerGParams([], [0.0, 0.0]), np.log(zs))
         np.testing.assert_allclose(v, 2 * sp.kv(0, 2 * np.sqrt(zs)), rtol=1e-12)
-        v = _meijer_g_series(MeijerGParams([], [0.5, -0.5]), zs)
+        v = _meijer_g_series(MeijerGParams([], [0.5, -0.5]), np.log(zs))
         np.testing.assert_allclose(v, 2 * sp.kv(1, 2 * np.sqrt(zs)), rtol=1e-11)
         # pole orders 1 to 4: the b-row's largest integer-spaced group sets it
         for b in ([0.3], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 1.0, 0.5, 1.0]):
             ref = [float(mp.meijerg([[], []], [b, []], z)) for z in zs]
-            v = _meijer_g_series(MeijerGParams([], b), zs)
+            v = _meijer_g_series(MeijerGParams([], b), np.log(zs))
             np.testing.assert_allclose(v, ref, rtol=1e-12)
 
     def test_denominator_collision_series(self):
@@ -304,7 +330,7 @@ class TestMeijerG:
                      ([1.0], [0.0, 0.0, 0.0, 0.0, 0.3]),
                      ([2.0, 1.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.5])):
             ref = [float(mp.meijerg([[], a], [b, []], z)) for z in zs]
-            np.testing.assert_allclose(_meijer_g_series(MeijerGParams(a, b), zs),
+            np.testing.assert_allclose(_meijer_g_series(MeijerGParams(a, b), np.log(zs)),
                                        ref, rtol=1e-10)
 
     @staticmethod
@@ -416,7 +442,7 @@ class TestMeijerG:
         # betas (30, 40) (50, 60): psi = 100, and the residues cancel beyond 1e6 from
         # z ~ 0.05 on; Norlund's expansion takes those points where 96 terms converge
         params = dist.density(ProductSpec(beta_pairs=((30.0, 40.0), (50.0, 60.0)))).reduced
-        assert np.isnan(_meijer_g_series(params, [0.3])[0])
+        assert np.isnan(_meijer_g_series(params, np.log([0.3]))[0])
         with mp.workdps(30):
             ref = float(mp.meijerg([[], list(params.a)], [list(params.b), []], 0.3))
         assert meijer_g_batch(params, [0.3], 1e-11)[0] == pytest.approx(ref, rel=1e-10)
@@ -540,12 +566,12 @@ class TestCaches:
         # one table per parameter set, cut at the series' top argument 0.04: every series
         # point of every later call, direct or through meijer_g_batch, reads it
         params = MeijerGParams([0.9], [0.0, 0.0, 0.0, 0.25])
-        small = _meijer_g_series(params, [1e-6, 1e-3])
-        np.testing.assert_array_equal(_meijer_g_series(params, [1e-6, 1e-3]), small)
-        _meijer_g_series(params, [0.02, 0.04])
+        small = _meijer_g_series(params, np.log([1e-6, 1e-3]))
+        np.testing.assert_array_equal(_meijer_g_series(params, np.log([1e-6, 1e-3])), small)
+        _meijer_g_series(params, np.log([0.02, 0.04]))
         meijer_g_batch(params, [1e-5, 0.03, 0.5])
         assert specfun._residue_table.cache_info().misses == 1
-        _meijer_g_series(MeijerGParams([], [0.0, 0.0]), [0.01])
+        _meijer_g_series(MeijerGParams([], [0.0, 0.0]), np.log([0.01]))
         assert specfun._residue_table.cache_info().misses == 2
 
     def test_contour_errors_name_the_evaluation(self):
