@@ -44,7 +44,7 @@ import numpy as np
 
 from . import quad
 from .specfun import (MeijerGParams, NumericalError, _asymptotic_exponents, _log_asymptotic_g,
-                      _meijer_g_series, _residue_table, bessel_k, meijer_g_batch, reduce_params)
+                      _meijer_g_limit, _meijer_g_series, bessel_k, meijer_g_batch, reduce_params)
 from .steinops import ProductSpec, stein_sides
 
 _LN2 = math.log(2.0)
@@ -317,24 +317,10 @@ class DensityEvaluator:
                 raise NumericalError(f"the density is not a finite double at |x| in "
                                      f"[{lost.min():.3g}, {lost.max():.3g}] ({self.spec.describe()})")
         out[live] = vals
-        if np.any(zero := ax == 0):
-            out[zero] = self._at_zero()
+        if np.any(zero := ax == 0):  # K times the limit of G's residue series, in logs
+            sign, log_g = _meijer_g_limit(self.reduced)
+            out[zero] = sign * _exp_const(self.log_const + log_g, self.spec, "density at x = 0")
         return out
-
-    def _at_zero(self) -> float:
-        """The limit of the residue series at x = 0, from its leading nonzero row
-        K e^{logmag} z^power sum_j c_j (ln z)^j: 0 where power > 0, +-inf where power < 0 or
-        a (ln z)^j, j > 0, remains, and K c_0 e^{logmag}, in logs, where it is a constant."""
-        powers, logmags, table = _residue_table(self.reduced)
-        lead = min(np.flatnonzero(table.any(axis=1)), key=lambda i: powers[i])
-        c, power = table[lead], powers[lead]
-        j = np.flatnonzero(c)[-1]  # the highest power of ln z, which tends to -inf
-        if power < 0 or j:
-            return math.copysign(math.inf, c[j] * (-1.0) ** j)
-        if power > 0:
-            return 0.0
-        return math.copysign(_exp_const(self.log_const + logmags[lead] + math.log(abs(c[0])),
-                                        self.spec, "density at x = 0"), c[0])
 
     def __call__(self, x: float) -> float:
         return float(self.batch([x])[0])
@@ -493,7 +479,8 @@ class NumericCdf:
     For the density K G(k |x|^h | A; B), the mass beyond |x| (P(W > x) on x > 0,
     P(|W| > |x|) on the line) is (w K / (h k^{1/h})) G(k |x|^h | A+1/h, 1; B+1/h, 0),
     w = 2 on the line and 1 otherwise, from M[int_x^inf f](s) = M[f](s+1) / s.
-    ``survival.batch`` takes its closed forms, limits and K in logs from the density's.
+    ``survival.batch``, with the density's closed forms, series and K in logs, is that mass
+    at x != 0; at x = 0 it is all of it, 1 exactly, so F is 0 left of a positive support.
     """
 
     def __init__(self, spec: ProductSpec):
@@ -509,9 +496,7 @@ class NumericCdf:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         if not self.ev.spec.symmetric:
             xs = np.maximum(xs, 0.0)  # left of a positive support is its left end
-        tail = np.ones_like(xs)  # mass beyond |x|: 1 where the G argument is (or underflows to) 0
-        live = self.ev.argument(xs) != 0
-        tail[live] = self.survival.batch(xs[live])
+        tail = np.where(xs == 0, 1.0, self.survival.batch(xs))  # mass beyond |x|: all at 0
         share = 0.5 if self.ev.spec.symmetric else 1.0  # of that mass on the side of x
         out = np.where(xs < 0, share * tail, 1.0 - share * tail)
         return out if np.ndim(x) else float(out[0])

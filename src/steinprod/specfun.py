@@ -563,6 +563,21 @@ def _meijer_g_series(params: MeijerGParams, lnz) -> np.ndarray:
     return out
 
 
+
+def _meijer_g_limit(params: MeijerGParams) -> tuple[float, float]:
+    """(sign, log|G|) of the residue series' limit as z -> 0, from its leading nonzero row
+    e^{logmag} z^power sum_j c_j (ln z)^j: log -inf (0) where power > 0, +inf where power < 0
+    or a (ln z)^j, j > 0, remains, else logmag + ln|c_0| (Gamma(b) may overflow, G not)."""
+    powers, logmags, table = _residue_table(params)
+    lead = min(np.flatnonzero(table.any(axis=1)), key=lambda i: powers[i])
+    c, power = table[lead], powers[lead]
+    j = np.flatnonzero(c)[-1]  # the highest power of ln z, which tends to -inf
+    if power > 0:
+        return 1.0, -math.inf
+    if power < 0 or j:
+        return math.copysign(1.0, c[j] * (-1.0) ** j), math.inf
+    return math.copysign(1.0, c[0]), logmags[lead] + math.log(abs(c[0]))
+
 # Norlund's expansion (q = p) takes 0.3 < z < 1, where (1 - z)^96 < 1.5e-15.  On a
 # three-beta row the residue series is 2e-12 off at z = 0.3 and 96 terms 3e-15; at
 # z = 0.2, 3e-13 and 1e-11.

@@ -244,6 +244,17 @@ class TestDensities:
     def test_two_normal_diverges_at_zero(self):
         assert dist.density(PN2)(0.0) == math.inf
 
+    @pytest.mark.parametrize("spec", [
+        ProductSpec(gamma_shapes=(2.0, 2.0), lam=1.0),  # 2x K_0(2 sqrt x): x ln x at 0
+        ProductSpec(gamma_shapes=(3.0, 3.0), lam=1.0),
+        ProductSpec(beta_pairs=((2.0, 1.0), (2.0, 1.0))),  # -4x ln x
+    ], ids=ProductSpec.describe)
+    def test_repeated_positive_exponent_vanishes_at_zero(self, spec):
+        # a repeated smallest b > 0 leaves z^b (ln z)^j, j > 0, as the leading residue row:
+        # its limit is 0, not the +-inf of a (ln z)^j at z^0
+        assert dist.density(spec)(0.0) == 0.0
+        assert dist.density(spec).batch([0.0, 1e-300])[0] == 0.0
+
     def test_single_gamma(self):
         ev = dist.density(ProductSpec(gamma_shapes=(2.0,), lam=1.5))
         for x in (0.1, 1.0, 4.0):
@@ -682,6 +693,15 @@ class TestTanhSinhEndpointLoss:
                            sigma=1.0 if normals else None)
         assert abs(1.0 - dist.normalization(spec)) <= 1e-10
 
+    @pytest.mark.parametrize("normals", [0, 1])
+    def test_tiny_gamma_shape_raises_in_the_head(self, normals):
+        # ROADMAP item 2: the head in x reaches subnormal tanh-sinh nodes, where p ~ x^{r-1}
+        # of gamma(0.01) is past the largest double; a head in ln x would integrate it
+        spec = ProductSpec(gamma_shapes=(0.01,), lam=1.0, normal_count=normals,
+                           sigma=1.0 if normals else None)
+        with pytest.raises(NumericalError, match="the density is not a finite double at"):
+            dist.normalization(spec)
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: nodes within an ulp of x = 1 round "
                                            "onto the cut, and the beta(0.6, 0.2) (1 - x)^-0.8 "
                                            "mass there is lost: reads 1 - 4.9e-4")
@@ -787,7 +807,9 @@ class TestNumericCdf:
         # the survival G at the origin is the whole mass
         at_origin = 0.5 if spec.N else 0.0
         assert cdf(1e-150) == pytest.approx(at_origin, abs=1e-12)
-        assert cdf(0.0) == at_origin and cdf(1e-300) == at_origin  # 1e-300^2 underflows
+        assert cdf(0.0) == at_origin  # the whole mass lies beyond x = 0
+        # kappa 1e-300^2 underflows: the survival rows' residue series in ln z
+        assert cdf(1e-300) == pytest.approx(at_origin, abs=1e-12)
         assert cdf(math.inf) == 1.0 and cdf(-math.inf) == 0.0
         x_tail = cdf.ev.tail_cut(36.0)
         assert cdf(x_tail) == pytest.approx(1.0, abs=1e-12)
@@ -805,6 +827,21 @@ class TestNumericCdf:
                 tail = (mp.exp(ev.log_const) / mp.sqrt(ev.arg_coeff)
                         * mp.meijerg([[], a], [b, []], ev.arg_coeff * mp.mpf(x) ** 2))
             assert cdf(x) == pytest.approx(float(tail / 2), abs=1e-12)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-170, 1e-150])
+    def test_underflowed_argument_against_mpmath(self, x):
+        # gamma(0.01) N(0, 1) has x^-0.99 at 0: 5.06e-4 of its mass lies within 1e-300,
+        # which a tail of 1 wherever kappa x^2 underflows dropped (the CDF read 0.5)
+        spec = ProductSpec(gamma_shapes=(0.01,), lam=1.0, normal_count=1, sigma=1.0)
+        cdf = dist.NumericCdf(spec)
+        ev = cdf.ev
+        a = [v + 0.5 for v in ev.reduced.a] + [1.0]
+        b = [v + 0.5 for v in ev.reduced.b] + [0.0]
+        with mp.workdps(30):
+            tail = (mp.exp(ev.log_const) / mp.sqrt(ev.arg_coeff)
+                    * mp.meijerg([[], a], [b, []], ev.arg_coeff * mp.mpf(x) ** 2))
+        assert cdf(x) == pytest.approx(float(1 - tail / 2), abs=1e-14)
+        assert cdf(-x) == pytest.approx(float(tail / 2), abs=1e-14)
 
     def test_closed_survival_rows(self):
         # the survival rows of gamma(1) gamma(200) reduce to a K-Bessel closed form,

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 
 from steinprod import dist, specfun
 from steinprod.specfun import (MeijerGParams, NumericalError, _log_asymptotic_g,
-                               _meijer_g_contour_batch, _meijer_g_series,
+                               _meijer_g_contour_batch, _meijer_g_limit,
+                               _meijer_g_series,
                                bessel_i, bessel_k,
                                log_gamma_complex, meijer_g, meijer_g_batch,
                                polygamma, reduce_params)
@@ -332,6 +333,21 @@ class TestMeijerG:
             ref = [float(mp.meijerg([[], a], [b, []], z)) for z in zs]
             np.testing.assert_allclose(_meijer_g_series(MeijerGParams(a, b), np.log(zs)),
                                        ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("a, b, limit", [
+        ([], [1.0, 1.0], (1.0, -math.inf)),              # 2z K_0(2 sqrt z): z ln z -> 0
+        ([], [2.0, 2.5, 2.0, 3.0], (1.0, -math.inf)),
+        ([], [0.0, 0.0], (1.0, math.inf)),               # -ln z
+        ([], [0.0, 0.0, 0.0], (1.0, math.inf)),          # (ln z)^2 / 2
+        ([], [-0.5, 0.5], (1.0, math.inf)),              # z^-1/2
+        ([], [0.0, 0.5], (1.0, math.lgamma(0.5))),
+        ([-0.5], [0.0, 0.3], (-1.0, math.lgamma(0.3) - math.log(2 * math.sqrt(math.pi)))),
+        ([], [0.0, 250.0], (1.0, math.lgamma(250.0))),  # Gamma(250) is past the doubles
+    ])
+    def test_series_limit(self, a, b, limit):
+        sign, log_g = _meijer_g_limit(MeijerGParams(a, b))
+        assert sign == limit[0]
+        assert log_g == pytest.approx(limit[1], rel=1e-14)
 
     @staticmethod
     def draw_density_params(data, counts):
